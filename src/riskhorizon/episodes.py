@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -256,7 +255,3 @@ def _parse_line(line: str, path: Path, lineno: int) -> dict:
     if not isinstance(rec, dict):
         raise SchemaError(f"{path}:{lineno}: record must be an object")
     return rec
-
-
-def collision_count(episodes: Iterable[Episode]) -> int:
-    return sum(1 for ep in episodes if ep.terminal is Terminal.COLLISION)

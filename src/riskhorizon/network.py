@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +97,14 @@ class LossWeights:
         return self.p_noncollision / self.p_collision
 
 
+def _init_dense(
+    params: dict[str, np.ndarray], rng: np.random.Generator, name: str, out_dim: int, in_dim: int
+) -> None:
+    bound = 1.0 / np.sqrt(in_dim)
+    params[f"{name}.w"] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    params[f"{name}.b"] = rng.uniform(-bound, bound, size=out_dim)
+
+
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
@@ -107,26 +117,46 @@ def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
+class FlatArrays(dict):
+    """Named arrays that are views into one float64 vector, `flat`.
+
+    The names follow the layout order, and the views tile `flat` in that
+    order, so whole-vector arithmetic on `flat` and per-name writes through
+    the views see the same numbers.
+    """
+
+    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.flat = flat
+        off = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self[name] = flat[off : off + size].reshape(shape)
+            off += size
+        if flat.shape != (off,):
+            raise ValueError(f"layout covers {off} values, the vector holds {flat.shape}")
+
+
 class MultiHeadEstimator:
     """Residual MLP backbone plus chained per-head sub-networks."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         rng = np.random.default_rng(config.init_seed)
-        self.params: dict[str, np.ndarray] = {}
+        init: dict[str, np.ndarray] = {}
         widths = [config.input_dim, *config.backbone_layers]
         for l in range(len(config.backbone_layers)):
-            self._init_dense(rng, f"backbone{l}", widths[l + 1], widths[l])
+            _init_dense(init, rng, f"backbone{l}", widths[l + 1], widths[l])
         head_in = config.backbone_layers[-1] + 1
         head_widths = [head_in, *config.head_layers]
         for i in range(config.n_heads):
             for l in range(len(config.head_layers)):
-                self._init_dense(rng, f"head{i}.l{l}", head_widths[l + 1], head_widths[l])
-
-    def _init_dense(self, rng: np.random.Generator, name: str, out_dim: int, in_dim: int) -> None:
-        bound = 1.0 / np.sqrt(in_dim)
-        self.params[f"{name}.w"] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        self.params[f"{name}.b"] = rng.uniform(-bound, bound, size=out_dim)
+                _init_dense(init, rng, f"head{i}.l{l}", head_widths[l + 1], head_widths[l])
+        layout = [(k, v.shape) for k, v in init.items()]
+        self.params = FlatArrays(np.concatenate([v.ravel() for v in init.values()]), layout)
+        # Gradient buffer in the same layout, made by the first backward pass
+        # and reused by every later one.
+        self._grads: FlatArrays | None = None
 
     # A backbone layer is residual when it preserves width; the first layer
     # projects the input and never is.
@@ -185,12 +215,19 @@ class MultiHeadEstimator:
         cache = {"x": x, "backbone": bb, "latent": latent, "heads": heads} if want_cache else None
         return preds, cache
 
-    def _backward(self, cache: dict, d_preds: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(raw head outputs)."""
+    def _backward(self, cache: dict, d_preds: np.ndarray) -> FlatArrays:
+        """Gradients of a scalar loss given d(loss)/d(raw head outputs).
+
+        The result is the estimator's gradient buffer: the next backward
+        pass overwrites it.
+        """
 
         cfg = self.config
         act = cfg.activation
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        if self._grads is None:
+            self._grads = FlatArrays(np.zeros(self.n_params), self.layout())
+        grads = self._grads
+        grads.flat.fill(0.0)
         d_pred = d_preds.astype(np.float64).copy()
         latent_dim = cfg.backbone_layers[-1]
         d_latent = np.zeros_like(cache["latent"])
@@ -224,26 +261,24 @@ class MultiHeadEstimator:
             d_h = d_prev
         return grads
 
-    # Flat views, used by checkpoints and the finite-difference tests.
+    # The flat vector in layout order, used by checkpoints and the
+    # finite-difference tests.
 
     def layout(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(k, v.shape) for k, v in self.params.items()]
 
     @property
     def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
+        return self.params.flat.size
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.params.values()])
+        return self.params.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        off = 0
-        for k, v in self.params.items():
-            self.params[k] = flat[off : off + v.size].reshape(v.shape).copy()
-            off += v.size
+        self.params.flat[:] = flat
 
 
 def loss_mse(prediction: float, target: float, collision_sample: bool, weights: LossWeights) -> float:
@@ -301,14 +336,15 @@ def batch_loss_and_grad(
     collision_mask: np.ndarray,
     weights: LossWeights,
     want_grad: bool = True,
-) -> tuple[float, LossBreakdown, dict[str, np.ndarray] | None]:
+) -> tuple[float, LossBreakdown, FlatArrays | None]:
     """Composite loss (and optionally its gradients) over one batch.
 
     The loss is the mean over valid (sample, head) entries of squared error
     plus interval and chain penalties. Masked entries contribute nothing,
     but their raw predictions still appear inside neighbours' chain hinges,
     and gradients flow into them through those hinges and through the head
-    chaining.
+    chaining. The gradients live in the estimator's own buffer, which the
+    next gradient call overwrites; copy them to keep them.
     """
 
     features = np.asarray(features, dtype=np.float64)
@@ -390,48 +426,81 @@ def batch_loss_and_grad(
 
 @dataclass
 class AdamState:
+    """Step count and first/second moments, laid out like the parameters."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: FlatArrays
+    v: FlatArrays
 
     @classmethod
     def zeros(cls, estimator: MultiHeadEstimator) -> "AdamState":
+        layout = estimator.layout()
         return cls(
             step=0,
-            m={k: np.zeros_like(p) for k, p in estimator.params.items()},
-            v={k: np.zeros_like(p) for k, p in estimator.params.items()},
+            m=FlatArrays(np.zeros(estimator.n_params), layout),
+            v=FlatArrays(np.zeros(estimator.n_params), layout),
         )
+
+
+def _flat_gradient(estimator: MultiHeadEstimator, grads: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The gradient as one vector in the estimator's layout order."""
+
+    params = estimator.params
+    if (
+        isinstance(grads, FlatArrays)
+        and grads.flat.shape == params.flat.shape
+        and list(grads) == list(params)
+    ):
+        return grads.flat
+    if set(grads) != set(params):
+        raise ValueError("gradient keys do not match estimator parameters")
+    parts = []
+    for k, p in params.items():
+        g = np.asarray(grads[k], dtype=np.float64)
+        if g.shape != p.shape:
+            raise ValueError(f"gradient {k!r} has shape {g.shape}, parameter has {p.shape}")
+        parts.append(g.ravel())
+    return np.concatenate(parts)
 
 
 def optimizer_step(
     estimator: MultiHeadEstimator,
-    grads: dict[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
 ) -> MultiHeadEstimator:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place, as whole-vector operations.
 
     A non-finite gradient aborts before any parameter is touched.
     """
 
     if learning_rate <= 0 or not np.isfinite(learning_rate):
         raise ValueError("learning_rate must be positive and finite")
-    if set(grads) != set(estimator.params):
-        raise ValueError("gradient keys do not match estimator parameters")
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteUpdateError("non-finite gradient; update aborted")
+    g = _flat_gradient(estimator, grads)
+    if not np.isfinite(g).all():
+        raise NonFiniteUpdateError("non-finite gradient; update aborted")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for k, p in estimator.params.items():
-        g = grads[k]
-        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
-        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        p -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # The order of every operation matches the per-array update
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+    #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    # so the result is bit-identical to it.
+    m, v = state.m.flat, state.v.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    scratch = (1.0 - ADAM_BETA2) * g
+    scratch *= g
+    v += scratch
+    np.divide(v, bc2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    update = m / bc1
+    update *= learning_rate
+    update /= scratch
+    estimator.params.flat -= update
     return estimator
 
 
@@ -471,7 +540,8 @@ def save_checkpoint(
 ) -> None:
     from .returns import HorizonConfig  # local import avoids a cycle
 
-    assert isinstance(horizon, HorizonConfig)
+    if not isinstance(horizon, HorizonConfig):
+        raise TypeError(f"horizon must be a HorizonConfig, got {type(horizon).__name__}")
     if estimator.config.n_heads != horizon.n_heads:
         raise ValueError("estimator and horizon disagree on n_heads")
     layout = []
@@ -505,13 +575,11 @@ def save_checkpoint(
         },
         "epochs_completed": int(epochs_completed),
         "layout": layout,
-        "params": _encode(estimator.get_flat()),
+        "params": _encode(estimator.params.flat),
         "adam": None,
     }
     if adam is not None:
-        flat_m = np.concatenate([adam.m[name].ravel() for name, _ in estimator.layout()])
-        flat_v = np.concatenate([adam.v[name].ravel() for name, _ in estimator.layout()])
-        doc["adam"] = {"step": adam.step, "m": _encode(flat_m), "v": _encode(flat_v)}
+        doc["adam"] = {"step": adam.step, "m": _encode(adam.m.flat), "v": _encode(adam.v.flat)}
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )
@@ -562,16 +630,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         estimator.set_flat(_decode(doc["params"], estimator.n_params))
         adam = None
         if doc.get("adam") is not None:
-            adam = AdamState.zeros(estimator)
-            adam.step = int(doc["adam"]["step"])
-            flat_m = _decode(doc["adam"]["m"], estimator.n_params)
-            flat_v = _decode(doc["adam"]["v"], estimator.n_params)
-            off = 0
-            for name, shape in estimator.layout():
-                size = int(np.prod(shape))
-                adam.m[name] = flat_m[off : off + size].reshape(shape).copy()
-                adam.v[name] = flat_v[off : off + size].reshape(shape).copy()
-                off += size
+            layout = estimator.layout()
+            adam = AdamState(
+                step=int(doc["adam"]["step"]),
+                m=FlatArrays(_decode(doc["adam"]["m"], estimator.n_params), layout),
+                v=FlatArrays(_decode(doc["adam"]["v"], estimator.n_params), layout),
+            )
         epochs = int(doc["epochs_completed"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from exc

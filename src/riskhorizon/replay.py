@@ -118,23 +118,18 @@ def sample(
     importance = p_noncollision / p_collision
     out: list[SampleRef] = []
     # Chunked rejection keeps the draw count bounded while staying a pure
-    # function of the generator state.
+    # function of the generator state. Accepted proposals are taken in
+    # proposal order; the rest of the chunk that fills the batch is dropped.
     chunk = max(batch_size * 4, 64)
     while len(out) < batch_size:
         proposals = rng.integers(0, len(index), size=chunk)
         accept = rng.random(chunk)
-        for j, u in zip(proposals, accept):
-            related = bool(index.collision_related[j])
-            threshold = p_collision if related else p_noncollision
-            if u < threshold:
-                out.append(
-                    SampleRef(
-                        episode=int(index.episode_ids[j]),
-                        timestep=int(index.timesteps[j]),
-                        collision_related=related,
-                        importance=importance if related else 1.0,
-                    )
-                )
-                if len(out) == batch_size:
-                    break
+        threshold = np.where(index.collision_related[proposals], p_collision, p_noncollision)
+        taken = proposals[accept < threshold][: batch_size - len(out)]
+        for e, t, related in zip(
+            index.episode_ids[taken].tolist(),
+            index.timesteps[taken].tolist(),
+            index.collision_related[taken].tolist(),
+        ):
+            out.append(SampleRef(e, t, related, importance if related else 1.0))
     return out

@@ -15,6 +15,7 @@ never zero-filled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,6 +204,73 @@ def lambda_return(
     return min(max(total, 0.0), 1.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _weight_table(cfg: HorizonConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (depth_weights, deepest) for a horizon.
+
+    depth_weights[n-1, i-1] is depth n's weight for head i (zero past the
+    head's own depths); deepest[i-1] is the deepest depth that actually
+    carries weight for head i. Shallower depths land on earlier states, so
+    deepest alone decides validity on truncation.
+    """
+
+    weight_rows = [lambda_weights(i, cfg.lam, cfg.trunc_n) for i in range(1, cfg.n_heads + 1)]
+    max_depth = max(len(w) for w in weight_rows)
+    depth_weights = np.zeros((max_depth, cfg.n_heads))
+    for i, w in enumerate(weight_rows):
+        depth_weights[: len(w), i] = w
+    deepest = np.array([int(np.max(np.nonzero(w)[0])) + 1 for w in weight_rows])
+    depth_weights.flags.writeable = False
+    deepest.flags.writeable = False
+    return depth_weights, deepest
+
+
+def lambda_targets(
+    snapshot: np.ndarray,
+    rows: np.ndarray,
+    last_rows: np.ndarray,
+    collided: np.ndarray,
+    cfg: HorizonConfig,
+) -> TargetMatrix:
+    """Targets anchored at chosen rows of a packed bootstrap snapshot.
+
+    snapshot holds clamped head outputs ([0, 1]) for the recorded states of
+    one or more episodes, each episode's states in consecutive rows. For
+    every anchor k, rows[k] is its row, last_rows[k] the row of its
+    episode's final recorded state, and collided[k] whether that episode
+    ends in a collision. Returns the [len(rows), n_heads] target matrix of
+    those anchors; equal, entry for entry, to the scalar lambda_return.
+    """
+
+    rows = np.asarray(rows, dtype=np.int64)
+    last_rows = np.asarray(last_rows, dtype=np.int64)
+    collided = np.asarray(collided, dtype=bool)
+    depth_weights, deepest = _weight_table(cfg)
+    n_heads = cfg.n_heads
+    values = np.zeros((rows.shape[0], n_heads))
+    for n, weight in enumerate(depth_weights, start=1):
+        # Depth-n component per (anchor, head): with a recorded landing state
+        # it is the bootstrap for heads i > n and the zero reward sum at
+        # i = n; past the end of a collision episode the window holds the
+        # collision and the component is exactly 1.
+        landed = rows + n <= last_rows
+        component = np.zeros((rows.shape[0], n_heads))
+        if n < n_heads:
+            component[landed, n:] = snapshot[rows[landed] + n, : n_heads - n]
+        component[collided & ~landed] = 1.0
+        # Accumulating depth by depth in this order reproduces the scalar
+        # blend's rounding exactly.
+        values += component * weight
+
+    # components and weights keep the exact value in [0, 1]; the float
+    # accumulation can still land one ulp outside
+    np.clip(values, 0.0, 1.0, out=values)
+
+    valid = collided[:, None] | (rows[:, None] + deepest[None, :] <= last_rows[:, None])
+    values[~valid] = 0.0
+    return TargetMatrix(values=values, valid=valid)
+
+
 def targets_from_estimates(
     trace: RewardTrace, estimates: np.ndarray, cfg: HorizonConfig
 ) -> TargetMatrix:
@@ -215,47 +283,17 @@ def targets_from_estimates(
 
     estimates = np.asarray(estimates, dtype=np.float64)
     steps = trace.steps
-    n_heads = cfg.n_heads
-    if estimates.shape != (steps, n_heads):
+    if estimates.shape != (steps, cfg.n_heads):
         raise ValueError(
-            f"estimates must be [{steps}, {n_heads}], got {estimates.shape}"
+            f"estimates must be [{steps}, {cfg.n_heads}], got {estimates.shape}"
         )
-    clamped = np.clip(estimates, 0.0, 1.0)
-    collided = trace.ends_in_collision
-    weight_rows = [lambda_weights(i, cfg.lam, cfg.trunc_n) for i in range(1, n_heads + 1)]
-    max_depth = max(len(w) for w in weight_rows)
-    # Padded weight table: weights[i-1, n-1] is depth n's weight for head i.
-    weights = np.zeros((n_heads, max_depth))
-    for i, w in enumerate(weight_rows):
-        weights[i, : len(w)] = w
-    # Deepest depth that actually carries weight, per head; shallower depths
-    # land on earlier states, so this alone decides validity on truncation.
-    deepest = np.array([int(np.max(np.nonzero(w)[0])) + 1 for w in weight_rows])
-
-    values = np.zeros((steps, n_heads))
-    for n in range(1, max_depth + 1):
-        # Depth-n component per (t, head): with a recorded landing state it
-        # is the bootstrap for heads i > n and the zero reward sum at i = n;
-        # past the end of a collision episode the window holds the collision
-        # and the component is exactly 1.
-        component = np.zeros((steps, n_heads))
-        last_ok = steps - 1 - n
-        if last_ok >= 0 and n < n_heads:
-            component[: last_ok + 1, n:] = clamped[n : last_ok + n + 1, : n_heads - n]
-        if collided:
-            component[max(last_ok + 1, 0) :, :] = 1.0
-        values += component * weights[:, n - 1][None, :]
-
-    # components and weights keep the exact value in [0, 1]; the float
-    # accumulation can still land one ulp outside
-    np.clip(values, 0.0, 1.0, out=values)
-
-    if collided:
-        valid = np.ones((steps, n_heads), dtype=bool)
-    else:
-        valid = (np.arange(steps)[:, None] + deepest[None, :]) <= steps - 1
-        values[~valid] = 0.0
-    return TargetMatrix(values=values, valid=valid)
+    return lambda_targets(
+        np.clip(estimates, 0.0, 1.0),
+        np.arange(steps),
+        np.full(steps, steps - 1),
+        np.full(steps, trace.ends_in_collision),
+        cfg,
+    )
 
 
 def build_targets(episode: Episode, estimator, cfg: HorizonConfig) -> TargetMatrix:

@@ -1,10 +1,11 @@
 """Training loop: stratified replay, bootstrap snapshots, Adam, metric log.
 
-Each batch recomputes its targets from a snapshot of the current estimator
-(semi-gradient: no gradient flows through targets, and there is no separate
-target network). The learning rate decays exponentially from lr_start to
-lr_end over the configured epochs; held-out episodes are split off before
-training and evaluated after every epoch.
+Each epoch starts from one snapshot of the current estimator's outputs on
+every training state; each batch builds the targets of its sampled rows from
+that snapshot (semi-gradient: no gradient flows through targets, and there
+is no separate target network). The learning rate decays exponentially from
+lr_start to lr_end over the configured epochs; held-out episodes are split
+off before training and evaluated after every epoch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .network import (
     optimizer_step,
 )
 from .replay import build_index, sample
-from .returns import HorizonConfig, targets_from_estimates
+from .returns import HorizonConfig, lambda_targets
 
 METRICS_HEADER = "# riskhorizon-train-metrics v1"
 
@@ -166,17 +167,18 @@ def train(
     train_ids, held_out = _split(len(episodes), cfg.eval_fraction, np.random.default_rng(split_seq))
     train_eps = [episodes[j] for j in train_ids]
     held_eps = [episodes[j] for j in held_out]
-    traces = [ep.trace() for ep in train_eps]
+    # Per training episode: its rows in the packed epoch snapshot, and how
+    # it ended.
+    steps = np.array([ep.steps for ep in train_eps])
+    last_rows = np.cumsum(steps) - 1
+    first_rows = last_rows - steps + 1
+    collided = np.array([ep.terminal is Terminal.COLLISION for ep in train_eps])
 
     index = build_index(train_eps, cfg.horizon)
     # The final timestep of a truncated episode can anchor no valid target
     # under strict masking; sampling skips those, the index itself keeps them.
-    alive = np.ones(len(index), dtype=bool)
-    for j in range(len(index)):
-        ep = train_eps[index.episode_ids[j]]
-        if ep.terminal is not Terminal.COLLISION:
-            alive[j] = index.timesteps[j] <= ep.steps - 2
-    pool = index.restricted(alive)
+    owner = index.episode_ids
+    pool = index.restricted(collided[owner] | (index.timesteps <= steps[owner] - 2))
     if len(pool) == 0:
         raise DegenerateCorpusError("no timestep in the corpus can anchor a valid target")
 
@@ -185,7 +187,9 @@ def train(
     epoch = start_epoch
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        epoch_targets = _snapshot_targets(train_eps, traces, estimator, cfg.horizon)
+        # One forward per episode, as its rounding depends on the row count.
+        snapshot = np.concatenate([estimator.forward(ep.observations) for ep in train_eps])
+        np.clip(snapshot, 0.0, 1.0, out=snapshot)
         drawn = 0
         sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
         n_valid_total = 0
@@ -193,11 +197,15 @@ def train(
             size = min(cfg.batch_size, cfg.samples_per_epoch - drawn)
             refs = sample(pool, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
             drawn += size
-            features, targets, valid, collision_mask = _gather_batch(
-                train_eps, epoch_targets, refs
+            ep_ids = np.array([r.episode for r in refs])
+            rows = first_rows[ep_ids] + np.array([r.timestep for r in refs])
+            targets = lambda_targets(
+                snapshot, rows, last_rows[ep_ids], collided[ep_ids], cfg.horizon
             )
+            features = np.stack([train_eps[r.episode].observations[r.timestep] for r in refs])
+            collision_mask = np.array([r.collision_related for r in refs], dtype=bool)
             _, breakdown, grads = batch_loss_and_grad(
-                estimator, features, targets, valid, collision_mask, cfg.loss
+                estimator, features, targets.values, targets.valid, collision_mask, cfg.loss
             )
             optimizer_step(estimator, grads, adam, lr)
             sums += np.array(
@@ -226,23 +234,6 @@ def train(
         held_out=held_out,
         epochs_completed=epochs_completed,
     )
-
-
-def _snapshot_targets(train_eps, traces, estimator, horizon):
-    """Target matrices for every training episode from one estimator snapshot."""
-
-    return [
-        targets_from_estimates(trace, estimator.forward(ep.observations), horizon)
-        for ep, trace in zip(train_eps, traces)
-    ]
-
-
-def _gather_batch(train_eps, epoch_targets, refs):
-    features = np.stack([train_eps[r.episode].observations[r.timestep] for r in refs])
-    targets = np.stack([epoch_targets[r.episode].values[r.timestep] for r in refs])
-    valid = np.stack([epoch_targets[r.episode].valid[r.timestep] for r in refs])
-    collision_mask = np.array([r.collision_related for r in refs], dtype=bool)
-    return features, targets, valid, collision_mask
 
 
 def write_metric_log(path: str | Path, metrics: list[EpochMetrics], n_heads: int) -> None:

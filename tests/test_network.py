@@ -1,9 +1,16 @@
 """Estimator, composite loss, analytic gradients, Adam, checkpoints."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from riskhorizon.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     CheckpointError,
     EmptyBatchError,
@@ -376,6 +383,67 @@ def test_adam_rejects_nonfinite_gradient_before_mutation():
     assert state.step == 0
 
 
+def reference_adam_step(params, grads, m, v, step, lr):
+    """Adam one array at a time: the arithmetic the flat update must keep."""
+
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = ADAM_BETA1 * m[k] + (1.0 - ADAM_BETA1) * g
+        v[k] = ADAM_BETA2 * v[k] + (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + ADAM_EPS)
+
+
+def test_flat_adam_matches_per_array_reference_bitwise():
+    est = small_estimator(seed=5)
+    ref = {k: p.copy() for k, p in est.params.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = AdamState.zeros(est)
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(6, 3))
+    targets = rng.uniform(size=(6, 4))
+    valid = np.ones((6, 4), bool)
+    coll = rng.integers(0, 2, size=6).astype(bool)
+    for step in range(1, 7):
+        if step % 2:
+            # A plain dict of separate arrays.
+            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
+                     for k, p in ref.items()}
+        else:
+            # The estimator's own gradient buffer.
+            _, _, grads = batch_loss_and_grad(est, feats, targets, valid, coll, W)
+        expected = {k: g.copy() for k, g in grads.items()}
+        lr = 1e-3 / step
+        optimizer_step(est, grads, state, lr)
+        reference_adam_step(ref, expected, ref_m, ref_v, step, lr)
+        for k in ref:
+            assert np.array_equal(est.params[k], ref[k])
+            assert np.array_equal(state.m[k], ref_m[k])
+            assert np.array_equal(state.v[k], ref_v[k])
+    assert state.step == 6
+
+
+def test_parameter_views_write_through_to_the_flat_vector():
+    est = small_estimator(seed=6)
+    offsets, off = {}, 0
+    for name, shape in est.layout():
+        offsets[name] = off
+        off += int(np.prod(shape))
+    assert off == est.n_params
+    est.params["head1.l0.w"][0, 0] = 7.0
+    est.params["backbone1.b"] += 1.0
+    flat = est.get_flat()
+    assert flat[offsets["head1.l0.w"]] == 7.0
+    b, size = offsets["backbone1.b"], est.params["backbone1.b"].size
+    assert np.array_equal(flat[b : b + size], est.params["backbone1.b"])
+    flat[0] = -3.0  # get_flat is a copy
+    assert est.params["backbone0.w"][0, 0] != -3.0
+    est.set_flat(np.arange(est.n_params, dtype=float))
+    assert est.params["head1.l0.w"][0, 0] == offsets["head1.l0.w"]
+
+
 # --- checkpoints ------------------------------------------------------------
 
 
@@ -412,6 +480,51 @@ def test_checkpoint_bytes_stable(tmp_path):
     c = tmp_path / "c.json"
     save_checkpoint(c, loaded.estimator, loaded.horizon, loaded.loss_weights)
     assert c.read_bytes() == a.read_bytes()
+
+
+def test_checkpoint_save_load_save_is_byte_identical_with_adam(tmp_path):
+    est = small_estimator(seed=24)
+    adam = AdamState.zeros(est)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        grads = {k: rng.normal(size=p.shape) for k, p in est.params.items()}
+        optimizer_step(est, grads, adam, 1e-3)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_checkpoint(a, est, horizon(), W, adam=adam, epochs_completed=3)
+    loaded = load_checkpoint(a)
+    save_checkpoint(b, loaded.estimator, loaded.horizon, loaded.loss_weights,
+                    adam=loaded.adam, epochs_completed=loaded.epochs_completed)
+    assert b.read_bytes() == a.read_bytes()
+    # The restored moments drive the next step exactly like the originals.
+    grads = {k: rng.normal(size=p.shape) for k, p in est.params.items()}
+    optimizer_step(est, grads, adam, 1e-3)
+    optimizer_step(loaded.estimator, grads, loaded.adam, 1e-3)
+    assert np.array_equal(loaded.estimator.get_flat(), est.get_flat())
+
+
+def test_save_checkpoint_rejects_a_non_horizon_under_optimization(tmp_path):
+    # Under -O assert statements are stripped; the type check must remain,
+    # even for an object that looks like a HorizonConfig.
+    path = tmp_path / "ckpt.json"
+    code = textwrap.dedent(
+        f"""
+        from types import SimpleNamespace
+        from riskhorizon.network import (
+            EstimatorConfig, LossWeights, MultiHeadEstimator, save_checkpoint)
+        est = MultiHeadEstimator(EstimatorConfig(input_dim=3, n_heads=4))
+        fake = SimpleNamespace(delta_t=0.1, n_heads=4, lam=0.8, trunc_n=3)
+        try:
+            save_checkpoint({str(path)!r}, est, fake, LossWeights())
+        except TypeError:
+            raise SystemExit(0)
+        raise SystemExit(3)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -3,9 +3,11 @@ importance factors, and the unbiasedness identity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskhorizon.episodes import Episode, Terminal
-from riskhorizon.replay import build_index, sample
+from riskhorizon.replay import SampleRef, build_index, sample
 from riskhorizon.returns import HorizonConfig
 
 
@@ -84,6 +86,51 @@ def test_sample_reproducible():
     a = sample(index, 32, np.random.default_rng(9), 0.25, 0.025)
     b = sample(index, 32, np.random.default_rng(9), 0.25, 0.025)
     assert a == b
+
+
+def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
+    """Proposal-by-proposal acceptance: the loop `sample` must reproduce."""
+
+    importance = p_noncollision / p_collision
+    out = []
+    chunk = max(batch_size * 4, 64)
+    while len(out) < batch_size:
+        proposals = rng.integers(0, len(index), size=chunk)
+        accept = rng.random(chunk)
+        for j, u in zip(proposals, accept):
+            related = bool(index.collision_related[j])
+            threshold = p_collision if related else p_noncollision
+            if u < threshold:
+                out.append(
+                    SampleRef(
+                        episode=int(index.episode_ids[j]),
+                        timestep=int(index.timesteps[j]),
+                        collision_related=related,
+                        importance=importance if related else 1.0,
+                    )
+                )
+                if len(out) == batch_size:
+                    break
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=6),
+    n_heads=st.integers(1, 8),
+    batch_size=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+    p_collision=st.floats(0.05, 1.0),
+    ratio=st.floats(0.05, 1.0),
+)
+def test_sample_matches_scalar_reference(shapes, n_heads, batch_size, seed, p_collision, ratio):
+    eps = [episode(steps, collides, seed=k) for k, (steps, collides) in enumerate(shapes)]
+    index = build_index(eps, horizon(n_heads))
+    p_noncollision = p_collision * ratio
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample(index, batch_size, rng, p_collision, p_noncollision)
+    assert got == reference_sample(index, batch_size, ref_rng, p_collision, p_noncollision)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sample_rejects_empty_index():

@@ -13,6 +13,7 @@ from riskhorizon.returns import (
     HorizonConfig,
     InvalidTargetError,
     lambda_return,
+    lambda_targets,
     lambda_weights,
     mc_return,
     n_step_return,
@@ -309,7 +310,31 @@ def test_targets_match_scalar_reference():
                     assert not tm.valid[t, i - 1]
                     continue
                 assert tm.valid[t, i - 1]
-                assert tm.values[t, i - 1] == pytest.approx(want, abs=1e-12)
+                assert tm.values[t, i - 1] == want
+
+
+def test_packed_snapshot_rows_match_per_episode_targets():
+    # Training packs every episode's clamped estimates into one snapshot and
+    # builds targets for sampled rows only; no window may read across an
+    # episode boundary, and each row must equal its episode's own matrix.
+    rng = np.random.default_rng(11)
+    for lam, trunc_n in ((0.8, 3), (0.0, 5), (1.0, 2), (0.5, 1)):
+        horizon = cfg(n_heads=5, lam=lam, trunc_n=trunc_n)
+        traces = [trace([0] * (s - 1) + [int(rng.integers(2))])
+                  for s in rng.integers(1, 15, size=12)]
+        estimates = [rng.uniform(-0.5, 1.5, size=(tr.steps, 5)) for tr in traces]
+        snapshot = np.clip(np.concatenate(estimates), 0.0, 1.0)
+        steps = np.array([tr.steps for tr in traces])
+        last = np.cumsum(steps) - 1
+        first = last - steps + 1
+        ep = rng.integers(0, len(traces), size=60)
+        t = (rng.uniform(size=60) * steps[ep]).astype(np.int64)
+        collided = np.array([traces[e].ends_in_collision for e in ep])
+        got = lambda_targets(snapshot, first[ep] + t, last[ep], collided, horizon)
+        for k, (e, s) in enumerate(zip(ep, t)):
+            want = targets_from_estimates(traces[e], estimates[e], horizon)
+            assert np.array_equal(got.values[k], want.values[s])
+            assert np.array_equal(got.valid[k], want.valid[s])
 
 
 def test_targets_validity_windows():
