@@ -18,10 +18,18 @@ import numpy as np
 
 SCHEMA_VERSION = 1
 
-# Fixed text precision for observation values. Nine significant digits keeps
-# the files portable across platforms while staying exact for the feature
-# scales used here.
+# Fixed text precision for observation values. Nine significant digits is
+# lossy: a float64 needs up to 17 to round-trip, and a corridor corpus read
+# back differs from the one written by up to 5e-10. Schema v2, planned, will
+# write shortest round-trip floats instead.
 _FLOAT_FMT = "%.9g"
+
+# The frame of a step line as save_episodes writes it: {"s":[...],"c":0|1}.
+_STEP_HEAD = '{"s":['
+_STEP_TAILS = ('],"c":0}\n', '],"c":1}\n')
+_META_KEYS = {"seed", "terminal", "steps"}
+# Step lines parsed in one go at most, which bounds the loader's memory.
+_BLOCK_LINES = 1024
 
 
 class Terminal(Enum):
@@ -119,10 +127,6 @@ def spec_fingerprint(spec_fields: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _format_obs(row: np.ndarray) -> str:
-    return "[" + ",".join(_FLOAT_FMT % v for v in row) + "]"
-
-
 def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> None:
     """Write episodes as line-delimited JSON records.
 
@@ -131,7 +135,8 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
       {"e": {"seed": S, "terminal": "collision", "steps": T}}   once per episode
       {"s": [..obs..], "c": 0|1}                                 T step lines
 
-    Observation numbers are written with fixed 9-significant-digit precision.
+    Observation numbers are written with 9 significant digits (`%.9g`), so
+    the file does not round-trip float64 values exactly.
     """
 
     if not episodes:
@@ -139,6 +144,7 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     obs_dim = episodes[0].obs_dim
     if any(ep.obs_dim != obs_dim for ep in episodes):
         raise ValueError("episodes in one file must share obs_dim")
+    step_line = _STEP_HEAD + ",".join([_FLOAT_FMT] * obs_dim) + '],"c":%d}\n'
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         header = {
@@ -159,92 +165,192 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
                 }
             }
             fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-            for t in range(ep.steps):
-                fh.write(
-                    '{"s":%s,"c":%d}\n' % (_format_obs(ep.observations[t]), int(ep.rewards[t]))
+            fh.write(
+                "".join(
+                    step_line % (*row, flag)
+                    for row, flag in zip(ep.observations.tolist(), ep.rewards.tolist())
                 )
+            )
 
 
 def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:
-    """Read an episode file back; returns (episodes, header dict)."""
+    """Read an episode file back; returns (episodes, header dict).
+
+    The file is streamed. The step lines between two episode records are
+    parsed with one `json.loads` over the whole run of lines when they are
+    step lines as `save_episodes` writes them; otherwise that run is parsed
+    line by line, which names the first bad line as `path:line`.
+    """
 
     path = Path(path)
     episodes: list[Episode] = []
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise SchemaError(f"{path}: empty file")
-        header = _parse_line(first, path, 1)
-        if "h" not in header:
-            raise SchemaError(f"{path}: first record must be the header")
-        head = header["h"]
-        for key in ("version", "spec_hash", "obs_dim", "episodes"):
-            if key not in head:
-                raise SchemaError(f"{path}: header missing '{key}'")
-        if head["version"] != SCHEMA_VERSION:
-            raise SchemaError(
-                f"{path}: schema version {head['version']} not supported "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        obs_dim = int(head["obs_dim"])
-        lineno = 1
-        pending: dict | None = None
-        obs_rows: list[list[float]] = []
-        flags: list[int] = []
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            head = _read_header(fh, path)
+            obs_dim = head["obs_dim"]
+            pending: dict | None = None
+            # The current episode's steps: float64 [k, obs_dim] blocks and
+            # their int64 collision flags.
+            obs_parts: list[np.ndarray] = []
+            flag_parts: list[np.ndarray] = []
 
-        def finish() -> None:
-            assert pending is not None
-            if len(obs_rows) != pending["steps"]:
-                raise SchemaError(
-                    f"{path}: episode declared {pending['steps']} steps, "
-                    f"found {len(obs_rows)}"
-                )
-            try:
-                terminal = Terminal(pending["terminal"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: unknown terminal {pending['terminal']!r}") from exc
-            try:
-                episodes.append(
-                    Episode(
-                        observations=np.array(obs_rows, dtype=np.float64),
-                        rewards=np.array(flags, dtype=np.int64),
-                        terminal=terminal,
-                        seed=int(pending["seed"]),
-                    )
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{path}: invalid episode: {exc}") from exc
-
-        for line in fh:
-            lineno += 1
-            if not line.strip():
-                continue
-            rec = _parse_line(line, path, lineno)
-            if "e" in rec:
-                if pending is not None:
-                    finish()
-                pending = rec["e"]
-                obs_rows, flags = [], []
-            elif "s" in rec:
-                if pending is None:
-                    raise SchemaError(f"{path}:{lineno}: step record before any episode")
-                row = rec["s"]
-                if len(row) != obs_dim:
+            def finish() -> None:
+                if not (isinstance(pending, dict) and _META_KEYS <= pending.keys()):
+                    raise SchemaError(f"{path}: episode record needs seed, terminal and steps")
+                found = sum(len(f) for f in flag_parts)
+                if found != pending["steps"]:
                     raise SchemaError(
-                        f"{path}:{lineno}: observation has {len(row)} values, "
-                        f"header says {obs_dim}"
+                        f"{path}: episode declared {pending['steps']} steps, found {found}"
                     )
-                obs_rows.append([float(v) for v in row])
-                flags.append(int(rec.get("c", 0)))
-            else:
-                raise SchemaError(f"{path}:{lineno}: unrecognized record")
-        if pending is not None:
-            finish()
+                try:
+                    terminal = Terminal(pending["terminal"])
+                except ValueError as exc:
+                    raise SchemaError(f"{path}: unknown terminal {pending['terminal']!r}") from exc
+                try:
+                    episodes.append(
+                        Episode(
+                            observations=np.concatenate(obs_parts) if obs_parts else np.empty(0),
+                            rewards=np.concatenate(flag_parts) if flag_parts else np.empty(0),
+                            terminal=terminal,
+                            seed=int(pending["seed"]),
+                        )
+                    )
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"{path}: invalid episode: {exc}") from exc
+
+            def parse_line(line: str, lineno: int) -> None:
+                nonlocal pending
+                if not line.strip():
+                    return
+                rec = _parse_line(line, path, lineno)
+                if "e" in rec:
+                    if pending is not None:
+                        finish()
+                    pending = rec["e"]
+                    obs_parts.clear()
+                    flag_parts.clear()
+                elif "s" in rec:
+                    if pending is None:
+                        raise SchemaError(f"{path}:{lineno}: step record before any episode")
+                    obs, flag = _step_values(rec, obs_dim, path, lineno)
+                    obs_parts.append(obs)
+                    flag_parts.append(flag)
+                else:
+                    raise SchemaError(f"{path}:{lineno}: unrecognized record")
+
+            def parse_block(block: list[str], first: int) -> None:
+                steps = _parse_step_block(block, obs_dim) if pending is not None else None
+                if steps is not None:
+                    obs_parts.append(steps[0])
+                    flag_parts.append(steps[1])
+                    return
+                for k, line in enumerate(block):
+                    parse_line(line, first + k)
+
+            # Lines that do not start an episode record collect in `block`
+            # until the next one that does, or until the block is full.
+            block: list[str] = []
+            lineno = 1
+            for line in fh:
+                lineno += 1
+                if line.startswith('{"e"'):
+                    if block:
+                        parse_block(block, lineno - len(block))
+                        block = []
+                    parse_line(line, lineno)
+                else:
+                    block.append(line)
+                    if len(block) == _BLOCK_LINES:
+                        parse_block(block, lineno + 1 - len(block))
+                        block = []
+            if block:
+                parse_block(block, lineno + 1 - len(block))
+            if pending is not None:
+                finish()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     if len(episodes) != head["episodes"]:
         raise SchemaError(
             f"{path}: header declared {head['episodes']} episodes, found {len(episodes)}"
         )
     return episodes, dict(head)
+
+
+def _read_header(fh, path: Path) -> dict:
+    first = fh.readline()
+    if not first:
+        raise SchemaError(f"{path}: empty file")
+    header = _parse_line(first, path, 1)
+    head = header.get("h")
+    if not isinstance(head, dict):
+        raise SchemaError(f"{path}: first record must be the header")
+    for key in ("version", "spec_hash", "obs_dim", "episodes"):
+        if key not in head:
+            raise SchemaError(f"{path}: header missing '{key}'")
+    if head["version"] != SCHEMA_VERSION:
+        raise SchemaError(
+            f"{path}: schema version {head['version']} not supported "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    for key in ("obs_dim", "episodes"):
+        if type(head[key]) is not int or head[key] < 0:
+            raise SchemaError(f"{path}: header '{key}' must be a nonnegative integer")
+    return head
+
+
+def _is_number(v) -> bool:
+    # bool is an int subclass; JSON true/false read as 1.0/0.0, as they always have.
+    return isinstance(v, (int, float))
+
+
+def _step_values(rec: dict, obs_dim: int, path: Path, lineno: int):
+    """The checked [1, obs_dim] observation and [1] flag of one step record."""
+
+    row = rec["s"]
+    if not isinstance(row, list):
+        raise SchemaError(f"{path}:{lineno}: observation must be a list of numbers")
+    if len(row) != obs_dim:
+        raise SchemaError(
+            f"{path}:{lineno}: observation has {len(row)} values, header says {obs_dim}"
+        )
+    if not all(_is_number(v) for v in row):
+        raise SchemaError(f"{path}:{lineno}: observation values must be numbers")
+    flag = rec.get("c", 0)
+    if not _is_number(flag) or flag not in (0, 1):
+        raise SchemaError(f"{path}:{lineno}: collision flag must be 0 or 1")
+    try:
+        obs = np.array([row], dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"{path}:{lineno}: observation value out of range: {exc}") from exc
+    return obs, np.array([int(flag)], dtype=np.int64)
+
+
+def _parse_step_block(block: list[str], obs_dim: int):
+    """(observations, flags) of a run of step lines as written, else None.
+
+    Every line must carry the written frame {"s":[...],"c":0|1} and the
+    block must hold no "[" or "{" besides the frames' own. Then each record
+    closes on its own line, so one `json.loads` over the joined lines reads
+    exactly what parsing each line alone would. None sends the caller to
+    the line-by-line parser, which reports errors.
+    """
+
+    n = len(block)
+    if not all(line.startswith(_STEP_HEAD) and line.endswith(_STEP_TAILS) for line in block):
+        return None
+    text = "[" + ",".join(block) + "]"
+    if text.count("[") != n + 1 or text.count("{") != n:
+        return None
+    try:
+        records = json.loads(text)
+        obs = np.array([rec["s"] for rec in records])
+    except ValueError:  # invalid JSON, or rows of unequal length
+        return None
+    # Numbers only: strings, null and nested lists go to the line parser.
+    if obs.shape != (n, obs_dim) or obs.dtype.kind not in "bif":
+        return None
+    flags = np.array([rec["c"] for rec in records], dtype=np.int64)
+    return obs.astype(np.float64, copy=False), flags
 
 
 def _parse_line(line: str, path: Path, lineno: int) -> dict:

@@ -99,18 +99,6 @@ def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalRepo
     return EvalReport(acc=acc, pes=pes, counts=counts)
 
 
-def accuracy_error(episodes: list[Episode], estimator, cfg: HorizonConfig) -> np.ndarray:
-    """Per-head mean squared error between MC outcomes and estimates."""
-
-    return evaluate(episodes, estimator, cfg).acc
-
-
-def pessimism_error(episodes: list[Episode], estimator, cfg: HorizonConfig) -> np.ndarray:
-    """Per-head mean signed residual; negative means overestimation."""
-
-    return evaluate(episodes, estimator, cfg).pes
-
-
 @dataclass
 class CharacteristicCurves:
     """Final-head estimates as a function of time-to-collision.

@@ -106,14 +106,18 @@ def _init_dense(
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of z, written over z."""
+
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=z)
+    return np.tanh(z, out=z)
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output a (a > 0 exactly where z > 0)."""
+
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     return 1.0 - a * a
 
 
@@ -154,6 +158,14 @@ class MultiHeadEstimator:
                 _init_dense(init, rng, f"head{i}.l{l}", head_widths[l + 1], head_widths[l])
         layout = [(k, v.shape) for k, v in init.items()]
         self.params = FlatArrays(np.concatenate([v.ravel() for v in init.values()]), layout)
+        # (weight, bias) parameter names per layer, in evaluation order.
+        self._backbone_keys = [
+            (f"backbone{l}.w", f"backbone{l}.b") for l in range(len(config.backbone_layers))
+        ]
+        self._head_keys = [
+            [(f"head{i}.l{l}.w", f"head{i}.l{l}.b") for l in range(len(config.head_layers))]
+            for i in range(config.n_heads)
+        ]
         # Gradient buffer in the same layout, made by the first backward pass
         # and reused by every later one.
         self._grads: FlatArrays | None = None
@@ -176,44 +188,50 @@ class MultiHeadEstimator:
         return self.forward(features)
 
     def _forward_cached(self, x: np.ndarray, want_cache: bool = True):
+        """Raw head outputs [B, n_heads], and the cache `_backward` needs.
+
+        Every head reads one [B, latent + 1] input buffer: the latent
+        columns are filled once, and the last column is overwritten with
+        the previous head's output before each head runs. The buffer and
+        every temporary belong to this call alone.
+        """
+
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
         act = cfg.activation
+        params = self.params
         h = x
         bb = []
-        for l in range(len(cfg.backbone_layers)):
-            w, b = self.params[f"backbone{l}.w"], self.params[f"backbone{l}.b"]
-            z = h @ w.T + b
+        for l, (wk, bk) in enumerate(self._backbone_keys):
+            z = h @ params[wk].T
+            z += params[bk]
             a = _act(z, act)
-            out = a + h if self._residual(l) else a
-            bb.append((h, z, a))
-            h = out
-        latent = h
+            bb.append((h, a))
+            h = a + h if self._residual(l) else a
 
         n = x.shape[0]
+        latent_dim = cfg.backbone_layers[-1]
+        u = np.empty((n, latent_dim + 1))
+        u[:, :latent_dim] = h
+        u[:, latent_dim] = 0.0
         preds = np.empty((n, cfg.n_heads))
-        heads = []
-        prev = np.zeros(n)
-        for i in range(cfg.n_heads):
-            u = np.concatenate([latent, prev[:, None]], axis=1)
-            layers = []
+        hidden = []
+        last = len(cfg.head_layers) - 1
+        for i, layers in enumerate(self._head_keys):
             cur = u
-            for l in range(len(cfg.head_layers)):
-                w, b = self.params[f"head{i}.l{l}.w"], self.params[f"head{i}.l{l}.b"]
-                z = cur @ w.T + b
-                if l < len(cfg.head_layers) - 1:
-                    a = _act(z, act)
-                else:
-                    a = z  # scalar output layer stays linear
-                layers.append((cur, z, a))
-                cur = a
-            p = cur[:, 0]
-            heads.append(layers)
-            preds[:, i] = p
-            prev = p
-        cache = {"x": x, "backbone": bb, "latent": latent, "heads": heads} if want_cache else None
-        return preds, cache
+            acts = []
+            for l, (wk, bk) in enumerate(layers):
+                cur = cur @ params[wk].T
+                cur += params[bk]
+                if l < last:  # the scalar output layer stays linear
+                    acts.append(_act(cur, act))
+            hidden.append(acts)
+            preds[:, i] = cur[:, 0]
+            u[:, latent_dim] = cur[:, 0]
+        if not want_cache:
+            return preds, None
+        return preds, {"backbone": bb, "head_input": u, "hidden": hidden, "preds": preds}
 
     def _backward(self, cache: dict, d_preds: np.ndarray) -> FlatArrays:
         """Gradients of a scalar loss given d(loss)/d(raw head outputs).
@@ -228,22 +246,25 @@ class MultiHeadEstimator:
             self._grads = FlatArrays(np.zeros(self.n_params), self.layout())
         grads = self._grads
         grads.flat.fill(0.0)
+        params = self.params
         d_pred = d_preds.astype(np.float64).copy()
         latent_dim = cfg.backbone_layers[-1]
-        d_latent = np.zeros_like(cache["latent"])
+        # Each head's input is rebuilt in the forward's buffer from the
+        # cached outputs: the latent columns never change.
+        u, preds = cache["head_input"], cache["preds"]
+        d_latent = np.zeros((u.shape[0], latent_dim))
+        last = len(cfg.head_layers) - 1
 
         for i in reversed(range(cfg.n_heads)):
-            layers = cache["heads"][i]
+            u[:, latent_dim] = preds[:, i - 1] if i > 0 else 0.0
+            acts = cache["hidden"][i]
             d_cur = d_pred[:, i][:, None]
-            for l in reversed(range(len(cfg.head_layers))):
-                inp, z, a = layers[l]
-                if l < len(cfg.head_layers) - 1:
-                    d_z = d_cur * _act_grad(z, a, act)
-                else:
-                    d_z = d_cur
-                grads[f"head{i}.l{l}.w"] += d_z.T @ inp
-                grads[f"head{i}.l{l}.b"] += d_z.sum(axis=0)
-                d_cur = d_z @ self.params[f"head{i}.l{l}.w"]
+            for l in reversed(range(last + 1)):
+                wk, bk = self._head_keys[i][l]
+                d_z = d_cur * _act_grad(acts[l], act) if l < last else d_cur
+                grads[wk] += d_z.T @ (acts[l - 1] if l > 0 else u)
+                grads[bk] += d_z.sum(axis=0)
+                d_cur = d_z @ params[wk]
             d_latent += d_cur[:, :latent_dim]
             if i > 0:
                 # The predecessor's output is the chained scalar input.
@@ -251,11 +272,12 @@ class MultiHeadEstimator:
 
         d_h = d_latent
         for l in reversed(range(len(cfg.backbone_layers))):
-            h_in, z, a = cache["backbone"][l]
-            d_z = d_h * _act_grad(z, a, act)
-            grads[f"backbone{l}.w"] += d_z.T @ h_in
-            grads[f"backbone{l}.b"] += d_z.sum(axis=0)
-            d_prev = d_z @ self.params[f"backbone{l}.w"]
+            wk, bk = self._backbone_keys[l]
+            h_in, a = cache["backbone"][l]
+            d_z = d_h * _act_grad(a, act)
+            grads[wk] += d_z.T @ h_in
+            grads[bk] += d_z.sum(axis=0)
+            d_prev = d_z @ params[wk]
             if self._residual(l):
                 d_prev += d_h
             d_h = d_prev
@@ -590,7 +612,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} document")
@@ -639,6 +661,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         epochs = int(doc["epochs_completed"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from exc
+    except CheckpointError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        # A field of the wrong type or value, e.g. "n_heads": "five" or
+        # parameters that are not base64 (binascii.Error is a ValueError).
+        raise CheckpointError(f"{path}: invalid field: {exc}") from exc
     return Checkpoint(
         estimator=estimator,
         horizon=horizon,

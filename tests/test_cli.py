@@ -270,6 +270,59 @@ def test_eval_rejects_a_garbage_checkpoint(pipeline, tmp_path):
     assert result.returncode == 2
 
 
+def _set_params_to_bad_base64(doc):
+    doc["params"] = "not*base64!"
+
+
+def _set_n_heads_to_a_word(doc):
+    doc["estimator"]["n_heads"] = "five"
+
+
+def _set_layout_to_a_number(doc):
+    doc["layout"] = 5
+
+
+@pytest.mark.parametrize(
+    "tamper", [_set_params_to_bad_base64, _set_n_heads_to_a_word, _set_layout_to_a_number],
+    ids=["bad-base64", "n-heads-word", "layout-number"],
+)
+def test_eval_maps_malformed_checkpoint_fields_to_the_data_code(pipeline, tmp_path, tamper):
+    doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
+    tamper(doc)
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli(
+        "eval",
+        "--checkpoint", bad,
+        "--episodes", pipeline["root"] / "eps.jsonl",
+        "--out", tmp_path / "reports",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "value", ["abc", None, [0.0]], ids=["string", "null", "nested-list"]
+)
+def test_eval_rejects_non_numeric_observations_naming_the_line(pipeline, tmp_path, value):
+    lines = (pipeline["root"] / "eps.jsonl").read_text().splitlines(keepends=True)
+    step = json.loads(lines[2])
+    step["s"][0] = value
+    lines[2] = json.dumps(step) + "\n"
+    bad = tmp_path / "eps.jsonl"
+    bad.write_text("".join(lines))
+    result = run_cli(
+        "eval",
+        "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+        "--episodes", bad,
+        "--out", tmp_path / "reports",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"{bad}:3:" in result.stderr
+
+
 # --- oracle ------------------------------------------------------------------
 
 

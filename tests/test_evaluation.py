@@ -12,12 +12,10 @@ from riskhorizon.evaluation import (
     CharacteristicCurves,
     DetectionTable,
     EvalReport,
-    accuracy_error,
     collision_characteristic,
     detection_rate,
     evaluate,
     oracle_errors,
-    pessimism_error,
     write_characteristic,
     write_detection,
     write_head_metrics,
@@ -200,13 +198,27 @@ def test_evaluate_rejects_empty_corpus():
         evaluate([], ConstantEstimator(0.5, 2), cfg(2))
 
 
-def test_error_convenience_wrappers_agree_with_report():
-    world = ChainWorld(HEAVY, max_steps=40)
+def test_report_acc_and_pes_match_a_per_window_loop():
+    # Mixed corpus: collisions plus truncations at the step limit.
+    world = ChainWorld(HEAVY, max_steps=3)
     episodes, _ = generate_episodes(world, 50, master_seed=31)
+    assert {ep.terminal for ep in episodes} == {Terminal.COLLISION, Terminal.TIME_LIMIT}
     est = ConstantEstimator(0.4, 3)
     report = evaluate(episodes, est, cfg(3))
-    np.testing.assert_array_equal(accuracy_error(episodes, est, cfg(3)), report.acc)
-    np.testing.assert_array_equal(pessimism_error(episodes, est, cfg(3)), report.pes)
+    sq, signed, counts = np.zeros(3), np.zeros(3), np.zeros(3)
+    for ep in episodes:
+        collided = ep.terminal is Terminal.COLLISION
+        for i in range(1, 4):
+            for t in range(ep.steps):
+                if not collided and t + i > ep.steps - 1:
+                    continue  # the window reaches past the recorded steps
+                resid = float(collided and t + i >= ep.steps) - 0.4
+                sq[i - 1] += resid**2
+                signed[i - 1] += resid
+                counts[i - 1] += 1
+    assert report.counts.tolist() == counts.tolist()
+    np.testing.assert_allclose(report.acc, sq / counts, rtol=1e-12)
+    np.testing.assert_allclose(report.pes, signed / counts, rtol=1e-12)
 
 
 # --- characteristic curves --------------------------------------------------

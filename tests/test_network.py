@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskhorizon.network import (
     ADAM_BETA1,
@@ -331,6 +333,121 @@ def test_gradient_check_single_head():
     assert err < 1e-4
 
 
+# --- reference forward and backward ----------------------------------------
+#
+# The forward and backward passes as they were written before the head input
+# became one reused buffer: a fresh concatenated [B, latent + 1] input per
+# head, out-of-place biases and activations, and a cache of every layer's
+# (input, pre-activation, activation). The estimator must match them bit for
+# bit, so that every artifact stays byte-identical.
+
+
+def _ref_act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def _ref_act_grad(z, a, kind):
+    return (z > 0.0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+
+
+class ReferenceEstimator(MultiHeadEstimator):
+    def _forward_cached(self, x, want_cache=True):
+        cfg, act, p = self.config, self.config.activation, self.params
+        h = x
+        bb = []
+        for l in range(len(cfg.backbone_layers)):
+            z = h @ p[f"backbone{l}.w"].T + p[f"backbone{l}.b"]
+            a = _ref_act(z, act)
+            bb.append((h, z, a))
+            h = a + h if self._residual(l) else a
+        latent = h
+        n = x.shape[0]
+        preds = np.empty((n, cfg.n_heads))
+        heads = []
+        prev = np.zeros(n)
+        for i in range(cfg.n_heads):
+            cur = np.concatenate([latent, prev[:, None]], axis=1)
+            layers = []
+            for l in range(len(cfg.head_layers)):
+                z = cur @ p[f"head{i}.l{l}.w"].T + p[f"head{i}.l{l}.b"]
+                a = _ref_act(z, act) if l < len(cfg.head_layers) - 1 else z
+                layers.append((cur, z, a))
+                cur = a
+            heads.append(layers)
+            preds[:, i] = cur[:, 0]
+            prev = cur[:, 0]
+        cache = {"backbone": bb, "latent": latent, "heads": heads} if want_cache else None
+        return preds, cache
+
+    def _backward(self, cache, d_preds):
+        cfg, act, p = self.config, self.config.activation, self.params
+        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        d_pred = d_preds.astype(np.float64).copy()
+        latent_dim = cfg.backbone_layers[-1]
+        d_latent = np.zeros_like(cache["latent"])
+        for i in reversed(range(cfg.n_heads)):
+            d_cur = d_pred[:, i][:, None]
+            for l in reversed(range(len(cfg.head_layers))):
+                inp, z, a = cache["heads"][i][l]
+                d_z = d_cur * _ref_act_grad(z, a, act) if l < len(cfg.head_layers) - 1 else d_cur
+                grads[f"head{i}.l{l}.w"] += d_z.T @ inp
+                grads[f"head{i}.l{l}.b"] += d_z.sum(axis=0)
+                d_cur = d_z @ p[f"head{i}.l{l}.w"]
+            d_latent += d_cur[:, :latent_dim]
+            if i > 0:
+                d_pred[:, i - 1] += d_cur[:, latent_dim]
+        d_h = d_latent
+        for l in reversed(range(len(cfg.backbone_layers))):
+            h_in, z, a = cache["backbone"][l]
+            d_z = d_h * _ref_act_grad(z, a, act)
+            grads[f"backbone{l}.w"] += d_z.T @ h_in
+            grads[f"backbone{l}.b"] += d_z.sum(axis=0)
+            d_prev = d_z @ p[f"backbone{l}.w"]
+            if self._residual(l):
+                d_prev += d_h
+            d_h = d_prev
+        return grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    activation=st.sampled_from(["tanh", "relu"]),
+    backbone=st.sampled_from([(12,), (12, 12), (16, 12, 12)]),
+    head_layers=st.sampled_from([(16, 1), (16, 8, 1)]),
+    n_heads=st.integers(1, 6),
+    rows=st.sampled_from([1, 32, 300]),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_and_gradients_match_the_reference_bitwise(
+    activation, backbone, head_layers, n_heads, rows, seed
+):
+    cfg = EstimatorConfig(input_dim=5, n_heads=n_heads, backbone_layers=backbone,
+                          head_layers=head_layers, activation=activation, init_seed=seed)
+    est, ref = MultiHeadEstimator(cfg), ReferenceEstimator(cfg)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=2.0, size=(rows, 5))
+    out = est.forward(x)
+    assert out.tobytes() == ref.forward(x).tobytes()
+    assert est.forward(x[0]).tobytes() == ref.forward(x[0]).tobytes()
+
+    targets = rng.uniform(size=(rows, n_heads))
+    valid = rng.uniform(size=(rows, n_heads)) < 0.7
+    valid[0, 0] = True
+    collision = rng.uniform(size=rows) < 0.3
+    # Call twice: the second backward reuses the gradient buffer and the
+    # forward's head-input buffer must not leak between calls.
+    for _ in range(2):
+        total, _, grads = batch_loss_and_grad(est, x, targets, valid, collision, W)
+        want_total, _, want = batch_loss_and_grad(ref, x, targets, valid, collision, W)
+        assert total == want_total
+        want_flat = np.concatenate([want[k].ravel() for k in est.params])
+        assert grads.flat.tobytes() == want_flat.tobytes()
+    # The returned outputs are the caller's: a later call does not touch them.
+    kept = out.copy()
+    est.forward(x + 1.0)
+    assert out.tobytes() == kept.tobytes()
+
+
 # --- optimizer --------------------------------------------------------------
 
 
@@ -533,6 +650,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
     path.write_text("not json")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    path.write_bytes(b'{"format": "\xff"}')
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
