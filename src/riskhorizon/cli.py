@@ -1,7 +1,7 @@
 """Command line: gen, train, eval, oracle.
 
-Exit codes: 0 success, 1 usage, 2 data or schema problems, 3 numerical
-failures. RISKHORIZON_LOG=debug|info|warning|error controls diagnostic
+Exit codes: 0 success, 1 usage, 2 data, schema or file-system problems,
+3 numerical failures. RISKHORIZON_LOG=debug|info|warning|error controls diagnostic
 verbosity on stderr; result summaries always print to stdout.
 """
 
@@ -255,7 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return commands[args.command](args)
     except (ConfigError, SchemaError, CheckpointError, DegenerateCorpusError,
-            InstanceTooLargeError, FileNotFoundError) as exc:
+            InstanceTooLargeError, OSError) as exc:
+        # OSError: a path that is missing, a directory, or not readable or writable.
         print(f"riskhorizon {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NonFiniteUpdateError, FloatingPointError) as exc:

@@ -35,6 +35,23 @@ def _require(section: dict, key: str, path: str):
     return section[key]
 
 
+def _value(convert, value, path: str):
+    """convert(value), with a failure reported as a ConfigError naming `path`."""
+
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: invalid value {value!r} ({exc})") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _ints(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 def _check_keys(section: dict, allowed: set[str], path: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: must be an object")
@@ -104,30 +121,37 @@ class RunConfig:
             # Stable derivation so a config without an explicit seed still
             # reproduces byte-for-byte.
             init_seed = (self.master_seed * 2654435761 + 17) % (2**31)
-        return EstimatorConfig(
-            input_dim=input_dim,
-            n_heads=self.horizon.n_heads,
-            backbone_layers=tuple(arch["backbone_layers"]),
-            head_layers=tuple(arch["head_layers"]),
-            activation=arch["activation"],
-            init_seed=int(init_seed),
-        )
+        try:
+            return EstimatorConfig(
+                input_dim=input_dim,
+                n_heads=self.horizon.n_heads,
+                backbone_layers=tuple(arch["backbone_layers"]),
+                head_layers=tuple(arch["head_layers"]),
+                activation=arch["activation"],
+                init_seed=int(init_seed),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"estimator: {exc}") from exc
 
 
 def _parse_env(section: dict) -> tuple[dict, int]:
+    if not isinstance(section, dict):
+        raise ConfigError("env: must be an object")
     kind = _require(section, "kind", "env")
     if kind == "chain":
         allowed = {"kind", "n_states", "hazard", "transition", "start_distribution",
                    "max_steps", "stack_frames"}
         _check_keys(section, allowed, "env")
-        stack = int(section.get("stack_frames", 1))
+        stack = _value(int, section.get("stack_frames", 1), "env.stack_frames")
         fields = {
             "kind": "chain",
-            "n_states": int(_require(section, "n_states", "env")),
-            "hazard": [float(h) for h in _require(section, "hazard", "env")],
-            "transition": [[float(p) for p in row] for row in _require(section, "transition", "env")],
-            "start_distribution": [float(p) for p in _require(section, "start_distribution", "env")],
-            "max_steps": int(section.get("max_steps", 100)),
+            "n_states": _value(int, _require(section, "n_states", "env"), "env.n_states"),
+            "hazard": _value(_floats, _require(section, "hazard", "env"), "env.hazard"),
+            "transition": _value(lambda rows: [_floats(row) for row in rows],
+                                 _require(section, "transition", "env"), "env.transition"),
+            "start_distribution": _value(_floats, _require(section, "start_distribution", "env"),
+                                         "env.start_distribution"),
+            "max_steps": _value(int, section.get("max_steps", 100), "env.max_steps"),
         }
         try:
             ChainWorldSpec(
@@ -143,13 +167,13 @@ def _parse_env(section: dict) -> tuple[dict, int]:
         defaults = CorridorWorldSpec()
         allowed = set(defaults.fields()) | {"stack_frames"}
         _check_keys(section, allowed, "env")
-        stack = int(section.get("stack_frames", 3))
+        stack = _value(int, section.get("stack_frames", 3), "env.stack_frames")
         fields = dict(defaults.fields())
         for key in fields:
             if key == "kind":
                 continue
             if key in section:
-                fields[key] = type(fields[key])(section[key])
+                fields[key] = _value(type(fields[key]), section[key], f"env.{key}")
         try:
             spec_fields = dict(fields)
             spec_fields.pop("kind")
@@ -182,7 +206,7 @@ def load_config(
     version = _require(raw, "version", "config")
     if version != CONFIG_VERSION:
         raise ConfigError(f"config.version: expected {CONFIG_VERSION}, got {version!r}")
-    master_seed = int(_require(raw, "master_seed", "config"))
+    master_seed = _value(int, _require(raw, "master_seed", "config"), "config.master_seed")
     if seed_override is not None:
         master_seed = int(seed_override)
 
@@ -191,64 +215,64 @@ def load_config(
     gen_count = None
     if "gen" in raw:
         _check_keys(raw["gen"], {"count"}, "gen")
-        gen_count = int(_require(raw["gen"], "count", "gen"))
+        gen_count = _value(int, _require(raw["gen"], "count", "gen"), "gen.count")
         if gen_count < 1:
             raise ConfigError("gen.count: must be >= 1")
 
-    horizon_raw = dict(_require(raw, "horizon", "config"))
+    horizon_raw = _require(raw, "horizon", "config")
     _check_keys(horizon_raw, {"delta_t", "n_heads", "lambda", "trunc_n"}, "horizon")
-    if paper_parity:
-        horizon_raw.update(PARITY_HORIZON)
+    horizon_raw = {**horizon_raw, **(PARITY_HORIZON if paper_parity else {})}
+    h = {
+        key: _value(convert, _require(horizon_raw, key, "horizon"), f"horizon.{key}")
+        for key, convert in (("delta_t", float), ("n_heads", int), ("lambda", float),
+                             ("trunc_n", int))
+    }
     try:
-        horizon = HorizonConfig(
-            delta_t=float(_require(horizon_raw, "delta_t", "horizon")),
-            n_heads=int(_require(horizon_raw, "n_heads", "horizon")),
-            lam=float(_require(horizon_raw, "lambda", "horizon")),
-            trunc_n=int(_require(horizon_raw, "trunc_n", "horizon")),
-        )
+        horizon = HorizonConfig(delta_t=h["delta_t"], n_heads=h["n_heads"], lam=h["lambda"],
+                                trunc_n=h["trunc_n"])
     except ValueError as exc:
         raise ConfigError(f"horizon: {exc}") from exc
 
-    loss_raw = dict(raw.get("loss", {}))
+    loss_raw = raw.get("loss", {})
     _check_keys(loss_raw, {"c_interval", "c_chain", "p_collision", "p_noncollision"}, "loss")
-    if paper_parity:
-        loss_raw.update(PARITY_LOSS)
+    loss_raw = {**loss_raw, **(PARITY_LOSS if paper_parity else {})}
     try:
         loss = LossWeights(**loss_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"loss: {exc}") from exc
 
-    est_raw = dict(raw.get("estimator", {}))
+    est_raw = raw.get("estimator", {})
     _check_keys(est_raw, {"backbone_layers", "head_layers", "activation", "init_seed"}, "estimator")
+    init_seed = est_raw.get("init_seed")
     arch = {
-        "backbone_layers": [int(w) for w in est_raw.get("backbone_layers", [64, 64])],
-        "head_layers": [int(w) for w in est_raw.get("head_layers", [16, 1])],
+        "backbone_layers": _value(_ints, est_raw.get("backbone_layers", [64, 64]),
+                                  "estimator.backbone_layers"),
+        "head_layers": _value(_ints, est_raw.get("head_layers", [16, 1]), "estimator.head_layers"),
         "activation": est_raw.get("activation", "tanh"),
-        "init_seed": est_raw.get("init_seed"),
+        "init_seed": None if init_seed is None else _value(int, init_seed, "estimator.init_seed"),
     }
 
     train_fields_parsed = None
     if "train" in raw or paper_parity:
-        train_raw = dict(raw.get("train", {}))
+        train_raw = raw.get("train", {})
         _check_keys(
             train_raw,
             {"epochs", "samples_per_epoch", "batch_size", "lr_start", "lr_end",
              "eval_fraction", "checkpoint_every"},
             "train",
         )
-        if paper_parity:
-            train_raw.update(PARITY_TRAIN)
+        train_raw = {**train_raw, **(PARITY_TRAIN if paper_parity else {})}
         for key in ("epochs", "samples_per_epoch"):
             if key not in train_raw:
                 raise ConfigError(f"train.{key}: required key is missing")
+        # (type, default); the first two keys were checked present above.
+        train_types = {"epochs": (int, None), "samples_per_epoch": (int, None),
+                       "batch_size": (int, 8), "lr_start": (float, 1e-5),
+                       "lr_end": (float, 1e-6), "eval_fraction": (float, 0.2),
+                       "checkpoint_every": (int, 0)}
         train_fields_parsed = {
-            "epochs": int(train_raw["epochs"]),
-            "samples_per_epoch": int(train_raw["samples_per_epoch"]),
-            "batch_size": int(train_raw.get("batch_size", 8)),
-            "lr_start": float(train_raw.get("lr_start", 1e-5)),
-            "lr_end": float(train_raw.get("lr_end", 1e-6)),
-            "eval_fraction": float(train_raw.get("eval_fraction", 0.2)),
-            "checkpoint_every": int(train_raw.get("checkpoint_every", 0)),
+            key: _value(convert, train_raw.get(key, default), f"train.{key}")
+            for key, (convert, default) in train_types.items()
         }
 
     thresholds = None
@@ -256,9 +280,10 @@ def load_config(
     if "eval" in raw:
         _check_keys(raw["eval"], {"thresholds", "intervals"}, "eval")
         if "thresholds" in raw["eval"]:
-            thresholds = tuple(float(x) for x in raw["eval"]["thresholds"])
+            thresholds = tuple(_value(_floats, raw["eval"]["thresholds"], "eval.thresholds"))
         if "intervals" in raw["eval"]:
-            intervals = tuple((float(lo), float(hi)) for lo, hi in raw["eval"]["intervals"])
+            intervals = _value(lambda pairs: tuple((float(lo), float(hi)) for lo, hi in pairs),
+                               raw["eval"]["intervals"], "eval.intervals")
 
     return RunConfig(
         master_seed=master_seed,

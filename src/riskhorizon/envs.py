@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .episodes import Episode, Terminal, spec_fingerprint
+from .parallel import map_ranges
 
 CORRIDOR_FRAME_DIM = 8
 
@@ -249,9 +250,10 @@ class CorridorWorld:
         self._steps = 0
         self._stopped_steps = 0
         self._react_countdown: int | None = None
-        self._frames = [self._frame()] * self.stack_frames
+        # The last stack_frames frames, oldest first, as one flat list.
+        self._window = self._frame(self._gaps()) * self.stack_frames
         self._active = True
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+        return EnvStep(np.array(self._window), collision=False, done=False, done_reason=None)
 
     def step(self) -> EnvStep:
         if not self._active or self._rng is None:
@@ -288,22 +290,30 @@ class CorridorWorld:
         for j in range(len(self._obstacle_x)):
             self._obstacle_x[j] = (self._obstacle_x[j] + self._obstacle_v[j] * spec.delta_t) % spec.lane_length
 
-        if any(gap < _CAR_GAP for gap in self._gaps()):
+        # The post-move gaps serve both the collision check and the new frame.
+        gaps = self._gaps()
+        if any(gap < _CAR_GAP for gap in gaps):
             self._active = False
-            return EnvStep(self._stacked(), collision=True, done=True, done_reason=Terminal.COLLISION)
+            return EnvStep(np.array(self._window), collision=True, done=True,
+                           done_reason=Terminal.COLLISION)
 
         if self._ego_v < _STOPPED_EPS:
             self._stopped_steps += 1
         else:
             self._stopped_steps = 0
-        self._push(self._frame())
+        self._window = self._window[CORRIDOR_FRAME_DIM:] + self._frame(gaps)
+        observation = np.array(self._window)
         if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
             self._active = False
-            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.BLOCKED)
+            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.BLOCKED)
         if self._steps >= spec.max_steps:
             self._active = False
-            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
+        return EnvStep(observation, collision=False, done=False, done_reason=None)
+
+    @property
+    def max_steps(self) -> int:
+        return self.spec.max_steps
 
     def _gaps(self) -> list[float]:
         # Forward (ring) distance from the ego to each obstacle.
@@ -323,30 +333,17 @@ class CorridorWorld:
                 return True
         return False
 
-    def _frame(self) -> np.ndarray:
+    def _frame(self, gaps: list[float]) -> list[float]:
         spec = self.spec
-        frame = np.empty(CORRIDOR_FRAME_DIM)
-        frame[0] = self._ego_v / spec.target_speed
-        visible = sorted(
-            (gap, v) for gap, v in zip(self._gaps(), self._obstacle_v) if gap <= _SENSING_RANGE
-        )
-        for k in range(3):
-            if k < len(visible):
-                gap, v_obs = visible[k]
-                frame[1 + 2 * k] = gap / _SENSING_RANGE
-                frame[2 + 2 * k] = (v_obs - self._ego_v) / spec.target_speed
-            else:
-                # Sentinel: an imaginary obstacle at max range moving with us.
-                frame[1 + 2 * k] = 1.0
-                frame[2 + 2 * k] = 0.0
-        frame[7] = self._ego_x / spec.lane_length
+        ego_v = self._ego_v
+        frame = [ego_v / spec.target_speed]
+        visible = sorted((gap, v) for gap, v in zip(gaps, self._obstacle_v) if gap <= _SENSING_RANGE)
+        for gap, v_obs in visible[:3]:
+            frame += (gap / _SENSING_RANGE, (v_obs - ego_v) / spec.target_speed)
+        # Sentinel: an imaginary obstacle at max range moving with us.
+        frame += (1.0, 0.0) * (3 - min(len(visible), 3))
+        frame.append(self._ego_x / spec.lane_length)
         return frame
-
-    def _push(self, frame: np.ndarray) -> None:
-        self._frames = self._frames[1:] + [frame]
-
-    def _stacked(self) -> np.ndarray:
-        return np.concatenate(self._frames)
 
 
 @dataclass
@@ -386,12 +383,21 @@ def run_episode(world, seed: int) -> Episode:
 
 
 def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode], GenerationSummary]:
-    """Roll `count` independently seeded episodes from one world."""
+    """Roll `count` independently seeded episodes from one world.
+
+    All seeds are drawn from `master_seed` up front and each episode is a
+    function of its own seed alone, so the episodes are rolled on every CPU
+    this process may use (see `parallel.map_ranges`) when count x max_steps
+    makes that pay, and come back in seed order: the list does not depend on
+    the worker count.
+    """
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    seeds = np.random.default_rng(master_seed).integers(0, 2**63 - 1, size=count)
-    episodes = [run_episode(world, int(s)) for s in seeds]
+    seeds = np.random.default_rng(master_seed).integers(0, 2**63 - 1, size=count).tolist()
+    episodes: list[Episode] = []
+    map_ranges(lambda lo, hi: [run_episode(world, s) for s in seeds[lo:hi]],
+               count, count * world.max_steps, episodes.extend)
     collisions = sum(1 for ep in episodes if ep.terminal is Terminal.COLLISION)
     hist: dict[int, int] = {}
     for ep in episodes:

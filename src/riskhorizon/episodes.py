@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+from .parallel import map_ranges
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +140,14 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
 
     Observation numbers are written with 9 significant digits (`%.9g`), so
     the file does not round-trip float64 values exactly.
+
+    Each episode's text depends on that episode alone, so ranges of episodes
+    are encoded on every CPU this process may use (see
+    `parallel.map_ranges`) when the recorded rows make that pay; their text
+    is written in episode order as it arrives, and the bytes do not depend
+    on the worker count. The file is written under a temporary name in the
+    target directory and renamed over `path` once complete, so an error or
+    an interrupt leaves an existing file as it was and no partial one.
     """
 
     if not episodes:
@@ -145,32 +156,39 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     if any(ep.obs_dim != obs_dim for ep in episodes):
         raise ValueError("episodes in one file must share obs_dim")
     step_line = _STEP_HEAD + ",".join([_FLOAT_FMT] * obs_dim) + '],"c":%d}\n'
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "h": {
-                "version": SCHEMA_VERSION,
-                "spec_hash": spec_hash,
-                "obs_dim": obs_dim,
-                "episodes": len(episodes),
-            }
+    header = {
+        "h": {
+            "version": SCHEMA_VERSION,
+            "spec_hash": spec_hash,
+            "obs_dim": obs_dim,
+            "episodes": len(episodes),
         }
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for ep in episodes:
-            meta = {
-                "e": {
-                    "seed": int(ep.seed),
-                    "terminal": ep.terminal.value,
-                    "steps": ep.steps,
-                }
-            }
-            fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-            fh.write(
-                "".join(
-                    step_line % (*row, flag)
-                    for row, flag in zip(ep.observations.tolist(), ep.rewards.tolist())
-                )
-            )
+    }
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            map_ranges(lambda lo, hi: _encode_records(episodes[lo:hi], step_line),
+                       len(episodes), sum(ep.steps for ep in episodes), fh.write)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _encode_records(episodes: list[Episode], step_line: str) -> str:
+    """The episode and step lines of `episodes`, as save_episodes writes them."""
+
+    parts = []
+    for ep in episodes:
+        meta = {"e": {"seed": int(ep.seed), "terminal": ep.terminal.value, "steps": ep.steps}}
+        parts.append(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        parts.extend(
+            step_line % (*row, flag)
+            for row, flag in zip(ep.observations.tolist(), ep.rewards.tolist())
+        )
+    return "".join(parts)
 
 
 def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run through subprocesses like a user
 would: exit codes, printed summaries, and the files each command leaves
-behind."""
+behind. Exit codes for malformed input are checked through `cli.main` in
+this process, which prints what a subprocess would print."""
 
 import json
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from riskhorizon.cli import main
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -20,6 +23,13 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def run_main(capsys, *args):
+    """(exit code, stderr) of `riskhorizon *args` run in this process."""
+
+    code = main([str(a) for a in args])
+    return code, capsys.readouterr().err
 
 
 def write_config(path, overrides=None):
@@ -149,6 +159,38 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
     assert "typo_field" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"master_seed": "x"}, "master_seed"),
+        ({"estimator": {"backbone_layers": "ab"}}, "estimator.backbone_layers"),
+        ({"env": {"hazard": 5}}, "env.hazard"),
+        ({"train": {"epochs": "ten"}}, "train.epochs"),
+        ({"gen": {"count": "many"}}, "gen.count"),
+        ({"env": {"stack_frames": "three"}}, "env.stack_frames"),
+    ],
+)
+def test_gen_maps_malformed_config_values_to_the_data_code(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path / "cfg.json", overrides)
+    code, err = run_main(capsys, "gen", "--config", cfg, "--out", tmp_path / "e.jsonl")
+    assert code == 2
+    assert "Traceback" not in err
+    assert key in err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
+def test_gen_into_a_directory_is_a_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, err = run_main(capsys, "gen", "--config", cfg, "--out", out)
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert not any(out.iterdir())
+
+
 # --- train -------------------------------------------------------------------
 
 
@@ -209,6 +251,30 @@ def test_train_numeric_blowup_exits_with_the_numeric_code(tmp_path):
     )
     assert result.returncode == 3
     assert "numerical failure" in result.stderr
+
+
+def test_train_rejects_an_unknown_activation(pipeline, tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {"estimator": {"activation": "swish"}})
+    code, err = run_main(
+        capsys, "train", "--config", cfg, "--episodes", pipeline["root"] / "eps.jsonl",
+        "--out", tmp_path / "run",
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "swish" in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_directory_as_the_episode_file_is_a_data_error(pipeline, tmp_path, capsys, command):
+    if command == "train":
+        args = ["--config", pipeline["cfg"], "--out", tmp_path / "run"]
+    else:
+        args = ["--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+                "--out", tmp_path / "reports"]
+    code, err = run_main(capsys, command, *args, "--episodes", tmp_path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(tmp_path) in err
 
 
 # --- eval --------------------------------------------------------------------

@@ -3,6 +3,8 @@ the exact tables, corridor behaviours, and the file schema."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskhorizon.envs import (
     ChainWorld,
@@ -10,6 +12,7 @@ from riskhorizon.envs import (
     CorridorWorld,
     CorridorWorldSpec,
     EnvStateError,
+    EnvStep,
     chain_observation,
     expected_obs_dim,
     generate_episodes,
@@ -235,6 +238,157 @@ def test_corridor_step_after_done_rejected():
     assert result.done
     with pytest.raises(EnvStateError):
         world.step()
+
+
+# --- corridor world against its reference copy ------------------------------
+
+
+class ReferenceCorridorWorld:
+    """The corridor world as it computed each step before the gaps were shared
+    and frames became lists: the bit-level reference for CorridorWorld."""
+
+    _EGO_ACCEL = 2.5
+    _CAR_GAP = 2.0
+    _SAFETY_MARGIN = 4.0
+    _SENSING_RANGE = 60.0
+    _SPEED_CHANGE_PROB = 0.02
+    _MAX_OBSTACLES = 12
+    _INITIAL_OBSTACLES = 3
+    _STOPPED_EPS = 1e-9
+
+    def __init__(self, spec, stack_frames=3):
+        self.spec = spec
+        self.stack_frames = stack_frames
+
+    def reset(self, seed):
+        spec = self.spec
+        self._rng = np.random.default_rng(seed)
+        self._ego_x = 0.0
+        self._ego_v = spec.target_speed
+        self._obstacle_x, self._obstacle_v = [], []
+        initial = self._INITIAL_OBSTACLES if spec.spawn_rate > 0 else 0
+        for _ in range(initial):
+            ahead = self._rng.uniform(0.5 * self._SENSING_RANGE, spec.lane_length - self._CAR_GAP)
+            self._obstacle_x.append((self._ego_x + ahead) % spec.lane_length)
+            self._obstacle_v.append(self._rng.uniform(spec.speed_min, spec.speed_max))
+        self._steps = 0
+        self._stopped_steps = 0
+        self._react_countdown = None
+        self._frames = [self._frame()] * self.stack_frames
+        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+
+    def step(self):
+        spec, rng = self.spec, self._rng
+        self._steps += 1
+        if len(self._obstacle_x) < self._MAX_OBSTACLES and rng.random() < spec.spawn_rate * spec.delta_t:
+            self._obstacle_x.append((self._ego_x + self._SENSING_RANGE) % spec.lane_length)
+            self._obstacle_v.append(rng.uniform(spec.speed_min, spec.speed_max))
+        for j in range(len(self._obstacle_v)):
+            if rng.random() < self._SPEED_CHANGE_PROB:
+                self._obstacle_v[j] = rng.uniform(spec.speed_min, spec.speed_max)
+        if self._danger_ahead():
+            if self._react_countdown is None:
+                self._react_countdown = int(rng.integers(0, spec.reaction_delay_steps + 1))
+            if self._react_countdown > 0:
+                self._react_countdown -= 1
+                braking = False
+            else:
+                braking = True
+        else:
+            self._react_countdown = None
+            braking = False
+        if braking:
+            self._ego_v = max(0.0, self._ego_v - spec.brake_decel * spec.delta_t)
+        else:
+            self._ego_v = min(spec.target_speed, self._ego_v + self._EGO_ACCEL * spec.delta_t)
+        self._ego_x = (self._ego_x + self._ego_v * spec.delta_t) % spec.lane_length
+        for j in range(len(self._obstacle_x)):
+            self._obstacle_x[j] = (self._obstacle_x[j] + self._obstacle_v[j] * spec.delta_t) % spec.lane_length
+        if any(gap < self._CAR_GAP for gap in self._gaps()):
+            return EnvStep(self._stacked(), collision=True, done=True, done_reason=Terminal.COLLISION)
+        if self._ego_v < self._STOPPED_EPS:
+            self._stopped_steps += 1
+        else:
+            self._stopped_steps = 0
+        self._frames = self._frames[1:] + [self._frame()]
+        if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
+            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.BLOCKED)
+        if self._steps >= spec.max_steps:
+            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
+        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+
+    def _gaps(self):
+        return [(x - self._ego_x) % self.spec.lane_length for x in self._obstacle_x]
+
+    def _danger_ahead(self):
+        for gap, v_obs in zip(self._gaps(), self._obstacle_v):
+            if gap > self._SENSING_RANGE:
+                continue
+            closing = self._ego_v - v_obs
+            clearance = gap - self._CAR_GAP - self._SAFETY_MARGIN
+            if clearance <= 0.0:
+                if closing > 0.0:
+                    return True
+            elif closing > 0.0 and clearance / closing <= self.spec.check_horizon_s:
+                return True
+        return False
+
+    def _frame(self):
+        spec = self.spec
+        frame = np.empty(8)
+        frame[0] = self._ego_v / spec.target_speed
+        visible = sorted(
+            (gap, v) for gap, v in zip(self._gaps(), self._obstacle_v) if gap <= self._SENSING_RANGE
+        )
+        for k in range(3):
+            if k < len(visible):
+                gap, v_obs = visible[k]
+                frame[1 + 2 * k] = gap / self._SENSING_RANGE
+                frame[2 + 2 * k] = (v_obs - self._ego_v) / spec.target_speed
+            else:
+                frame[1 + 2 * k] = 1.0
+                frame[2 + 2 * k] = 0.0
+        frame[7] = self._ego_x / spec.lane_length
+        return frame
+
+    def _stacked(self):
+        return np.concatenate(self._frames)
+
+
+corridor_variants = st.fixed_dictionaries({
+    "spawn_rate": st.sampled_from([0.0, 0.5, 3.0, 10.0]) | st.floats(0.0, 10.0),
+    "reaction_delay_steps": st.integers(0, 4),
+    "speed_min": st.sampled_from([0.0, 2.0]),
+    "check_horizon_s": st.sampled_from([0.3, 1.3, 3.0]),
+    "max_steps": st.integers(1, 150),
+    "blocked_timeout_s": st.sampled_from([0.5, 5.0]),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(corridor_variants, st.integers(1, 3), st.integers(0, 2**63 - 2))
+def test_corridor_episodes_match_the_reference_world_bit_for_bit(fields, stack_frames, seed):
+    spec = CorridorWorldSpec(**fields)
+    got = run_episode(CorridorWorld(spec, stack_frames=stack_frames), seed)
+    want = run_episode(ReferenceCorridorWorld(spec, stack_frames=stack_frames), seed)
+    assert got.observations.shape == want.observations.shape
+    assert got.observations.tobytes() == want.observations.tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.terminal is want.terminal
+
+
+def test_corridor_default_corpus_matches_the_reference_world():
+    # The benchmark's corridor world, over enough seeds to reach every terminal.
+    spec = CorridorWorldSpec()
+    terminals = set()
+    for seed in range(10):
+        got = run_episode(CorridorWorld(spec, stack_frames=3), seed)
+        want = run_episode(ReferenceCorridorWorld(spec, stack_frames=3), seed)
+        assert got.observations.tobytes() == want.observations.tobytes()
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        assert got.terminal is want.terminal
+        terminals.add(got.terminal)
+    assert terminals == {Terminal.COLLISION, Terminal.TIME_LIMIT}
 
 
 # --- generation plumbing ----------------------------------------------------
