@@ -33,7 +33,7 @@ from .network import (
     save_checkpoint,
 )
 from .oracle import OracleTable, brute_force_cumulative, dp_cumulative
-from .replay import ReplayIndex, build_index, sample
+from .replay import build_index, sample
 from .returns import (
     HorizonConfig,
     InvalidTargetError,
@@ -67,7 +67,6 @@ __all__ = [
     "MultiHeadEstimator",
     "NonFiniteUpdateError",
     "OracleTable",
-    "ReplayIndex",
     "RewardTrace",
     "RunConfig",
     "SchemaError",

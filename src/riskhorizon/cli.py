@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .envs import chain_observation, generate_episodes, world_fingerprint
+from .envs import ChainWorld, chain_observation, generate_episodes, world_fingerprint
 from .episodes import SchemaError, load_episodes, save_episodes
 from .evaluation import (
     DEFAULT_INTERVALS,
@@ -109,9 +109,8 @@ def cmd_gen(args) -> int:
         raise ConfigError("gen.count: required (or pass --episodes)")
     if count < 1:
         raise ConfigError("episode count must be >= 1")
-    world = cfg.build_world()
-    episodes, summary = generate_episodes(world, count, cfg.master_seed)
-    save_episodes(args.out, episodes, world_fingerprint(world))
+    episodes, summary = generate_episodes(cfg.world, count, cfg.master_seed)
+    save_episodes(args.out, episodes, world_fingerprint(cfg.world))
     lengths = sorted(summary.length_histogram)
     print(
         f"wrote {summary.episodes} episodes to {args.out} "
@@ -123,18 +122,19 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, paper_parity=args.paper_parity, seed_override=args.seed)
+    train_cfg = cfg.train
+    if train_cfg is None:
+        raise ConfigError("train: section is required for training")
     episodes, header = load_episodes(args.episodes)
-    expected_dim = cfg.expected_obs_dim()
-    if header["obs_dim"] != expected_dim:
+    if header["obs_dim"] != cfg.world.obs_dim:
         raise SchemaError(
             f"{args.episodes}: obs_dim {header['obs_dim']} does not match the "
-            f"configured environment ({expected_dim})"
+            f"configured environment ({cfg.world.obs_dim})"
         )
-    if header["spec_hash"] != world_fingerprint(cfg.build_world()):
+    if header["spec_hash"] != world_fingerprint(cfg.world):
         log.warning("episode file was generated from a different environment spec")
-    train_cfg = cfg.train_config()
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    estimator_cfg = None if resume else cfg.estimator_config(expected_dim)
+    estimator_cfg = None if resume else cfg.estimator
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,6 +171,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg: RunConfig | None = load_config(args.config) if args.config else None
     ckpt = load_checkpoint(args.checkpoint)
     episodes, header = load_episodes(args.episodes)
     if header["obs_dim"] != ckpt.estimator.config.input_dim:
@@ -178,9 +179,8 @@ def cmd_eval(args) -> int:
             f"{args.episodes}: obs_dim {header['obs_dim']} does not match the "
             f"checkpoint ({ckpt.estimator.config.input_dim})"
         )
-    cfg: RunConfig | None = load_config(args.config) if args.config else None
-    thresholds = cfg.thresholds if cfg and cfg.thresholds else DEFAULT_THRESHOLDS
-    intervals = cfg.intervals if cfg and cfg.intervals else DEFAULT_INTERVALS
+    thresholds = cfg.thresholds if cfg else DEFAULT_THRESHOLDS
+    intervals = cfg.intervals if cfg else DEFAULT_INTERVALS
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,11 +208,11 @@ def cmd_eval(args) -> int:
             "detection_rate.tsv",
         ],
     }
-    if cfg is not None and cfg.env_kind == "chain":
-        spec = cfg.chain_spec()
+    if cfg is not None and isinstance(cfg.world, ChainWorld):
+        spec = cfg.world.spec
         table = dp_cumulative(spec, ckpt.horizon.n_heads)
         obs = np.stack(
-            [chain_observation(spec, s, cfg.stack_frames) for s in range(spec.n_states)]
+            [chain_observation(spec, s, cfg.world.stack_frames) for s in range(spec.n_states)]
         )
         errors = oracle_errors(ckpt.estimator, table, obs)
         write_oracle_errors(out_dir / "oracle_errors.tsv", errors)
@@ -228,7 +228,9 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
-    spec = cfg.chain_spec()
+    if not isinstance(cfg.world, ChainWorld):
+        raise ConfigError("this command needs a chain environment")
+    spec = cfg.world.spec
     table = dp_cumulative(spec, cfg.horizon.n_heads)
     write_oracle_table(args.out, table)
     print(

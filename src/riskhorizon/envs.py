@@ -417,9 +417,3 @@ def world_fingerprint(world) -> str:
     if isinstance(world, ChainWorld):
         fields_dict["max_steps"] = world.max_steps
     return spec_fingerprint(fields_dict)
-
-
-def expected_obs_dim(env_fields: dict, stack_frames: int) -> int:
-    if env_fields.get("kind") == "chain":
-        return int(env_fields["n_states"]) * stack_frames
-    return CORRIDOR_FRAME_DIM * stack_frames

@@ -151,6 +151,20 @@ class DetectionTable:
     episode_count: int
 
 
+def check_detection_grid(
+    thresholds: tuple[float, ...], intervals: tuple[tuple[float, float], ...]
+) -> None:
+    """Raise ValueError unless the detection table has at least one threshold
+    and one time-to-collision interval, and every interval (lo, hi] has
+    0 <= lo < hi."""
+
+    if not thresholds or not intervals:
+        raise ValueError("need at least one threshold and one interval")
+    for lo, hi in intervals:
+        if not 0.0 <= lo < hi:
+            raise ValueError("intervals must be nonempty and nonnegative")
+
+
 def detection_rate(
     episodes: list[Episode],
     estimator,
@@ -158,11 +172,7 @@ def detection_rate(
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
     intervals: tuple[tuple[float, float], ...] = DEFAULT_INTERVALS,
 ) -> DetectionTable:
-    if not thresholds:
-        raise ValueError("need at least one threshold")
-    for lo, hi in intervals:
-        if not 0.0 <= lo < hi:
-            raise ValueError("intervals must be nonempty and nonnegative")
+    check_detection_grid(thresholds, intervals)
     collisions = [ep for ep in episodes if ep.terminal is Terminal.COLLISION]
     rates = np.zeros((len(thresholds), len(intervals)))
     if not collisions:

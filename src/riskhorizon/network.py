@@ -67,6 +67,8 @@ class EstimatorConfig:
             raise ValueError("head_layers must be positive widths")
         if self.activation not in ("relu", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
 
 
 @dataclass(frozen=True)

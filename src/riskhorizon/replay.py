@@ -4,70 +4,31 @@ Collisions are rare, and only timesteps within the final head's horizon of
 one actually carry a positive Monte Carlo outcome. The index marks those
 timesteps collision-related; sampling then proposes uniformly over the
 index and accepts proposals with probability p_collision or p_noncollision
-depending on the flag. Accepted collision-related samples carry the
-importance factor p_noncollision / p_collision so that importance-weighted
-expectations match uniform sampling scaled by p_noncollision.
+depending on the flag. The loss undoes that bias: it weights the squared
+error of collision-related rows by `LossWeights.collision_mse_factor`
+(p_noncollision / p_collision), so weighted expectations match uniform
+sampling scaled by p_noncollision.
+
+The index is one NumPy record array with fields `episode`, `timestep` and
+`collision_related`. A subset (`index[mask]`) and a drawn batch are record
+arrays of the same type: whole columns for the training loop, and
+per-record attributes (`batch[k].episode`) where one row is wanted.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .episodes import Episode, Terminal
 from .returns import HorizonConfig
 
-
-@dataclass(frozen=True)
-class SampleRef:
-    """One drawn (episode, timestep) with its sampling bookkeeping."""
-
-    episode: int
-    timestep: int
-    collision_related: bool
-    importance: float
+INDEX_DTYPE = np.dtype(
+    [("episode", np.int64), ("timestep", np.int64), ("collision_related", np.bool_)]
+)
 
 
-@dataclass
-class ReplayIndex:
-    """Flat view of every indexed (episode, timestep) pair."""
-
-    episode_ids: np.ndarray
-    timesteps: np.ndarray
-    collision_related: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.episode_ids = np.asarray(self.episode_ids, dtype=np.int64)
-        self.timesteps = np.asarray(self.timesteps, dtype=np.int64)
-        self.collision_related = np.asarray(self.collision_related, dtype=bool)
-        if not (
-            self.episode_ids.shape == self.timesteps.shape == self.collision_related.shape
-        ):
-            raise ValueError("index columns must have identical lengths")
-
-    def __len__(self) -> int:
-        return int(self.episode_ids.shape[0])
-
-    @property
-    def n_collision_related(self) -> int:
-        return int(self.collision_related.sum())
-
-    def restricted(self, keep: np.ndarray) -> "ReplayIndex":
-        """Sub-index over a boolean keep mask (the full index is unchanged)."""
-
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != self.episode_ids.shape:
-            raise ValueError("keep mask must match the index length")
-        return ReplayIndex(
-            episode_ids=self.episode_ids[keep],
-            timesteps=self.timesteps[keep],
-            collision_related=self.collision_related[keep],
-        )
-
-
-def build_index(episodes: list[Episode], cfg: HorizonConfig) -> ReplayIndex:
-    """Index every in-episode timestep exactly once.
+def build_index(episodes: list[Episode], cfg: HorizonConfig) -> np.recarray:
+    """Index every in-episode timestep exactly once, in episode order.
 
     A timestep is collision-related when its episode ends in a collision and
     it lies within n_heads steps of it, i.e. the final head's window covers
@@ -76,32 +37,24 @@ def build_index(episodes: list[Episode], cfg: HorizonConfig) -> ReplayIndex:
 
     if not episodes:
         raise ValueError("cannot index an empty episode collection")
-    ep_ids: list[np.ndarray] = []
-    steps: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    for e, ep in enumerate(episodes):
-        t = np.arange(ep.steps, dtype=np.int64)
-        ep_ids.append(np.full(ep.steps, e, dtype=np.int64))
-        steps.append(t)
-        if ep.terminal is Terminal.COLLISION:
-            flags.append(t >= ep.steps - cfg.n_heads)
-        else:
-            flags.append(np.zeros(ep.steps, dtype=bool))
-    return ReplayIndex(
-        episode_ids=np.concatenate(ep_ids),
-        timesteps=np.concatenate(steps),
-        collision_related=np.concatenate(flags),
-    )
+    steps = np.array([ep.steps for ep in episodes], dtype=np.int64)
+    collided = np.array([ep.terminal is Terminal.COLLISION for ep in episodes])
+    index = np.recarray(int(steps.sum()), dtype=INDEX_DTYPE)
+    index.episode = np.repeat(np.arange(len(episodes)), steps)
+    index.timestep = np.arange(len(index)) - np.repeat(np.cumsum(steps) - steps, steps)
+    remaining = steps[index.episode] - index.timestep
+    index.collision_related = collided[index.episode] & (remaining <= cfg.n_heads)
+    return index
 
 
 def sample(
-    index: ReplayIndex,
+    index: np.recarray,
     batch_size: int,
     rng: np.random.Generator,
     p_collision: float,
     p_noncollision: float,
-) -> list[SampleRef]:
-    """Draw a batch by uniform proposal and stratified acceptance.
+) -> np.recarray:
+    """Draw a batch of index records by uniform proposal and stratified acceptance.
 
     Proposals are uniform over the index; a collision-related proposal is
     accepted with probability p_collision, any other with p_noncollision.
@@ -115,21 +68,17 @@ def sample(
     for name, p in (("p_collision", p_collision), ("p_noncollision", p_noncollision)):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1]")
-    importance = p_noncollision / p_collision
-    out: list[SampleRef] = []
+    related = index.collision_related
+    taken: list[np.ndarray] = []
+    n_taken = 0
     # Chunked rejection keeps the draw count bounded while staying a pure
     # function of the generator state. Accepted proposals are taken in
     # proposal order; the rest of the chunk that fills the batch is dropped.
     chunk = max(batch_size * 4, 64)
-    while len(out) < batch_size:
+    while n_taken < batch_size:
         proposals = rng.integers(0, len(index), size=chunk)
         accept = rng.random(chunk)
-        threshold = np.where(index.collision_related[proposals], p_collision, p_noncollision)
-        taken = proposals[accept < threshold][: batch_size - len(out)]
-        for e, t, related in zip(
-            index.episode_ids[taken].tolist(),
-            index.timesteps[taken].tolist(),
-            index.collision_related[taken].tolist(),
-        ):
-            out.append(SampleRef(e, t, related, importance if related else 1.0))
-    return out
+        threshold = np.where(related[proposals], p_collision, p_noncollision)
+        taken.append(proposals[accept < threshold][: batch_size - n_taken])
+        n_taken += len(taken[-1])
+    return index[np.concatenate(taken)]

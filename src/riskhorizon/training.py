@@ -177,8 +177,8 @@ def train(
     index = build_index(train_eps, cfg.horizon)
     # The final timestep of a truncated episode can anchor no valid target
     # under strict masking; sampling skips those, the index itself keeps them.
-    owner = index.episode_ids
-    pool = index.restricted(collided[owner] | (index.timesteps <= steps[owner] - 2))
+    owner = index.episode
+    pool = index[collided[owner] | (index.timestep <= steps[owner] - 2)]
     if len(pool) == 0:
         raise DegenerateCorpusError("no timestep in the corpus can anchor a valid target")
 
@@ -195,17 +195,18 @@ def train(
         n_valid_total = 0
         while drawn < cfg.samples_per_epoch:
             size = min(cfg.batch_size, cfg.samples_per_epoch - drawn)
-            refs = sample(pool, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
+            batch = sample(pool, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
             drawn += size
-            ep_ids = np.array([r.episode for r in refs])
-            rows = first_rows[ep_ids] + np.array([r.timestep for r in refs])
+            ep_ids, timesteps = batch.episode, batch.timestep
+            rows = first_rows[ep_ids] + timesteps
             targets = lambda_targets(
                 snapshot, rows, last_rows[ep_ids], collided[ep_ids], cfg.horizon
             )
-            features = np.stack([train_eps[r.episode].observations[r.timestep] for r in refs])
-            collision_mask = np.array([r.collision_related for r in refs], dtype=bool)
+            features = np.stack([train_eps[e].observations[t] for e, t in
+                                 zip(ep_ids.tolist(), timesteps.tolist())])
             _, breakdown, grads = batch_loss_and_grad(
-                estimator, features, targets.values, targets.valid, collision_mask, cfg.loss
+                estimator, features, targets.values, targets.valid, batch.collision_related,
+                cfg.loss,
             )
             optimizer_step(estimator, grads, adam, lr)
             sums += np.array(

@@ -370,16 +370,16 @@ def test_criterion_09_stratified_unbiasedness():
                         head_layers=(4, 1), activation="tanh", init_seed=11)
     )
     full = build_index(episodes, horizon)
-    steps = np.array([episodes[e].steps for e in full.episode_ids])
-    alive = full.collision_related | (full.timesteps <= steps - 2)
+    steps = np.array([episodes[e].steps for e in full.episode])
+    alive = full.collision_related | (full.timestep <= steps - 2)
     keep = np.zeros(len(full), dtype=bool)
     keep[np.flatnonzero(alive & full.collision_related)[:100]] = True
     keep[np.flatnonzero(alive & ~full.collision_related)[:100]] = True
-    buffer = full.restricted(keep)
-    assert len(buffer) == 200 and buffer.n_collision_related == 100
+    buffer = full[keep]
+    assert len(buffer) == 200 and buffer.collision_related.sum() == 100
 
     weights = LossWeights(c_interval=0.0, c_chain=0.0, p_collision=p_c, p_noncollision=p_nc)
-    targets = {e: build_targets(episodes[e], est, horizon) for e in set(buffer.episode_ids.tolist())}
+    targets = {e: build_targets(episodes[e], est, horizon) for e in set(buffer.episode.tolist())}
 
     def grad_vec(e, t, as_collision):
         tm = targets[e]
@@ -397,7 +397,7 @@ def test_criterion_09_stratified_unbiasedness():
     plain = np.zeros((200, est.n_params))
     weighted = np.zeros((200, est.n_params))
     for k in range(200):
-        e, t = int(buffer.episode_ids[k]), int(buffer.timesteps[k])
+        e, t = int(buffer.episode[k]), int(buffer.timestep[k])
         slot_of[(e, t)] = k
         plain[k] = grad_vec(e, t, False)
         weighted[k] = grad_vec(e, t, bool(buffer.collision_related[k]))

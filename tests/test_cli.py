@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import riskhorizon
 from riskhorizon.cli import main
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
@@ -32,8 +33,13 @@ def run_main(capsys, *args):
     return code, capsys.readouterr().err
 
 
+class Whole(dict):
+    """A config section that replaces the base section instead of merging into it."""
+
+
 def write_config(path, overrides=None):
-    """chain_small.json shrunk to seconds of work; overrides merge per section."""
+    """chain_small.json shrunk to seconds of work; overrides merge per section
+    unless wrapped in `Whole`."""
 
     doc = json.loads(CHAIN_CONFIG.read_text())
     doc["gen"]["count"] = 30
@@ -44,7 +50,7 @@ def write_config(path, overrides=None):
          "lr_start": 3e-3, "lr_end": 3e-4}
     )
     for section, fields in (overrides or {}).items():
-        if isinstance(fields, dict):
+        if isinstance(fields, dict) and not isinstance(fields, Whole):
             doc.setdefault(section, {}).update(fields)
         else:
             doc[section] = fields
@@ -86,6 +92,12 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert result.stdout.startswith("riskhorizon ")
+
+
+def test_every_exported_name_resolves():
+    assert sorted(set(riskhorizon.__all__)) == sorted(riskhorizon.__all__)
+    for name in riskhorizon.__all__:
+        assert getattr(riskhorizon, name) is not None, name
 
 
 def test_missing_subcommand_is_a_usage_error():
@@ -168,6 +180,49 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
         ({"train": {"epochs": "ten"}}, "train.epochs"),
         ({"gen": {"count": "many"}}, "gen.count"),
         ({"env": {"stack_frames": "three"}}, "env.stack_frames"),
+        # Values the constructors reject, named by section.
+        pytest.param({"train": {"epochs": -1}}, "train: epochs must be >= 0",
+                     id="train-epochs-negative"),
+        pytest.param({"train": {"batch_size": 0}}, "train: batch_size must be >= 1",
+                     id="train-batch-size-zero"),
+        pytest.param({"train": {"lr_end": 0.1}}, "train: need 0 < lr_end <= lr_start",
+                     id="train-lr-end-above-start"),
+        pytest.param({"train": {"eval_fraction": 1.0}}, "train: eval_fraction",
+                     id="train-eval-fraction-one"),
+        pytest.param({"env": {"stack_frames": 0}}, "env: stack_frames must be >= 1",
+                     id="env-stack-frames-zero"),
+        pytest.param({"env": {"max_steps": 0}}, "env: max_steps must be >= 1",
+                     id="env-max-steps-zero"),
+        pytest.param({"estimator": {"activation": "swish"}},
+                     "estimator: unknown activation 'swish'", id="estimator-swish"),
+        pytest.param({"estimator": {"init_seed": -1}}, "estimator: init_seed must be >= 0",
+                     id="init-seed-negative"),
+        pytest.param({"eval": {"intervals": [[0.5, 0.1]]}}, "eval: intervals",
+                     id="eval-interval-reversed"),
+        pytest.param({"eval": {"intervals": [[-0.1, 0.1]]}}, "eval: intervals",
+                     id="eval-interval-negative"),
+        pytest.param({"eval": {"intervals": [[0.1]]}}, "eval.intervals[0]",
+                     id="eval-interval-one-end"),
+        pytest.param({"eval": {"thresholds": []}}, "eval: need at least one threshold",
+                     id="eval-thresholds-empty"),
+        pytest.param({"eval": {"intervals": []}}, "one interval", id="eval-intervals-empty"),
+        pytest.param({"master_seed": -1}, "config.master_seed: must be >= 0",
+                     id="master-seed-negative"),
+        # Values of the wrong JSON type, which int() or float() would coerce.
+        pytest.param({"gen": {"count": 3.9}}, "gen.count", id="count-float"),
+        pytest.param({"gen": {"count": True}}, "gen.count", id="count-bool"),
+        pytest.param({"env": {"max_steps": "7"}}, "env.max_steps", id="max-steps-string"),
+        pytest.param({"env": Whole({"kind": "corridor", "reaction_delay_steps": 2.5})},
+                     "env.reaction_delay_steps", id="reaction-delay-float"),
+        pytest.param({"estimator": {"init_seed": None}}, "estimator.init_seed",
+                     id="init-seed-null"),
+        pytest.param({"loss": {"p_collision": True}}, "loss.p_collision",
+                     id="p-collision-bool"),
+        pytest.param({"loss": {"c_interval": float("nan")}}, "loss.c_interval",
+                     id="c-interval-nan"),
+        pytest.param({"horizon": {"delta_t": float("inf")}}, "horizon.delta_t",
+                     id="delta-t-infinity"),
+        pytest.param({"version": True}, "config.version", id="version-bool"),
     ],
 )
 def test_gen_maps_malformed_config_values_to_the_data_code(tmp_path, capsys, overrides, key):
@@ -177,6 +232,32 @@ def test_gen_maps_malformed_config_values_to_the_data_code(tmp_path, capsys, ove
     assert "Traceback" not in err
     assert key in err
     assert not (tmp_path / "e.jsonl").exists()
+
+
+def test_a_negative_seed_override_is_a_data_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    code, err = run_main(capsys, "gen", "--config", cfg, "--out", tmp_path / "e.jsonl",
+                         "--seed", "-1")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "--seed" in err
+    assert not (tmp_path / "e.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "oracle"])
+def test_every_command_validates_the_whole_config(pipeline, tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", {"train": {"batch_size": 0}})
+    args = {
+        "train": ["--episodes", pipeline["root"] / "eps.jsonl", "--out", tmp_path / "run"],
+        "eval": ["--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+                 "--episodes", pipeline["root"] / "eps.jsonl", "--out", tmp_path / "reports"],
+        "oracle": ["--out", tmp_path / "table.tsv"],
+    }[command]
+    code, err = run_main(capsys, command, "--config", cfg, *args)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "train: batch_size must be >= 1" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_gen_into_a_directory_is_a_data_error(tmp_path, capsys):

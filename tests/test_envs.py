@@ -14,7 +14,6 @@ from riskhorizon.envs import (
     EnvStateError,
     EnvStep,
     chain_observation,
-    expected_obs_dim,
     generate_episodes,
     run_episode,
     world_fingerprint,
@@ -437,12 +436,6 @@ def test_world_fingerprint_distinguishes_specs():
     )
     assert world_fingerprint(ChainWorld(other)) != a
     assert world_fingerprint(CorridorWorld(CorridorWorldSpec())) != a
-
-
-def test_expected_obs_dim_helper():
-    fields = {"kind": "chain", "n_states": 4}
-    assert expected_obs_dim(fields, 2) == 8
-    assert expected_obs_dim({"kind": "corridor"}, 3) == 24
 
 
 # --- persistence ------------------------------------------------------------

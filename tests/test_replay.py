@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskhorizon.episodes import Episode, Terminal
-from riskhorizon.replay import SampleRef, build_index, sample
+from riskhorizon.network import LossWeights
+from riskhorizon.replay import build_index, sample
 from riskhorizon.returns import HorizonConfig
 
 
@@ -31,53 +32,41 @@ def test_thirty_step_episode_window():
     # The 20 timesteps nearest the collision are collision-related.
     index = build_index([episode(30, True)], horizon(20, trunc_n=10))
     assert len(index) == 30
-    assert index.n_collision_related == 20
-    related = sorted(index.timesteps[index.collision_related])
+    assert index.collision_related.sum() == 20
+    related = sorted(index.timestep[index.collision_related])
     assert related == list(range(10, 30))
 
 
 def test_all_collision_short_episodes_fully_related():
     eps = [episode(5, True, seed=s) for s in range(3)]
     index = build_index(eps, horizon(20, trunc_n=10))
-    assert index.n_collision_related == len(index) == 15
+    assert index.collision_related.sum() == len(index) == 15
 
 
 def test_no_collision_corpus_has_no_related_entries():
     eps = [episode(8, False, seed=s) for s in range(4)]
     index = build_index(eps, horizon(5))
     assert len(index) == 32
-    assert index.n_collision_related == 0
+    assert index.collision_related.sum() == 0
 
 
 def test_every_timestep_indexed_once():
     eps = [episode(6, True), episode(9, False, seed=1)]
     index = build_index(eps, horizon(4))
-    pairs = set(zip(index.episode_ids.tolist(), index.timesteps.tolist()))
+    pairs = set(zip(index.episode.tolist(), index.timestep.tolist()))
     assert len(pairs) == len(index) == 15
     assert all(0 <= t < (6 if e == 0 else 9) for e, t in pairs)
 
 
 def test_sample_importance_factors():
-    eps = [episode(10, True), episode(10, False, seed=1)]
-    index = build_index(eps, horizon(5))
-    rng = np.random.default_rng(0)
-    refs = sample(index, 64, rng, p_collision=0.25, p_noncollision=0.025)
-    assert len(refs) == 64
-    for ref in refs:
-        if ref.collision_related:
-            assert ref.importance == pytest.approx(0.1)
-        else:
-            assert ref.importance == 1.0
-        assert 0 <= ref.timestep < 10
-        assert ref.episode in (0, 1)
+    # The loss weights accepted collision-related rows by p_nc / p_c.
+    weights = LossWeights(p_collision=0.25, p_noncollision=0.025)
+    assert weights.collision_mse_factor == pytest.approx(0.1)
 
 
 def test_equal_probabilities_are_uniform():
-    eps = [episode(10, True), episode(10, False, seed=1)]
-    index = build_index(eps, horizon(5))
-    rng = np.random.default_rng(1)
-    refs = sample(index, 128, rng, p_collision=0.05, p_noncollision=0.05)
-    assert all(ref.importance == 1.0 for ref in refs)
+    weights = LossWeights(p_collision=0.05, p_noncollision=0.05)
+    assert weights.collision_mse_factor == 1.0
 
 
 def test_sample_reproducible():
@@ -85,13 +74,27 @@ def test_sample_reproducible():
     index = build_index(eps, horizon(6))
     a = sample(index, 32, np.random.default_rng(9), 0.25, 0.025)
     b = sample(index, 32, np.random.default_rng(9), 0.25, 0.025)
-    assert a == b
+    assert a.tolist() == b.tolist()
+
+
+def test_a_batch_is_a_sequence_of_records():
+    eps = [episode(10, True), episode(10, False, seed=1)]
+    index = build_index(eps, horizon(5))
+    batch = sample(index, 64, np.random.default_rng(0), p_collision=0.25, p_noncollision=0.025)
+    assert len(batch) == 64
+    for k, ref in enumerate(batch):
+        assert ref.episode in (0, 1)
+        assert 0 <= ref.timestep < 10
+        assert ref.collision_related == (ref.episode == 0 and ref.timestep >= 5)
+        assert (ref.episode, ref.timestep) == (batch.episode[k], batch.timestep[k])
+    assert sum(ref.collision_related for ref in batch) == batch.collision_related.sum()
 
 
 def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
-    """Proposal-by-proposal acceptance: the loop `sample` must reproduce."""
+    """Proposal-by-proposal acceptance: the loop `sample` must reproduce.
 
-    importance = p_noncollision / p_collision
+    Returns (episode, timestep, collision_related) tuples."""
+
     out = []
     chunk = max(batch_size * 4, 64)
     while len(out) < batch_size:
@@ -101,14 +104,7 @@ def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
             related = bool(index.collision_related[j])
             threshold = p_collision if related else p_noncollision
             if u < threshold:
-                out.append(
-                    SampleRef(
-                        episode=int(index.episode_ids[j]),
-                        timestep=int(index.timesteps[j]),
-                        collision_related=related,
-                        importance=importance if related else 1.0,
-                    )
-                )
+                out.append((int(index.episode[j]), int(index.timestep[j]), related))
                 if len(out) == batch_size:
                     break
     return out
@@ -129,13 +125,15 @@ def test_sample_matches_scalar_reference(shapes, n_heads, batch_size, seed, p_co
     p_noncollision = p_collision * ratio
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample(index, batch_size, rng, p_collision, p_noncollision)
-    assert got == reference_sample(index, batch_size, ref_rng, p_collision, p_noncollision)
+    columns = list(zip(got.episode.tolist(), got.timestep.tolist(),
+                       got.collision_related.tolist()))
+    assert columns == reference_sample(index, batch_size, ref_rng, p_collision, p_noncollision)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sample_rejects_empty_index():
     index = build_index([episode(5, False)], horizon(3))
-    empty = index.restricted(np.zeros(len(index), dtype=bool))
+    empty = index[np.zeros(len(index), dtype=bool)]
     with pytest.raises(ValueError):
         sample(empty, 4, np.random.default_rng(0), 0.25, 0.025)
 
@@ -145,10 +143,10 @@ def test_accepted_batch_class_fraction():
     # accepted stream should be collision-related 10/11 of the time.
     eps = [episode(50, True), episode(50, False, seed=1)]
     index = build_index(eps, horizon(50))
-    assert index.n_collision_related == 50
+    assert index.collision_related.sum() == 50
     rng = np.random.default_rng(3)
-    refs = sample(index, 100_000, rng, p_collision=0.5, p_noncollision=0.05)
-    frac = np.mean([ref.collision_related for ref in refs])
+    batch = sample(index, 100_000, rng, p_collision=0.5, p_noncollision=0.05)
+    frac = np.mean(batch.collision_related)
     assert frac == pytest.approx(10 / 11, abs=0.01)
 
 
