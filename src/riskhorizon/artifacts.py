@@ -1,0 +1,51 @@
+"""How every artifact goes to disk. Files are written beside their target and
+renamed over it once complete, so an error, a full disk or Ctrl-C leaves an
+existing file as it was; JSON and table numbers have fixed formats, so
+identical inputs write identical bytes."""
+
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+
+def canonical_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def replacing(path: str | Path):
+    """A text handle on `.<name>.<pid>.tmp` beside `path`, renamed over `path`
+    when the block succeeds and removed if anything is raised. A symlink at
+    `path` is replaced, and the new file gets the default mode for new files."""
+
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, doc) -> None:
+    with replacing(path) as fh:
+        fh.write(canonical_json(doc) + "\n")
+
+
+def write_table(path: str | Path, kind: str, columns: list[str], rows) -> None:
+    """Tab-delimited rows under a `# riskhorizon-<kind> v1` line and a column
+    line; integers are written in decimal, floats as `%.12g`."""
+
+    lines = [f"# riskhorizon-{kind} v1", "\t".join(columns)]
+    lines.extend("\t".join(_cell(v) for v in row) for row in rows)
+    with replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _cell(value) -> str:
+    return ("%d" if isinstance(value, (int, np.integer)) else "%.12g") % value

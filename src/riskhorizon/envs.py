@@ -110,8 +110,12 @@ class ChainWorld:
         self.spec = spec
         self.max_steps = max_steps
         self.stack_frames = stack_frames
-        self._transition = np.array(spec.transition)
-        self._start = np.array(spec.start_distribution)
+        # States are drawn as Generator.choice(n, p=p) draws them, one
+        # random() searched in the normalized cumulative sum, so the random
+        # stream is choice's; the sums are built once here.
+        self._start_cdf = _cdf(spec.start_distribution)
+        self._next_cdf = [_cdf(row) for row in spec.transition]
+        self._state_frames = [chain_observation(spec, s).tolist() for s in range(spec.n_states)]
         self._rng: np.random.Generator | None = None
         self._active = False
 
@@ -125,11 +129,12 @@ class ChainWorld:
 
     def reset(self, seed: int) -> EnvStep:
         self._rng = np.random.default_rng(seed)
-        self._state = int(self._rng.choice(self.spec.n_states, p=self._start))
-        self._frames = [self._frame()] * self.stack_frames
+        self._state = int(self._start_cdf.searchsorted(self._rng.random(), side="right"))
+        # The last stack_frames frames, oldest first, as one flat list.
+        self._window = self._state_frames[self._state] * self.stack_frames
         self._steps = 0
         self._active = True
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+        return EnvStep(np.array(self._window), collision=False, done=False, done_reason=None)
 
     def step(self) -> EnvStep:
         if not self._active or self._rng is None:
@@ -138,24 +143,21 @@ class ChainWorld:
         if self._rng.random() < self.spec.hazard[self._state]:
             # The collision state is never observed: frames stay as they were.
             self._active = False
-            return EnvStep(self._stacked(), collision=True, done=True, done_reason=Terminal.COLLISION)
-        self._state = int(self._rng.choice(self.spec.n_states, p=self._transition[self._state]))
-        self._push(self._frame())
+            return EnvStep(np.array(self._window), collision=True, done=True,
+                           done_reason=Terminal.COLLISION)
+        cdf = self._next_cdf[self._state]
+        self._state = int(cdf.searchsorted(self._rng.random(), side="right"))
+        self._window = self._window[self.spec.n_states:] + self._state_frames[self._state]
+        observation = np.array(self._window)
         if self._steps >= self.max_steps:
             self._active = False
-            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
+        return EnvStep(observation, collision=False, done=False, done_reason=None)
 
-    def _frame(self) -> np.ndarray:
-        frame = np.zeros(self.spec.n_states)
-        frame[self._state] = 1.0
-        return frame
 
-    def _push(self, frame: np.ndarray) -> None:
-        self._frames = self._frames[1:] + [frame]
-
-    def _stacked(self) -> np.ndarray:
-        return np.concatenate(self._frames)
+def _cdf(p: tuple[float, ...]) -> np.ndarray:
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import canonical_json, replacing
 from .parallel import map_ranges
 
 SCHEMA_VERSION = 1
@@ -126,8 +126,7 @@ class Episode:
 def spec_fingerprint(spec_fields: dict) -> str:
     """Short stable hash of an environment description."""
 
-    canonical = json.dumps(spec_fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(spec_fields).encode()).hexdigest()[:16]
 
 
 def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> None:
@@ -145,9 +144,8 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     are encoded on every CPU this process may use (see
     `parallel.map_ranges`) when the recorded rows make that pay; their text
     is written in episode order as it arrives, and the bytes do not depend
-    on the worker count. The file is written under a temporary name in the
-    target directory and renamed over `path` once complete, so an error or
-    an interrupt leaves an existing file as it was and no partial one.
+    on the worker count. It is written through `artifacts.replacing`: an
+    error or an interrupt leaves an existing file as it was and no partial one.
     """
 
     if not episodes:
@@ -164,17 +162,10 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
             "episodes": len(episodes),
         }
     }
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            map_ranges(lambda lo, hi: _encode_records(episodes[lo:hi], step_line),
-                       len(episodes), sum(ep.steps for ep in episodes), fh.write)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as fh:
+        fh.write(canonical_json(header) + "\n")
+        map_ranges(lambda lo, hi: _encode_records(episodes[lo:hi], step_line),
+                   len(episodes), sum(ep.steps for ep in episodes), fh.write)
 
 
 def _encode_records(episodes: list[Episode], step_line: str) -> str:
@@ -183,7 +174,7 @@ def _encode_records(episodes: list[Episode], step_line: str) -> str:
     parts = []
     for ep in episodes:
         meta = {"e": {"seed": int(ep.seed), "terminal": ep.terminal.value, "steps": ep.steps}}
-        parts.append(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+        parts.append(canonical_json(meta) + "\n")
         parts.extend(
             step_line % (*row, flag)
             for row, flag in zip(ep.observations.tolist(), ep.rewards.tolist())

@@ -10,16 +10,18 @@ Two error measures per head: the mean squared error (an unbiased, high
 variance accuracy measure) and the mean signed residual outcome-minus-
 estimate, whose negative values read as systematic overestimation, i.e.
 pessimism.
+
+Report tables and the JSON summary are written through `artifacts`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .episodes import Episode, Terminal
 from .oracle import OracleTable
 from .returns import HorizonConfig
@@ -207,65 +209,29 @@ def oracle_errors(estimator, table: OracleTable, state_observations: np.ndarray)
     return np.abs(preds - table.probabilities[:, 1:])
 
 
-# Report files: tab-delimited tables with a version header line, plus one
-# structured JSON summary. All numbers use fixed formats so identical inputs
-# serialize identically.
-
-
-def _write_table(path: Path, name: str, columns: list[str], rows: list[list[str]]) -> None:
-    lines = [f"# riskhorizon-{name} v{REPORT_VERSION}", "\t".join(columns)]
-    lines.extend("\t".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_head_metrics(path: str | Path, report: EvalReport) -> None:
-    rows = []
-    for i in range(report.n_heads):
-        rows.append(
-            [
-                str(i + 1),
-                "%.12g" % report.acc[i],
-                "%.12g" % report.pes[i],
-                str(int(report.counts[i])),
-            ]
-        )
-    _write_table(Path(path), "head-metrics", ["head", "acc_error", "pes_error", "windows"], rows)
+    write_table(path, "head-metrics", ["head", "acc_error", "pes_error", "windows"],
+                zip(range(1, report.n_heads + 1), report.acc, report.pes, report.counts))
 
 
 def write_characteristic(path: str | Path, curves: CharacteristicCurves) -> None:
-    rows = []
-    for k in range(curves.offsets_s.shape[0]):
-        rows.append(["%.12g" % curves.offsets_s[k], "%.12g" % curves.mean[k]])
-    _write_table(
-        Path(path), "collision-characteristic", ["time_to_collision_s", "mean_estimate"], rows
-    )
+    write_table(path, "collision-characteristic", ["time_to_collision_s", "mean_estimate"],
+                zip(curves.offsets_s, curves.mean))
 
 
 def write_detection(path: str | Path, table: DetectionTable) -> None:
-    rows = []
-    for a, theta in enumerate(table.thresholds):
-        for b, (lo, hi) in enumerate(table.intervals):
-            rows.append(
-                ["%.12g" % theta, "%.12g" % lo, "%.12g" % hi, "%.12g" % table.rates[a, b]]
-            )
-    _write_table(
-        Path(path),
-        "detection-rate",
-        ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"],
-        rows,
-    )
+    rows = [(theta, lo, hi, table.rates[a, b])
+            for a, theta in enumerate(table.thresholds)
+            for b, (lo, hi) in enumerate(table.intervals)]
+    write_table(path, "detection-rate",
+                ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows)
 
 
 def write_oracle_errors(path: str | Path, errors: np.ndarray) -> None:
-    rows = []
-    for s in range(errors.shape[0]):
-        for i in range(errors.shape[1]):
-            rows.append([str(s), str(i + 1), "%.12g" % errors[s, i]])
-    _write_table(Path(path), "oracle-errors", ["state", "head", "abs_error"], rows)
+    rows = [(s, i + 1, errors[s, i])
+            for s in range(errors.shape[0]) for i in range(errors.shape[1])]
+    write_table(path, "oracle-errors", ["state", "head", "abs_error"], rows)
 
 
 def write_summary(path: str | Path, payload: dict) -> None:
-    doc = {"format": "riskhorizon-eval-summary", "version": REPORT_VERSION, **payload}
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_json(path, {"format": "riskhorizon-eval-summary", "version": REPORT_VERSION, **payload})

@@ -23,6 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import write_json
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -554,6 +556,13 @@ def _decode(text: str, size: int) -> np.ndarray:
     return arr
 
 
+def _count(value, name: str) -> int:
+    # bool is an int subclass, so true would pass an isinstance check.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def save_checkpoint(
     path: str | Path,
     estimator: MultiHeadEstimator,
@@ -604,9 +613,7 @@ def save_checkpoint(
     }
     if adam is not None:
         doc["adam"] = {"step": adam.step, "m": _encode(adam.m.flat), "v": _encode(adam.v.flat)}
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -656,11 +663,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if doc.get("adam") is not None:
             layout = estimator.layout()
             adam = AdamState(
-                step=int(doc["adam"]["step"]),
+                step=_count(doc["adam"]["step"], "adam.step"),
                 m=FlatArrays(_decode(doc["adam"]["m"], estimator.n_params), layout),
                 v=FlatArrays(_decode(doc["adam"]["v"], estimator.n_params), layout),
             )
-        epochs = int(doc["epochs_completed"])
+        epochs = _count(doc["epochs_completed"], "epochs_completed")
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from exc
     except CheckpointError:

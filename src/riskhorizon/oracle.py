@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_table
 from .envs import ChainWorldSpec
 
 BRUTE_FORCE_MAX_STATES = 6
 BRUTE_FORCE_MAX_HORIZON = 8
-
-ORACLE_TABLE_HEADER = "# riskhorizon-oracle-table v1"
 
 
 class InstanceTooLargeError(ValueError):
@@ -105,8 +104,6 @@ def brute_force_cumulative(spec: ChainWorldSpec, n_heads: int) -> OracleTable:
 def write_oracle_table(path: str | Path, table: OracleTable) -> None:
     """Tab-delimited export: state, horizon step, cumulative probability."""
 
-    lines = [ORACLE_TABLE_HEADER, "state\thorizon_step\tprobability"]
-    for s in range(table.n_states):
-        for i in range(table.n_heads + 1):
-            lines.append("%d\t%d\t%.12g" % (s, i, table.probabilities[s, i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(s, i, table.probabilities[s, i])
+            for s in range(table.n_states) for i in range(table.n_heads + 1)]
+    write_table(path, "oracle-table", ["state", "horizon_step", "probability"], rows)

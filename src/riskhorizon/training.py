@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .artifacts import write_table
 from .episodes import Episode, Terminal
 from .evaluation import EvalReport, evaluate
 from .network import (
@@ -29,8 +30,6 @@ from .network import (
 )
 from .replay import build_index, sample
 from .returns import HorizonConfig, lambda_targets
-
-METRICS_HEADER = "# riskhorizon-train-metrics v1"
 
 
 class DegenerateCorpusError(ValueError):
@@ -243,13 +242,8 @@ def write_metric_log(path: str | Path, metrics: list[EpochMetrics], n_heads: int
     columns = ["epoch", "lr", "loss", "loss_mse", "loss_interval", "loss_chain"]
     columns += [f"acc_head{i}" for i in range(1, n_heads + 1)]
     columns += ["pes_mean"]
-    lines = [METRICS_HEADER, "\t".join(columns)]
-    for m in metrics:
-        if len(m.acc_per_head) != n_heads:
-            raise ValueError("metric entry does not match n_heads")
-        row = [str(m.epoch), "%.12g" % m.lr, "%.12g" % m.loss, "%.12g" % m.loss_mse,
-               "%.12g" % m.loss_interval, "%.12g" % m.loss_chain]
-        row += ["%.12g" % a for a in m.acc_per_head]
-        row += ["%.12g" % m.pes_mean]
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if any(len(m.acc_per_head) != n_heads for m in metrics):
+        raise ValueError("metric entry does not match n_heads")
+    rows = [(m.epoch, m.lr, m.loss, m.loss_mse, m.loss_interval, m.loss_chain, *m.acc_per_head,
+             m.pes_mean) for m in metrics]
+    write_table(path, "train-metrics", columns, rows)

@@ -33,6 +33,12 @@ def run_main(capsys, *args):
     return code, capsys.readouterr().err
 
 
+def listing(directory):
+    """Every file name in `directory`, hidden temporary files included."""
+
+    return sorted(p.name for p in directory.iterdir())
+
+
 class Whole(dict):
     """A config section that replaces the base section instead of merging into it."""
 
@@ -125,6 +131,7 @@ def test_gen_is_byte_deterministic(tmp_path):
     for name in ("a.jsonl", "b.jsonl"):
         assert run_cli("gen", "--config", cfg, "--out", tmp_path / name).returncode == 0
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert listing(tmp_path) == ["a.jsonl", "b.jsonl", "cfg.json"]
 
 
 def test_gen_seed_override_changes_the_corpus(tmp_path):
@@ -279,7 +286,7 @@ def test_train_writes_checkpoint_and_metric_log(pipeline):
     assert pipeline["train"].returncode == 0
     assert "trained 2 epochs (2 total)" in pipeline["train"].stdout
     run = pipeline["root"] / "run"
-    assert (run / "checkpoint.json").exists()
+    assert listing(run) == ["checkpoint.json", "metrics.tsv"]
     lines = (run / "metrics.tsv").read_text().splitlines()
     data = [line for line in lines if not line.startswith("#") and line[0].isdigit()]
     assert len(data) == 2
@@ -305,8 +312,9 @@ def test_train_periodic_checkpoints(tmp_path):
         "train", "--config", cfg, "--episodes", tmp_path / "e.jsonl", "--out", tmp_path / "run"
     )
     assert result.returncode == 0
-    assert (tmp_path / "run" / "checkpoint_epoch0001.json").exists()
-    assert (tmp_path / "run" / "checkpoint_epoch0002.json").exists()
+    assert listing(tmp_path / "run") == [
+        "checkpoint.json", "checkpoint_epoch0001.json", "checkpoint_epoch0002.json", "metrics.tsv",
+    ]
 
 
 def test_train_rejects_mismatched_observation_width(pipeline, tmp_path):
@@ -364,14 +372,13 @@ def test_a_directory_as_the_episode_file_is_a_data_error(pipeline, tmp_path, cap
 def test_eval_writes_the_report_suite(pipeline):
     assert pipeline["eval"].returncode == 0
     reports = pipeline["root"] / "reports"
-    for name in (
-        "head_metrics.tsv",
+    assert listing(reports) == [
         "collision_characteristic.tsv",
         "detection_rate.tsv",
+        "head_metrics.tsv",
         "oracle_errors.tsv",
         "summary.json",
-    ):
-        assert (reports / name).exists(), name
+    ]
     summary = json.loads((reports / "summary.json").read_text())
     assert summary["episodes"] == 30
     assert summary["n_heads"] == 3
@@ -387,7 +394,9 @@ def test_eval_without_config_skips_the_oracle_table(pipeline, tmp_path):
         "--out", tmp_path / "reports",
     )
     assert result.returncode == 0
-    assert not (tmp_path / "reports" / "oracle_errors.tsv").exists()
+    assert listing(tmp_path / "reports") == [
+        "collision_characteristic.tsv", "detection_rate.tsv", "head_metrics.tsv", "summary.json",
+    ]
     summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
     assert "oracle_max_abs_error" not in summary
 
@@ -429,9 +438,29 @@ def _set_layout_to_a_number(doc):
     doc["layout"] = 5
 
 
+def _set_epochs_completed_negative(doc):
+    doc["epochs_completed"] = -3
+
+
+def _set_epochs_completed_to_a_float(doc):
+    doc["epochs_completed"] = 2.0
+
+
+def _set_adam_step_negative(doc):
+    doc["adam"]["step"] = -1
+
+
+def _set_adam_step_to_a_string(doc):
+    doc["adam"]["step"] = "7"
+
+
 @pytest.mark.parametrize(
-    "tamper", [_set_params_to_bad_base64, _set_n_heads_to_a_word, _set_layout_to_a_number],
-    ids=["bad-base64", "n-heads-word", "layout-number"],
+    "tamper",
+    [_set_params_to_bad_base64, _set_n_heads_to_a_word, _set_layout_to_a_number,
+     _set_epochs_completed_negative, _set_epochs_completed_to_a_float, _set_adam_step_negative,
+     _set_adam_step_to_a_string],
+    ids=["bad-base64", "n-heads-word", "layout-number", "epochs-negative", "epochs-float",
+         "step-negative", "step-string"],
 )
 def test_eval_maps_malformed_checkpoint_fields_to_the_data_code(pipeline, tmp_path, tamper):
     doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
@@ -443,6 +472,27 @@ def test_eval_maps_malformed_checkpoint_fields_to_the_data_code(pipeline, tmp_pa
         "--checkpoint", bad,
         "--episodes", pipeline["root"] / "eps.jsonl",
         "--out", tmp_path / "reports",
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "tamper", [_set_epochs_completed_negative, _set_adam_step_negative],
+    ids=["epochs-negative", "step-negative"],
+)
+def test_train_resume_rejects_a_negative_counter_without_a_traceback(pipeline, tmp_path, tamper):
+    # Unchecked, epochs_completed -3 fails in the lr schedule and step -1
+    # divides by zero in Adam once the remaining epoch runs.
+    doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
+    doc["epochs_completed"] = 1
+    tamper(doc)
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(doc))
+    result = run_cli(
+        "train", "--config", pipeline["cfg"], "--episodes", pipeline["root"] / "eps.jsonl",
+        "--out", tmp_path / "run", "--checkpoint", bad,
     )
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
@@ -480,6 +530,7 @@ def test_oracle_cross_check_passes(tmp_path):
     )
     assert result.returncode == 0
     assert "cross-check max deviation" in result.stdout
+    assert listing(tmp_path) == ["cfg.json", "table.tsv"]
     lines = (tmp_path / "table.tsv").read_text().splitlines()
     assert lines[0].startswith("#")
 

@@ -181,6 +181,76 @@ def test_chain_frame_stacking():
     assert world.obs_dim == 8
 
 
+class ReferenceChainWorld:
+    """The chain world as it drew states with `rng.choice` and stacked frame
+    arrays: the bit-level reference for ChainWorld."""
+
+    def __init__(self, spec, max_steps=100, stack_frames=1):
+        self.spec = spec
+        self.max_steps = max_steps
+        self.stack_frames = stack_frames
+        self._transition = np.array(spec.transition)
+        self._start = np.array(spec.start_distribution)
+
+    def reset(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._state = int(self._rng.choice(self.spec.n_states, p=self._start))
+        self._frames = [self._frame()] * self.stack_frames
+        self._steps = 0
+        return EnvStep(np.concatenate(self._frames), collision=False, done=False,
+                       done_reason=None)
+
+    def step(self):
+        self._steps += 1
+        if self._rng.random() < self.spec.hazard[self._state]:
+            return EnvStep(np.concatenate(self._frames), collision=True, done=True,
+                           done_reason=Terminal.COLLISION)
+        self._state = int(self._rng.choice(self.spec.n_states, p=self._transition[self._state]))
+        self._frames = self._frames[1:] + [self._frame()]
+        done = self._steps >= self.max_steps
+        return EnvStep(np.concatenate(self._frames), collision=False, done=done,
+                       done_reason=Terminal.TIME_LIMIT if done else None)
+
+    def _frame(self):
+        frame = np.zeros(self.spec.n_states)
+        frame[self._state] = 1.0
+        return frame
+
+
+def _distribution(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def chain_specs(draw):
+    # Integer weights give rows with exact zeros (including trailing ones) and
+    # uneven masses; hazards include the certain and impossible ends.
+    n = draw(st.integers(1, 5))
+    weights = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
+    hazard = st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    return ChainWorldSpec(
+        n_states=n,
+        hazard=tuple(draw(st.lists(hazard, min_size=n, max_size=n))),
+        transition=tuple(_distribution(draw(weights)) for _ in range(n)),
+        start_distribution=_distribution(draw(weights)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_specs(), st.integers(1, 60), st.integers(1, 3), st.integers(0, 2**63 - 2))
+def test_chain_episodes_match_the_reference_world_bit_for_bit(spec, max_steps, stack_frames, seed):
+    world = ChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
+    reference = ReferenceChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
+    got = run_episode(world, seed)
+    want = run_episode(reference, seed)
+    assert got.observations.shape == want.observations.shape
+    assert got.observations.tobytes() == want.observations.tobytes()
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.terminal is want.terminal
+    assert world._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
 # --- corridor world ---------------------------------------------------------
 
 
