@@ -17,7 +17,7 @@ from .envs import (
     generate_episodes,
     run_episode,
 )
-from .episodes import Episode, RewardTrace, SchemaError, Terminal, load_episodes, save_episodes
+from .episodes import Episode, SchemaError, Terminal, load_episodes, save_episodes
 from .evaluation import collision_characteristic, detection_rate, evaluate, oracle_errors
 from .network import (
     AdamState,
@@ -67,7 +67,6 @@ __all__ = [
     "MultiHeadEstimator",
     "NonFiniteUpdateError",
     "OracleTable",
-    "RewardTrace",
     "RunConfig",
     "SchemaError",
     "TargetMatrix",

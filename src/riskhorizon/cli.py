@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="episode file to write")
     gen.add_argument("--seed", type=int, default=None, help="override the config master seed")
     gen.add_argument("--episodes", type=int, default=None, help="override gen.count")
-    gen.add_argument("--paper-parity", action="store_true",
-                     help="pin the reference hyperparameter preset")
 
     tr = sub.add_parser("train", help="train an estimator on an episode file")
     tr.add_argument("--config", required=True, help="run configuration (JSON)")
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, paper_parity=args.paper_parity, seed_override=args.seed)
+    cfg = load_config(args.config, seed_override=args.seed)
     count = args.episodes if args.episodes is not None else cfg.gen_count
     if count is None:
         raise ConfigError("gen.count: required (or pass --episodes)")

@@ -27,7 +27,7 @@ from .training import TrainConfig
 
 CONFIG_VERSION = 1
 
-# Reference hyperparameter preset selected by --paper-parity: the published
+# Reference hyperparameter preset selected by `train --paper-parity`: the published
 # training setup this implementation mirrors at desk scale.
 PARITY_HORIZON = {"delta_t": 0.1, "n_heads": 20, "lambda": 0.8, "trunc_n": 10}
 PARITY_LOSS = {"c_interval": 1.0, "c_chain": 1.0, "p_collision": 0.25, "p_noncollision": 0.025}

@@ -7,6 +7,9 @@ bed. The corridor world is a one-dimensional ring road with stochastic
 slower traffic and a braking ego policy with delayed reactions; it produces
 the rare-ish, temporally extended collisions the estimator is meant for.
 
+A step returns the next observation and, on the step that ends the
+episode, the end reason (collision, time limit or deadlock); the end reason
+is the only record of whether, and so on which step, the episode collided.
 The policy is internal to each world: the learner only observes. Frame
 stacking happens here too, so an observation is always the concatenation of
 the most recent `stack_frames` feature frames (the reset frame repeated).
@@ -40,10 +43,10 @@ class EnvStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnvStep:
+    """What one reset or step returns; done_reason is set once the episode ends."""
+
     observation: np.ndarray
-    collision: bool
-    done: bool
-    done_reason: Terminal | None
+    done_reason: Terminal | None = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ class ChainWorld:
         self._window = self._state_frames[self._state] * self.stack_frames
         self._steps = 0
         self._active = True
-        return EnvStep(np.array(self._window), collision=False, done=False, done_reason=None)
+        return EnvStep(np.array(self._window))
 
     def step(self) -> EnvStep:
         if not self._active or self._rng is None:
@@ -143,16 +146,15 @@ class ChainWorld:
         if self._rng.random() < self.spec.hazard[self._state]:
             # The collision state is never observed: frames stay as they were.
             self._active = False
-            return EnvStep(np.array(self._window), collision=True, done=True,
-                           done_reason=Terminal.COLLISION)
+            return EnvStep(np.array(self._window), Terminal.COLLISION)
         cdf = self._next_cdf[self._state]
         self._state = int(cdf.searchsorted(self._rng.random(), side="right"))
         self._window = self._window[self.spec.n_states:] + self._state_frames[self._state]
         observation = np.array(self._window)
         if self._steps >= self.max_steps:
             self._active = False
-            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
-        return EnvStep(observation, collision=False, done=False, done_reason=None)
+            return EnvStep(observation, Terminal.TIME_LIMIT)
+        return EnvStep(observation)
 
 
 def _cdf(p: tuple[float, ...]) -> np.ndarray:
@@ -255,7 +257,7 @@ class CorridorWorld:
         # The last stack_frames frames, oldest first, as one flat list.
         self._window = self._frame(self._gaps()) * self.stack_frames
         self._active = True
-        return EnvStep(np.array(self._window), collision=False, done=False, done_reason=None)
+        return EnvStep(np.array(self._window))
 
     def step(self) -> EnvStep:
         if not self._active or self._rng is None:
@@ -296,8 +298,7 @@ class CorridorWorld:
         gaps = self._gaps()
         if any(gap < _CAR_GAP for gap in gaps):
             self._active = False
-            return EnvStep(np.array(self._window), collision=True, done=True,
-                           done_reason=Terminal.COLLISION)
+            return EnvStep(np.array(self._window), Terminal.COLLISION)
 
         if self._ego_v < _STOPPED_EPS:
             self._stopped_steps += 1
@@ -307,11 +308,11 @@ class CorridorWorld:
         observation = np.array(self._window)
         if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
             self._active = False
-            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.BLOCKED)
+            return EnvStep(observation, Terminal.BLOCKED)
         if self._steps >= spec.max_steps:
             self._active = False
-            return EnvStep(observation, collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
-        return EnvStep(observation, collision=False, done=False, done_reason=None)
+            return EnvStep(observation, Terminal.TIME_LIMIT)
+        return EnvStep(observation)
 
     @property
     def max_steps(self) -> int:
@@ -359,29 +360,17 @@ class GenerationSummary:
 def run_episode(world, seed: int) -> Episode:
     """Roll one episode to termination and record it.
 
-    Row t of the record is the observation the step t+1 started from, paired
-    with that step's collision flag; the state reached by the final step is
-    not recorded.
+    Row t of the record is the observation the step t+1 started from; the
+    state reached by the final step is not recorded, and the step's
+    done_reason becomes the episode's terminal.
     """
 
-    first = world.reset(seed)
-    current = first.observation
+    result = world.reset(seed)
     observations: list[np.ndarray] = []
-    flags: list[int] = []
-    while True:
+    while result.done_reason is None:
+        observations.append(result.observation)
         result = world.step()
-        observations.append(current)
-        flags.append(1 if result.collision else 0)
-        if result.done:
-            terminal = result.done_reason
-            break
-        current = result.observation
-    return Episode(
-        observations=np.array(observations),
-        rewards=np.array(flags),
-        terminal=terminal,
-        seed=seed,
-    )
+    return Episode(observations=np.array(observations), terminal=result.done_reason, seed=seed)
 
 
 def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode], GenerationSummary]:
@@ -400,7 +389,7 @@ def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode
     episodes: list[Episode] = []
     map_ranges(lambda lo, hi: [run_episode(world, s) for s in seeds[lo:hi]],
                count, count * world.max_steps, episodes.extend)
-    collisions = sum(1 for ep in episodes if ep.terminal is Terminal.COLLISION)
+    collisions = sum(ep.ends_in_collision for ep in episodes)
     hist: dict[int, int] = {}
     for ep in episodes:
         hist[ep.steps] = hist.get(ep.steps, 0) + 1

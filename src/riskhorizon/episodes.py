@@ -1,9 +1,11 @@
 """Episode records and their line-delimited text persistence.
 
 An episode is the unit of experience: one observation per step taken (the
-state the step started from), one binary collision indicator per step, and
-the reason the episode ended. A collision, when present, is always the final
-step; the post-collision state is never observed, so it is never recorded.
+state the step started from) and the reason the episode ended. A collision,
+when present, is always the final step, so the end reason says which step,
+if any, collided; the post-collision state is never observed, so it is
+never recorded. The file still writes a collision flag per step, derived
+from the end reason, and the loader checks the flags it reads against it.
 """
 
 from __future__ import annotations
@@ -47,80 +49,40 @@ class SchemaError(ValueError):
     """An episode file does not match the documented schema."""
 
 
-@dataclass(frozen=True)
-class RewardTrace:
-    """Binary step outcomes r_1..r_T of one episode plus its end reason.
-
-    rewards[k] is the indicator for step k+1. At most one entry is 1; if
-    present it is the last entry and terminal is COLLISION. Steps after a
-    collision are never experienced, so nothing follows the 1.
-    """
-
-    rewards: tuple[int, ...]
-    terminal: Terminal
-
-    def __post_init__(self) -> None:
-        if len(self.rewards) == 0:
-            raise ValueError("a trace needs at least one step")
-        if any(r not in (0, 1) for r in self.rewards):
-            raise ValueError("rewards must be binary collision indicators")
-        total = sum(self.rewards)
-        if total > 1:
-            raise ValueError("at most one collision per episode")
-        if total == 1:
-            if self.rewards[-1] != 1:
-                raise ValueError("a collision must be the final step")
-            if self.terminal is not Terminal.COLLISION:
-                raise ValueError("collision reward requires COLLISION terminal")
-        elif self.terminal is Terminal.COLLISION:
-            raise ValueError("COLLISION terminal requires a final reward of 1")
-
-    @property
-    def steps(self) -> int:
-        return len(self.rewards)
-
-    @property
-    def ends_in_collision(self) -> bool:
-        return self.terminal is Terminal.COLLISION
-
-
 @dataclass
 class Episode:
     """One recorded episode.
 
-    observations[t] is the state the step t+1 was taken from, so there are
-    exactly as many observation rows as rewards. The state reached by the
-    final step is not recorded: after a collision it does not exist, and
-    after a truncation no target can ever be anchored there.
+    observations[t] is the state step t+1 was taken from, one row per step.
+    The state reached by the final step is not recorded: after a collision
+    it does not exist, and after a truncation no target can ever be
+    anchored there. The terminal alone states the outcome: the collision
+    indicator is 1 on the final step of a COLLISION episode and 0 on every
+    other step.
     """
 
     observations: np.ndarray
-    rewards: np.ndarray
     terminal: Terminal
     seed: int
 
     def __post_init__(self) -> None:
         self.observations = np.asarray(self.observations, dtype=np.float64)
-        self.rewards = np.asarray(self.rewards, dtype=np.int64)
-        if self.observations.ndim != 2:
-            raise ValueError("observations must be a [steps, obs_dim] matrix")
-        if self.rewards.ndim != 1:
-            raise ValueError("rewards must be a flat vector")
-        if self.observations.shape[0] != self.rewards.shape[0]:
-            raise ValueError("one observation row per step is required")
-        # Validates the binary/terminal invariants as a side effect.
-        self.trace()
+        if self.observations.ndim != 2 or self.observations.shape[0] < 1:
+            raise ValueError("observations must be a [steps, obs_dim] matrix with steps >= 1")
+        if not isinstance(self.terminal, Terminal):
+            raise TypeError(f"terminal must be a Terminal, not {self.terminal!r}")
 
     @property
     def steps(self) -> int:
-        return int(self.rewards.shape[0])
+        return int(self.observations.shape[0])
 
     @property
     def obs_dim(self) -> int:
         return int(self.observations.shape[1])
 
-    def trace(self) -> RewardTrace:
-        return RewardTrace(tuple(int(r) for r in self.rewards), self.terminal)
+    @property
+    def ends_in_collision(self) -> bool:
+        return self.terminal is Terminal.COLLISION
 
 
 def spec_fingerprint(spec_fields: dict) -> str:
@@ -137,8 +99,10 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
       {"e": {"seed": S, "terminal": "collision", "steps": T}}   once per episode
       {"s": [..obs..], "c": 0|1}                                 T step lines
 
-    Observation numbers are written with 9 significant digits (`%.9g`), so
-    the file does not round-trip float64 values exactly.
+    The flag "c" is derived from the terminal: 1 on the final step of a
+    collision episode, 0 everywhere else. Observation numbers are written
+    with 9 significant digits (`%.9g`), so the file does not round-trip
+    float64 values exactly.
 
     Each episode's text depends on that episode alone, so ranges of episodes
     are encoded on every CPU this process may use (see
@@ -175,20 +139,21 @@ def _encode_records(episodes: list[Episode], step_line: str) -> str:
     for ep in episodes:
         meta = {"e": {"seed": int(ep.seed), "terminal": ep.terminal.value, "steps": ep.steps}}
         parts.append(canonical_json(meta) + "\n")
-        parts.extend(
-            step_line % (*row, flag)
-            for row, flag in zip(ep.observations.tolist(), ep.rewards.tolist())
-        )
+        *rows, last = ep.observations.tolist()
+        parts.extend(step_line % (*row, 0) for row in rows)
+        parts.append(step_line % (*last, ep.ends_in_collision))
     return "".join(parts)
 
 
 def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:
     """Read an episode file back; returns (episodes, header dict).
 
-    The file is streamed. The step lines between two episode records are
-    parsed with one `json.loads` over the whole run of lines when they are
-    step lines as `save_episodes` writes them; otherwise that run is parsed
-    line by line, which names the first bad line as `path:line`.
+    Each episode's collision flags must be the ones the writer derives from
+    its terminal; anything else is a SchemaError. The file is streamed. The
+    step lines between two episode records are parsed with one `json.loads`
+    over the whole run of lines when they are step lines as `save_episodes`
+    writes them; otherwise that run is parsed line by line, which names the
+    first bad line as `path:line`.
     """
 
     path = Path(path)
@@ -199,7 +164,7 @@ def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:
             obs_dim = head["obs_dim"]
             pending: dict | None = None
             # The current episode's steps: float64 [k, obs_dim] blocks and
-            # their int64 collision flags.
+            # their int64 collision flags, checked against the terminal.
             obs_parts: list[np.ndarray] = []
             flag_parts: list[np.ndarray] = []
 
@@ -216,16 +181,20 @@ def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:
                 except ValueError as exc:
                     raise SchemaError(f"{path}: unknown terminal {pending['terminal']!r}") from exc
                 try:
-                    episodes.append(
-                        Episode(
-                            observations=np.concatenate(obs_parts) if obs_parts else np.empty(0),
-                            rewards=np.concatenate(flag_parts) if flag_parts else np.empty(0),
-                            terminal=terminal,
-                            seed=int(pending["seed"]),
-                        )
+                    ep = Episode(
+                        observations=np.concatenate(obs_parts) if obs_parts else np.empty(0),
+                        terminal=terminal,
+                        seed=int(pending["seed"]),
                     )
                 except (TypeError, ValueError) as exc:
                     raise SchemaError(f"{path}: invalid episode: {exc}") from exc
+                flags = np.concatenate(flag_parts)
+                if flags[:-1].any() or flags[-1] != ep.ends_in_collision:
+                    raise SchemaError(
+                        f"{path}: episode {ep.seed} ({terminal.value}): collision flags must "
+                        f"be 0 but for a final 1 on a collision episode"
+                    )
+                episodes.append(ep)
 
             def parse_line(line: str, lineno: int) -> None:
                 nonlocal pending

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_json, write_table
-from .episodes import Episode, Terminal
+from .episodes import Episode
 from .oracle import OracleTable
 from .returns import HorizonConfig
 
@@ -66,7 +66,7 @@ def _window_outcomes(ep: Episode, head: int) -> tuple[np.ndarray, np.ndarray]:
     """(timesteps, outcomes) of every valid MC window of one head."""
 
     steps = ep.steps
-    if ep.terminal is Terminal.COLLISION:
+    if ep.ends_in_collision:
         t = np.arange(steps)
         return t, (t + head >= steps).astype(np.float64)
     last = steps - 1 - head
@@ -124,7 +124,7 @@ def collision_characteristic(
     rows: list[np.ndarray] = []
     skipped = 0
     for ep in episodes:
-        if ep.terminal is not Terminal.COLLISION:
+        if not ep.ends_in_collision:
             continue
         if ep.steps < n:
             skipped += 1
@@ -175,7 +175,7 @@ def detection_rate(
     intervals: tuple[tuple[float, float], ...] = DEFAULT_INTERVALS,
 ) -> DetectionTable:
     check_detection_grid(thresholds, intervals)
-    collisions = [ep for ep in episodes if ep.terminal is Terminal.COLLISION]
+    collisions = [ep for ep in episodes if ep.ends_in_collision]
     rates = np.zeros((len(thresholds), len(intervals)))
     if not collisions:
         return DetectionTable(tuple(thresholds), tuple(intervals), rates, 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .episodes import Episode, Terminal
+from .episodes import Episode
 from .returns import HorizonConfig
 
 INDEX_DTYPE = np.dtype(
@@ -38,7 +38,7 @@ def build_index(episodes: list[Episode], cfg: HorizonConfig) -> np.recarray:
     if not episodes:
         raise ValueError("cannot index an empty episode collection")
     steps = np.array([ep.steps for ep in episodes], dtype=np.int64)
-    collided = np.array([ep.terminal is Terminal.COLLISION for ep in episodes])
+    collided = np.array([ep.ends_in_collision for ep in episodes])
     index = np.recarray(int(steps.sum()), dtype=INDEX_DTYPE)
     index.episode = np.repeat(np.arange(len(episodes)), steps)
     index.timestep = np.arange(len(index)) - np.repeat(np.cumsum(steps) - steps, steps)

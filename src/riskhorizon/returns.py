@@ -1,10 +1,12 @@
 """Learning targets for cumulative collision-probability heads.
 
 Head i of the estimator predicts the probability of a collision within the
-next i steps. Its targets are built from binary reward traces: fixed-window
-Monte Carlo returns, bootstrapped n-step returns, and truncated-lambda blends
-of the two. Because the event is terminal and rewards are binary, every
-return lies in [0, 1] once bootstraps are clamped.
+next i steps. Its targets are built from an episode's binary collision
+reward, which is 1 on the final step of a collision episode and 0 elsewhere,
+so the scalar returns read only the episode's length and whether it ends in
+a collision: fixed-window Monte Carlo returns, bootstrapped n-step returns,
+and truncated-lambda blends of the two. Because the event is terminal and
+rewards are binary, every return lies in [0, 1] once bootstraps are clamped.
 
 Windows on truncated (non-collision) episodes have unknown outcomes past the
 recorded steps. The rule used throughout: a depth-n component at time t is
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .episodes import Episode, RewardTrace
+from .episodes import Episode
 
 
 class InvalidTargetError(ValueError):
@@ -75,17 +77,17 @@ class TargetMatrix:
             raise ValueError("values and valid must have matching shapes")
 
 
-def _check_anchor(trace: RewardTrace, t: int) -> None:
-    if not 0 <= t < trace.steps:
-        raise ValueError(f"t={t} does not index a recorded state (steps={trace.steps})")
+def _check_anchor(episode: Episode, t: int) -> None:
+    if not 0 <= t < episode.steps:
+        raise ValueError(f"t={t} does not index a recorded state (steps={episode.steps})")
 
 
-def _collision_step(trace: RewardTrace) -> int | None:
+def _collision_step(episode: Episode) -> int | None:
     # 1-based step index of the collision, None for truncated episodes.
-    return trace.steps if trace.ends_in_collision else None
+    return episode.steps if episode.ends_in_collision else None
 
 
-def mc_return(trace: RewardTrace, t: int, i: int) -> float:
+def mc_return(episode: Episode, t: int, i: int) -> float:
     """Fixed-window Monte Carlo return: did a collision occur in (t, t+i]?
 
     Returns 1.0 if the episode's collision falls within the window, 0.0 if
@@ -94,16 +96,16 @@ def mc_return(trace: RewardTrace, t: int, i: int) -> float:
     truncated episode, where the outcome is unknown.
     """
 
-    _check_anchor(trace, t)
+    _check_anchor(episode, t)
     if i < 1:
         raise ValueError("window length i must be >= 1")
-    coll = _collision_step(trace)
+    coll = _collision_step(episode)
     if coll is not None and coll <= t + i:
         return 1.0
-    if t + i <= trace.steps - 1:
+    if t + i <= episode.steps - 1:
         return 0.0
     raise InvalidTargetError(
-        f"window t={t}, i={i} reaches the truncated end of a {trace.steps}-step episode"
+        f"window t={t}, i={i} reaches the truncated end of a {episode.steps}-step episode"
     )
 
 
@@ -130,18 +132,16 @@ def lambda_weights(i: int, lam: float, trunc_n: int) -> np.ndarray:
     return w
 
 
-def _depth_value(
-    trace: RewardTrace, t: int, n: int, i: int, bootstrap: float | None
-) -> float:
+def _depth_value(episode: Episode, t: int, n: int, i: int, bootstrap: float | None) -> float:
     """Value of the depth-n component of a window of length i anchored at t."""
 
-    coll = _collision_step(trace)
+    coll = _collision_step(episode)
     if coll is not None and coll <= t + n:
         return 1.0
-    if t + n > trace.steps - 1:
+    if t + n > episode.steps - 1:
         raise InvalidTargetError(
             f"state s_{{t+n}} (t={t}, n={n}) is past the truncated end "
-            f"of a {trace.steps}-step episode"
+            f"of a {episode.steps}-step episode"
         )
     if n == i:
         # Pure Monte Carlo depth: the reward sum, zero without a collision.
@@ -152,7 +152,7 @@ def _depth_value(
 
 
 def n_step_return(
-    trace: RewardTrace, t: int, n: int, i: int, bootstrap: float | None = None
+    episode: Episode, t: int, n: int, i: int, bootstrap: float | None = None
 ) -> float:
     """n-step return for head i: realized rewards r_{t+1}..r_{t+n} plus the
     remaining-window estimate at the landing state.
@@ -163,14 +163,14 @@ def n_step_return(
     bootstrap and reduces to mc_return.
     """
 
-    _check_anchor(trace, t)
+    _check_anchor(episode, t)
     if not 1 <= n <= i:
         raise ValueError("depth n must satisfy 1 <= n <= i")
-    return _depth_value(trace, t, n, i, bootstrap)
+    return _depth_value(episode, t, n, i, bootstrap)
 
 
 def lambda_return(
-    trace: RewardTrace,
+    episode: Episode,
     t: int,
     i: int,
     bootstraps: Sequence[float | None],
@@ -186,11 +186,11 @@ def lambda_return(
     the windows where those are defined.
     """
 
-    _check_anchor(trace, t)
+    _check_anchor(episode, t)
     if not 1 <= i <= cfg.n_heads:
         raise ValueError(f"head index i={i} outside 1..{cfg.n_heads}")
     if i == 1:
-        return _depth_value(trace, t, 1, 1, None)
+        return _depth_value(episode, t, 1, 1, None)
     weights = lambda_weights(i, cfg.lam, cfg.trunc_n)
     total = 0.0
     for n_minus_1, w in enumerate(weights):
@@ -198,7 +198,7 @@ def lambda_return(
             continue
         n = n_minus_1 + 1
         boot = bootstraps[n_minus_1] if n < i else None
-        total += w * _depth_value(trace, t, n, i, boot)
+        total += w * _depth_value(episode, t, n, i, boot)
     # components and weights keep the exact value in [0, 1]; the float
     # accumulation can still land one ulp outside
     return min(max(total, 0.0), 1.0)
@@ -272,7 +272,7 @@ def lambda_targets(
 
 
 def targets_from_estimates(
-    trace: RewardTrace, estimates: np.ndarray, cfg: HorizonConfig
+    episode: Episode, estimates: np.ndarray, cfg: HorizonConfig
 ) -> TargetMatrix:
     """Full target matrix for one episode given a bootstrap snapshot.
 
@@ -282,7 +282,7 @@ def targets_from_estimates(
     """
 
     estimates = np.asarray(estimates, dtype=np.float64)
-    steps = trace.steps
+    steps = episode.steps
     if estimates.shape != (steps, cfg.n_heads):
         raise ValueError(
             f"estimates must be [{steps}, {cfg.n_heads}], got {estimates.shape}"
@@ -291,7 +291,7 @@ def targets_from_estimates(
         np.clip(estimates, 0.0, 1.0),
         np.arange(steps),
         np.full(steps, steps - 1),
-        np.full(steps, trace.ends_in_collision),
+        np.full(steps, episode.ends_in_collision),
         cfg,
     )
 
@@ -305,4 +305,4 @@ def build_targets(episode: Episode, estimator, cfg: HorizonConfig) -> TargetMatr
     """
 
     estimates = np.asarray(estimator.forward(episode.observations), dtype=np.float64)
-    return targets_from_estimates(episode.trace(), estimates, cfg)
+    return targets_from_estimates(episode, estimates, cfg)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .artifacts import write_table
-from .episodes import Episode, Terminal
+from .episodes import Episode
 from .evaluation import EvalReport, evaluate
 from .network import (
     AdamState,
@@ -117,14 +117,14 @@ def train(
 
     With `resume`, training continues from the checkpoint's estimator,
     optimizer state, and epoch counter; otherwise a fresh estimator is built
-    (from `estimator_cfg`, or defaults sized to the data). Zero configured
+    from `estimator_cfg`, and one of the two is required. Zero configured
     epochs returns the estimator untouched.
     """
 
     episodes = list(episodes)
     if len(episodes) < 2:
         raise DegenerateCorpusError("need at least two episodes to split and train")
-    n_collision = sum(1 for ep in episodes if ep.terminal is Terminal.COLLISION)
+    n_collision = sum(ep.ends_in_collision for ep in episodes)
     if n_collision == 0 or n_collision == len(episodes):
         raise DegenerateCorpusError(
             "corpus must contain at least one collision and one non-collision episode"
@@ -134,7 +134,9 @@ def train(
         raise DegenerateCorpusError("episodes disagree on observation dimension")
 
     seed_seq = np.random.SeedSequence(cfg.master_seed)
-    split_seq, init_seq, sample_seq = seed_seq.spawn(3)
+    # Spawn keys 0 and 2 seed the split and the sampler; key 1 is unused, and
+    # renumbering would change the draws of every run.
+    split_seq, _, sample_seq = seed_seq.spawn(3)
 
     if resume is not None:
         estimator = resume.estimator
@@ -148,11 +150,7 @@ def train(
             raise ValueError("checkpoint and configuration disagree on n_heads")
     else:
         if estimator_cfg is None:
-            estimator_cfg = EstimatorConfig(
-                input_dim=obs_dim,
-                n_heads=cfg.horizon.n_heads,
-                init_seed=int(init_seq.generate_state(1)[0]),
-            )
+            raise ValueError("train needs an estimator_cfg or a checkpoint to resume")
         if estimator_cfg.input_dim != obs_dim:
             raise ValueError(
                 f"estimator config expects input_dim {estimator_cfg.input_dim}, data has {obs_dim}"
@@ -171,7 +169,7 @@ def train(
     steps = np.array([ep.steps for ep in train_eps])
     last_rows = np.cumsum(steps) - 1
     first_rows = last_rows - steps + 1
-    collided = np.array([ep.terminal is Terminal.COLLISION for ep in train_eps])
+    collided = np.array([ep.ends_in_collision for ep in train_eps])
 
     index = build_index(train_eps, cfg.horizon)
     # The final timestep of a truncated episode can anchor no valid target

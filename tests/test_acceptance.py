@@ -36,7 +36,7 @@ from riskhorizon.network import (
 )
 from riskhorizon.oracle import brute_force_cumulative, dp_cumulative
 from riskhorizon.replay import build_index, sample
-from riskhorizon.episodes import RewardTrace, Terminal
+from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.returns import (
     HorizonConfig,
     InvalidTargetError,
@@ -174,12 +174,8 @@ def test_criterion_02_return_reductions():
     compared = 0
     for _ in range(1000):
         steps = int(rng.integers(1, 10))
-        rewards = [0] * steps
-        terminal = Terminal.TIME_LIMIT
-        if rng.integers(2):
-            rewards[-1] = 1
-            terminal = Terminal.COLLISION
-        trace = RewardTrace(rewards=tuple(rewards), terminal=terminal)
+        terminal = Terminal.COLLISION if rng.integers(2) else Terminal.TIME_LIMIT
+        trace = Episode(observations=np.zeros((steps, 1)), terminal=terminal, seed=0)
         t = int(rng.integers(0, steps))
         i = int(rng.integers(1, n_heads + 1))
         boots = list(rng.uniform(0.0, 1.0, size=i))

@@ -3,15 +3,20 @@ would: exit codes, printed summaries, and the files each command leaves
 behind. Exit codes for malformed input are checked through `cli.main` in
 this process, which prints what a subprocess would print."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskhorizon
-from riskhorizon.cli import main
+from riskhorizon.cli import build_parser, main
+from riskhorizon.episodes import Terminal
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -115,6 +120,18 @@ def test_missing_subcommand_is_a_usage_error():
 def test_unknown_flag_is_a_usage_error(tmp_path):
     result = run_cli("gen", "--config", "x.json", "--out", "y", "--frobnicate")
     assert result.returncode == 1
+
+
+def test_paper_parity_is_a_train_option_only():
+    # gen reads none of horizon, loss or train, so the preset has nothing
+    # to change there.
+    parser = build_parser()
+    args = parser.parse_args(["train", "--config", "c.json", "--episodes", "e.jsonl",
+                              "--out", "run", "--paper-parity"])
+    assert args.paper_parity
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["gen", "--config", "c.json", "--out", "e.jsonl", "--paper-parity"])
+    assert exc.value.code == 1
 
 
 # --- gen ---------------------------------------------------------------------
@@ -518,6 +535,54 @@ def test_eval_rejects_non_numeric_observations_naming_the_line(pipeline, tmp_pat
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert f"{bad}:3:" in result.stderr
+
+
+EDITS = ("flip-flag", "swap-terminal", "drop-step", "duplicate-step", "change-steps")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_eval_on_an_edited_episode_file_exits_0_or_2_without_a_traceback(
+    pipeline, tmp_path_factory, data
+):
+    # One edit to one line of a saved corpus. Only swapping one truncation
+    # reason for another leaves a valid file; every other edit contradicts
+    # a step count or the flags the terminal implies, and must exit 2.
+    lines = (pipeline["root"] / "eps.jsonl").read_text().splitlines(keepends=True)
+    step_lines = [k for k, line in enumerate(lines) if line.startswith('{"s"')]
+    episode_lines = [k for k, line in enumerate(lines) if line.startswith('{"e"')]
+    edit = data.draw(st.sampled_from(EDITS))
+    k = data.draw(st.sampled_from(episode_lines if edit in ("swap-terminal", "change-steps")
+                                  else step_lines))
+    doc = json.loads(lines[k])
+    expected = 2
+    if edit == "flip-flag":
+        doc["c"] = 1 - doc["c"]
+    elif edit == "swap-terminal":
+        old = doc["e"]["terminal"]
+        new = data.draw(st.sampled_from([t.value for t in Terminal if t.value != old]))
+        doc["e"]["terminal"] = new
+        if Terminal.COLLISION.value not in (old, new):
+            expected = 0
+    elif edit == "change-steps":
+        doc["e"]["steps"] = data.draw(st.integers(0, 60).filter(lambda n: n != doc["e"]["steps"]))
+    lines[k] = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if edit == "drop-step":
+        del lines[k]
+    elif edit == "duplicate-step":
+        lines.insert(k, lines[k])
+    root = tmp_path_factory.mktemp("edited")
+    (root / "eps.jsonl").write_text("".join(lines))
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["eval", "--checkpoint", str(pipeline["root"] / "run" / "checkpoint.json"),
+                     "--episodes", str(root / "eps.jsonl"), "--out", str(root / "reports")])
+    assert "Traceback" not in err.getvalue()
+    assert code == expected, (edit, lines[k], err.getvalue())
+    if code == 0:
+        summary = json.loads((root / "reports" / "summary.json").read_text())
+        assert summary["episodes"] == len(episode_lines)
 
 
 # --- oracle ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Worlds and episode persistence: determinism, sampling statistics against
 the exact tables, corridor behaviours, and the file schema."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,7 +168,7 @@ def test_chain_step_after_done_rejected():
     world = ChainWorld(spec)
     world.reset(0)
     result = world.step()
-    assert result.done
+    assert result.done_reason is Terminal.COLLISION
     with pytest.raises(EnvStateError):
         world.step()
     with pytest.raises(EnvStateError):
@@ -197,19 +199,16 @@ class ReferenceChainWorld:
         self._state = int(self._rng.choice(self.spec.n_states, p=self._start))
         self._frames = [self._frame()] * self.stack_frames
         self._steps = 0
-        return EnvStep(np.concatenate(self._frames), collision=False, done=False,
-                       done_reason=None)
+        return EnvStep(np.concatenate(self._frames))
 
     def step(self):
         self._steps += 1
         if self._rng.random() < self.spec.hazard[self._state]:
-            return EnvStep(np.concatenate(self._frames), collision=True, done=True,
-                           done_reason=Terminal.COLLISION)
+            return EnvStep(np.concatenate(self._frames), Terminal.COLLISION)
         self._state = int(self._rng.choice(self.spec.n_states, p=self._transition[self._state]))
         self._frames = self._frames[1:] + [self._frame()]
         done = self._steps >= self.max_steps
-        return EnvStep(np.concatenate(self._frames), collision=False, done=done,
-                       done_reason=Terminal.TIME_LIMIT if done else None)
+        return EnvStep(np.concatenate(self._frames), Terminal.TIME_LIMIT if done else None)
 
     def _frame(self):
         frame = np.zeros(self.spec.n_states)
@@ -246,7 +245,6 @@ def test_chain_episodes_match_the_reference_world_bit_for_bit(spec, max_steps, s
     want = run_episode(reference, seed)
     assert got.observations.shape == want.observations.shape
     assert got.observations.tobytes() == want.observations.tobytes()
-    assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.terminal is want.terminal
     assert world._rng.bit_generator.state == reference._rng.bit_generator.state
 
@@ -270,7 +268,6 @@ def test_corridor_deterministic_episodes():
     a = run_episode(CorridorWorld(spec), 77)
     b = run_episode(CorridorWorld(spec), 77)
     assert np.array_equal(a.observations, b.observations)
-    assert np.array_equal(a.rewards, b.rewards)
     assert a.terminal == b.terminal
 
 
@@ -304,7 +301,7 @@ def test_corridor_step_after_done_rejected():
     world.reset(0)
     for _ in range(3):
         result = world.step()
-    assert result.done
+    assert result.done_reason is Terminal.TIME_LIMIT
     with pytest.raises(EnvStateError):
         world.step()
 
@@ -344,7 +341,7 @@ class ReferenceCorridorWorld:
         self._stopped_steps = 0
         self._react_countdown = None
         self._frames = [self._frame()] * self.stack_frames
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+        return EnvStep(self._stacked())
 
     def step(self):
         spec, rng = self.spec, self._rng
@@ -374,17 +371,17 @@ class ReferenceCorridorWorld:
         for j in range(len(self._obstacle_x)):
             self._obstacle_x[j] = (self._obstacle_x[j] + self._obstacle_v[j] * spec.delta_t) % spec.lane_length
         if any(gap < self._CAR_GAP for gap in self._gaps()):
-            return EnvStep(self._stacked(), collision=True, done=True, done_reason=Terminal.COLLISION)
+            return EnvStep(self._stacked(), Terminal.COLLISION)
         if self._ego_v < self._STOPPED_EPS:
             self._stopped_steps += 1
         else:
             self._stopped_steps = 0
         self._frames = self._frames[1:] + [self._frame()]
         if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
-            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.BLOCKED)
+            return EnvStep(self._stacked(), Terminal.BLOCKED)
         if self._steps >= spec.max_steps:
-            return EnvStep(self._stacked(), collision=False, done=True, done_reason=Terminal.TIME_LIMIT)
-        return EnvStep(self._stacked(), collision=False, done=False, done_reason=None)
+            return EnvStep(self._stacked(), Terminal.TIME_LIMIT)
+        return EnvStep(self._stacked())
 
     def _gaps(self):
         return [(x - self._ego_x) % self.spec.lane_length for x in self._obstacle_x]
@@ -442,7 +439,6 @@ def test_corridor_episodes_match_the_reference_world_bit_for_bit(fields, stack_f
     want = run_episode(ReferenceCorridorWorld(spec, stack_frames=stack_frames), seed)
     assert got.observations.shape == want.observations.shape
     assert got.observations.tobytes() == want.observations.tobytes()
-    assert got.rewards.tobytes() == want.rewards.tobytes()
     assert got.terminal is want.terminal
 
 
@@ -454,7 +450,6 @@ def test_corridor_default_corpus_matches_the_reference_world():
         got = run_episode(CorridorWorld(spec, stack_frames=3), seed)
         want = run_episode(ReferenceCorridorWorld(spec, stack_frames=3), seed)
         assert got.observations.tobytes() == want.observations.tobytes()
-        assert got.rewards.tobytes() == want.rewards.tobytes()
         assert got.terminal is want.terminal
         terminals.add(got.terminal)
     assert terminals == {Terminal.COLLISION, Terminal.TIME_LIMIT}
@@ -476,18 +471,30 @@ def test_generate_deterministic_collection():
     assert sum1 == sum2
     for a, b in zip(eps1, eps2):
         assert np.array_equal(a.observations, b.observations)
-        assert np.array_equal(a.rewards, b.rewards)
         assert a.terminal == b.terminal and a.seed == b.seed
 
 
-def test_generated_episodes_satisfy_trace_invariants():
+def test_generated_episodes_satisfy_trace_invariants(tmp_path):
+    # The file's collision flags, derived from each terminal, are 1 on the
+    # final step of a collision episode and 0 everywhere else.
     world = ChainWorld(FOUR_STATES, max_steps=25)
     eps, summary = generate_episodes(world, 100, 5)
     assert summary.episodes == 100
     assert sum(summary.length_histogram.values()) == 100
-    for ep in eps:
-        tr = ep.trace()
-        nz = [k for k, r in enumerate(tr.rewards) if r == 1]
+    assert summary.collisions == sum(ep.terminal is Terminal.COLLISION for ep in eps)
+    assert 0 < summary.collisions < 100
+    path = tmp_path / "eps.jsonl"
+    save_episodes(path, eps, world_fingerprint(world))
+    flags = []
+    for line in path.read_text().splitlines()[1:]:
+        if line.startswith('{"e"'):
+            flags.append([])
+        else:
+            flags[-1].append(json.loads(line)["c"])
+    assert len(flags) == len(eps)
+    for ep, ep_flags in zip(eps, flags):
+        nz = [k for k, c in enumerate(ep_flags) if c == 1]
+        assert len(ep_flags) == ep.steps
         if ep.terminal is Terminal.COLLISION:
             assert nz == [ep.steps - 1]
         else:
@@ -528,7 +535,6 @@ def test_save_load_round_trip(tmp_path):
     assert len(loaded) == len(eps)
     for a, b in zip(eps, loaded):
         assert a.terminal == b.terminal and a.seed == b.seed
-        assert np.array_equal(a.rewards, b.rewards)
         assert a.observations == pytest.approx(b.observations, rel=1e-8)
 
 
@@ -563,8 +569,6 @@ def test_load_rejects_bad_files(tmp_path):
     with pytest.raises(SchemaError):
         load_episodes(garbage)
 
-    import json
-
     wrong_version = tmp_path / "version.jsonl"
     header = json.loads(lines[0])
     header["h"]["version"] = 99
@@ -578,8 +582,6 @@ def test_load_rejects_bad_collision_flag(tmp_path):
     path = tmp_path / "eps.jsonl"
     save_episodes(path, eps, fp)
     lines = path.read_text().splitlines()
-    import json
-
     for idx, line in enumerate(lines):
         doc = json.loads(line)
         if "s" in doc:
@@ -593,24 +595,15 @@ def test_load_rejects_bad_collision_flag(tmp_path):
 
 
 def test_episode_validation():
+    # The terminal states the outcome, so what is left to reject is a shape
+    # without steps and a terminal that is not one. Flags that disagree
+    # with the terminal can only be met in a file (see test_episodes.py).
     with pytest.raises(ValueError):
-        Episode(
-            observations=np.zeros((3, 2)),
-            rewards=np.array([1, 0, 0]),  # collision must be final
-            terminal=Terminal.COLLISION,
-            seed=0,
-        )
+        Episode(observations=np.zeros((0, 2)), terminal=Terminal.TIME_LIMIT, seed=0)
     with pytest.raises(ValueError):
-        Episode(
-            observations=np.zeros((3, 2)),
-            rewards=np.array([0, 0, 1]),
-            terminal=Terminal.TIME_LIMIT,  # flag disagrees with terminal
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        Episode(
-            observations=np.zeros((2, 2)),
-            rewards=np.array([0, 0, 0]),  # length mismatch
-            terminal=Terminal.TIME_LIMIT,
-            seed=0,
-        )
+        Episode(observations=np.zeros(3), terminal=Terminal.TIME_LIMIT, seed=0)
+    with pytest.raises(TypeError):
+        Episode(observations=np.zeros((3, 2)), terminal="collision", seed=0)
+    ep = Episode(observations=np.zeros((3, 2)), terminal=Terminal.COLLISION, seed=0)
+    assert (ep.steps, ep.obs_dim, ep.ends_in_collision) == (3, 2, True)
+    assert not Episode(np.zeros((1, 0)), Terminal.BLOCKED, 0).ends_in_collision

@@ -52,7 +52,8 @@ def reference_save(path, episodes, spec_hash):
             fh.write(dump({"e": {"seed": int(ep.seed), "terminal": ep.terminal.value,
                                  "steps": ep.steps}}))
             for t in range(ep.steps):
-                fh.write('{"s":%s,"c":%d}\n' % (fmt(ep.observations[t]), int(ep.rewards[t])))
+                flag = int(t == ep.steps - 1 and ep.terminal is Terminal.COLLISION)
+                fh.write('{"s":%s,"c":%d}\n' % (fmt(ep.observations[t]), flag))
 
 
 def _reference_parse_line(line, path, lineno):
@@ -98,12 +99,13 @@ def reference_load(path):
             try:
                 episodes.append(Episode(
                     observations=np.array(obs_rows, dtype=np.float64),
-                    rewards=np.array(flags, dtype=np.int64),
                     terminal=terminal,
                     seed=int(pending["seed"]),
                 ))
             except ValueError as exc:
                 raise SchemaError(f"{path}: invalid episode: {exc}") from exc
+            if flags != [0] * (len(flags) - 1) + [int(terminal is Terminal.COLLISION)]:
+                raise SchemaError(f"{path}: collision flags disagree with the terminal")
 
         for line in fh:
             lineno += 1
@@ -139,7 +141,6 @@ def assert_same_episodes(got, want):
         assert a.observations.dtype == b.observations.dtype == np.float64
         assert a.observations.shape == b.observations.shape
         assert a.observations.tobytes() == b.observations.tobytes()
-        assert a.rewards.dtype == b.rewards.dtype and np.array_equal(a.rewards, b.rewards)
 
 
 # --- corpora -----------------------------------------------------------------
@@ -161,9 +162,7 @@ EDGE_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -3.0, 123456789.0, 12345
 
 def edge_episode():
     obs = np.array(EDGE_VALUES * 2, dtype=np.float64).reshape(-1, 5)
-    rewards = np.zeros(obs.shape[0], dtype=np.int64)
-    rewards[-1] = 1
-    return Episode(observations=obs, rewards=rewards, terminal=Terminal.COLLISION, seed=7)
+    return Episode(observations=obs, terminal=Terminal.COLLISION, seed=7)
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -177,13 +176,9 @@ def episode_lists(draw):
         steps = draw(st.integers(1, 12))
         values = draw(st.lists(finite_floats, min_size=steps * obs_dim,
                                max_size=steps * obs_dim))
-        collided = draw(st.booleans())
-        rewards = np.zeros(steps, dtype=np.int64)
-        rewards[-1] = int(collided)
-        terminal = Terminal.COLLISION if collided else draw(
-            st.sampled_from([Terminal.TIME_LIMIT, Terminal.BLOCKED]))
+        terminal = draw(st.sampled_from(Terminal))
         episodes.append(Episode(observations=np.array(values).reshape(steps, obs_dim),
-                                rewards=rewards, terminal=terminal, seed=seed))
+                                terminal=terminal, seed=seed))
     return episodes
 
 
@@ -252,8 +247,7 @@ def test_loader_accepts_hand_formatted_lines_like_the_per_line_loader(tmp_path):
 
 def test_loader_reads_episodes_longer_than_one_block(tmp_path):
     obs = np.arange(2500 * 5, dtype=np.float64).reshape(2500, 5) / 7.0
-    ep = Episode(observations=obs, rewards=np.zeros(2500, dtype=np.int64),
-                 terminal=Terminal.TIME_LIMIT, seed=1)
+    ep = Episode(observations=obs, terminal=Terminal.TIME_LIMIT, seed=1)
     path = tmp_path / "long.jsonl"
     save_episodes(path, [ep, edge_episode()], "abc")
     got, _ = load_episodes(path)
@@ -380,4 +374,39 @@ def test_non_utf8_file_is_a_schema_error(tmp_path):
     save_episodes(path, chain_corpus(count=2), "abc")
     path.write_bytes(path.read_bytes() + b'{"s":[\xff],"c":0}\n')
     with pytest.raises(SchemaError, match="UTF-8"):
+        load_episodes(path)
+
+
+# --- collision flags against the terminal ------------------------------------
+
+
+def flag_corpus(path):
+    """A time_limit and a collision episode of three steps each, saved to path.
+
+    Returns the file's lines: lines[4] is the final step of the time_limit
+    episode, lines[6] and lines[8] the first and final steps of the
+    collision episode.
+    """
+
+    obs = np.arange(6, dtype=np.float64).reshape(3, 2)
+    save_episodes(path, [Episode(obs, Terminal.TIME_LIMIT, 1),
+                         Episode(obs + 6, Terminal.COLLISION, 2)], "abc")
+    return path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [(6, 1), (4, 1), (8, 0)],
+    ids=["collision-on-a-non-final-step", "final-collision-in-a-time-limit-episode",
+         "no-final-collision-in-a-collision-episode"],
+)
+def test_collision_flags_that_disagree_with_the_terminal_are_schema_errors(tmp_path, line, flag):
+    path = tmp_path / "eps.jsonl"
+    lines = flag_corpus(path)
+    assert [json.loads(lines[k])["c"] for k in (2, 3, 4, 6, 7, 8)] == [0, 0, 0, 0, 0, 1]
+    assert [ep.terminal for ep in load_episodes(path)[0]] == [Terminal.TIME_LIMIT,
+                                                              Terminal.COLLISION]
+    lines[line] = re.sub(r'"c":\d', f'"c":{flag}', lines[line])
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match="collision flags"):
         load_episodes(path)

@@ -87,15 +87,11 @@ class FeatureEstimator:
 
 
 def episode(steps, collision, feature=None, seed=0):
-    rewards = np.zeros(steps, dtype=np.int64)
-    terminal = Terminal.TIME_LIMIT
-    if collision:
-        rewards[-1] = 1
-        terminal = Terminal.COLLISION
+    terminal = Terminal.COLLISION if collision else Terminal.TIME_LIMIT
     obs = np.zeros((steps, 2))
     if feature is not None:
         obs[:, 0] = feature
-    return Episode(observations=obs, rewards=rewards, terminal=terminal, seed=seed)
+    return Episode(observations=obs, terminal=terminal, seed=seed)
 
 
 # --- residual statistics ----------------------------------------------------

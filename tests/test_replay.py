@@ -13,12 +13,8 @@ from riskhorizon.returns import HorizonConfig
 
 
 def episode(steps, collides, seed=0, dim=2):
-    rewards = np.zeros(steps, dtype=np.int64)
-    if collides:
-        rewards[-1] = 1
     return Episode(
         observations=np.zeros((steps, dim)),
-        rewards=rewards,
         terminal=Terminal.COLLISION if collides else Terminal.TIME_LIMIT,
         seed=seed,
     )

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskhorizon.envs import ChainWorldSpec, chain_observation
-from riskhorizon.episodes import RewardTrace, Terminal
+from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.oracle import dp_cumulative
 from riskhorizon.returns import (
     HorizonConfig,
@@ -22,10 +22,19 @@ from riskhorizon.returns import (
 
 
 def trace(rewards, terminal=None):
+    """The episode whose binary collision rewards are `rewards`.
+
+    The rewards must be 0 but for a final 1, which makes it a collision
+    episode; observations play no part in the scalar returns.
+    """
+
     rewards = list(rewards)
+    collides = rewards[-1] == 1
+    assert rewards[:-1] == [0] * (len(rewards) - 1) and rewards[-1] in (0, 1)
     if terminal is None:
-        terminal = Terminal.COLLISION if rewards and rewards[-1] == 1 else Terminal.TIME_LIMIT
-    return RewardTrace(rewards=tuple(rewards), terminal=terminal)
+        terminal = Terminal.COLLISION if collides else Terminal.TIME_LIMIT
+    assert (terminal is Terminal.COLLISION) == collides
+    return Episode(observations=np.zeros((len(rewards), 1)), terminal=terminal, seed=0)
 
 
 @st.composite
@@ -420,16 +429,10 @@ def test_targets_oracle_fixed_point_in_expectation():
 
 
 def test_build_targets_uses_estimator(tmp_path):
-    from riskhorizon.episodes import Episode
     from riskhorizon.returns import build_targets
 
     obs = np.eye(4)[[0, 1, 2, 3]].astype(float)
-    ep = Episode(
-        observations=obs,
-        rewards=np.array([0, 0, 0, 1]),
-        terminal=Terminal.COLLISION,
-        seed=1,
-    )
+    ep = Episode(observations=obs, terminal=Terminal.COLLISION, seed=1)
     horizon = cfg(n_heads=2, lam=0.8)
     tm = build_targets(ep, ConstantEstimator(2, 0.5), horizon)
     assert tm.values.shape == (4, 2)

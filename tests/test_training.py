@@ -153,8 +153,8 @@ def test_metric_log_shape_and_finiteness():
 
 def test_degenerate_corpora_rejected():
     eps = corpus()
-    collisions = [ep for ep in eps if ep.terminal is Terminal.COLLISION]
-    quiet = [ep for ep in eps if ep.terminal is not Terminal.COLLISION]
+    collisions = [ep for ep in eps if ep.ends_in_collision]
+    quiet = [ep for ep in eps if not ep.ends_in_collision]
     with pytest.raises(DegenerateCorpusError):
         train(collisions, config(1))
     with pytest.raises(DegenerateCorpusError):
@@ -162,12 +162,7 @@ def test_degenerate_corpora_rejected():
     with pytest.raises(DegenerateCorpusError):
         train(eps[:1], config(1))
     mixed_dims = eps[:6] + [
-        Episode(
-            observations=np.zeros((4, 7)),
-            rewards=np.array([0, 0, 0, 1]),
-            terminal=Terminal.COLLISION,
-            seed=0,
-        )
+        Episode(observations=np.zeros((4, 7)), terminal=Terminal.COLLISION, seed=0)
     ]
     with pytest.raises(DegenerateCorpusError):
         train(mixed_dims, config(1))
@@ -180,6 +175,11 @@ def test_estimator_config_consistency_checked():
     bad_heads = EstimatorConfig(input_dim=3, n_heads=5, backbone_layers=(8,), head_layers=(4, 1))
     with pytest.raises(ValueError):
         train(corpus(), config(1), estimator_cfg=bad_heads)
+
+
+def test_train_needs_an_estimator_config_or_a_checkpoint():
+    with pytest.raises(ValueError, match="estimator_cfg or a checkpoint"):
+        train(corpus(), config(1))
 
 
 def test_resume_continues_epoch_counter(tmp_path):
