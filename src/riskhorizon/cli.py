@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="output directory (checkpoint + metric log)")
     tr.add_argument("--checkpoint", default=None, help="resume from this checkpoint")
     tr.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    tr.add_argument("--paper-parity", action="store_true",
-                    help="pin the reference hyperparameter preset")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on an episode file")
     ev.add_argument("--checkpoint", required=True, help="trained checkpoint")
@@ -119,7 +117,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, paper_parity=args.paper_parity, seed_override=args.seed)
+    cfg = load_config(args.config, seed_override=args.seed)
     train_cfg = cfg.train
     if train_cfg is None:
         raise ConfigError("train: section is required for training")
@@ -132,36 +130,30 @@ def cmd_train(args) -> int:
     if header["spec_hash"] != world_fingerprint(cfg.world):
         log.warning("episode file was generated from a different environment spec")
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    estimator_cfg = None if resume else cfg.estimator
+    start = resume.epochs_completed if resume else 0
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def periodic(epoch, estimator, adam, entry):
-        every = train_cfg.checkpoint_every
-        if every > 0 and (epoch + 1) % every == 0:
-            save_checkpoint(
-                out_dir / f"checkpoint_epoch{epoch + 1:04d}.json",
-                estimator, cfg.horizon, cfg.loss, adam=adam, epochs_completed=epoch + 1,
-            )
-        log.info("epoch %d: lr %.3g loss %.6g", epoch, entry.lr, entry.loss)
+    def periodic(state):
+        done, entry = state.epochs_completed, state.metrics[-1]
+        if train_cfg.checkpoint_every > 0 and done % train_cfg.checkpoint_every == 0:
+            save_checkpoint(out_dir / f"checkpoint_epoch{done:04d}.json", state)
+        log.info("epoch %d: lr %.3g loss %.6g", entry.epoch, entry.lr, entry.loss)
 
-    result = train(
-        episodes, train_cfg, estimator_cfg=estimator_cfg, resume=resume, on_epoch_end=periodic
-    )
+    state = train(episodes, train_cfg, estimator_cfg=cfg.estimator, resume=resume,
+                  on_epoch_end=periodic).state
     ckpt_path = out_dir / "checkpoint.json"
-    save_checkpoint(
-        ckpt_path, result.estimator, cfg.horizon, cfg.loss,
-        adam=result.adam, epochs_completed=result.epochs_completed,
-    )
+    save_checkpoint(ckpt_path, state)
     metrics_path = out_dir / "metrics.tsv"
-    write_metric_log(metrics_path, result.metrics, cfg.horizon.n_heads)
-    last = result.metrics[-1] if result.metrics else None
-    if last is None:
+    write_metric_log(metrics_path, state.metrics, cfg.horizon.n_heads)
+    ran = state.epochs_completed - start
+    if ran == 0:
         print(f"no epochs to run; checkpoint written to {ckpt_path}")
     else:
+        last = state.metrics[-1]
         print(
-            f"trained {len(result.metrics)} epochs ({result.epochs_completed} total); "
+            f"trained {ran} epochs ({state.epochs_completed} total); "
             f"final loss {last.loss:.6g}, held-out pes_mean {last.pes_mean:.4g}; "
             f"checkpoint {ckpt_path}, metrics {metrics_path}"
         )

@@ -9,14 +9,15 @@ float. Each section is turned into the object it configures (the world,
 `HorizonConfig`, `LossWeights`, `EstimatorConfig`, `TrainConfig`, the
 detection grid) at load time, passing only the keys the document sets, so
 defaults live in those classes alone. Any malformed value raises a
-`ConfigError` that names its key path.
+`ConfigError` that names its key path. Checkpoints store their estimator,
+horizon and loss sections in the same shape (`to_section`, `saved_sections`).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .envs import ChainWorld, ChainWorldSpec, CorridorWorld, CorridorWorldSpec
@@ -26,12 +27,6 @@ from .returns import HorizonConfig
 from .training import TrainConfig
 
 CONFIG_VERSION = 1
-
-# Reference hyperparameter preset selected by `train --paper-parity`: the published
-# training setup this implementation mirrors at desk scale.
-PARITY_HORIZON = {"delta_t": 0.1, "n_heads": 20, "lambda": 0.8, "trunc_n": 10}
-PARITY_LOSS = {"c_interval": 1.0, "c_chain": 1.0, "p_collision": 0.25, "p_noncollision": 0.025}
-PARITY_TRAIN = {"epochs": 50, "samples_per_epoch": 6000, "lr_start": 1e-5, "lr_end": 1e-6}
 
 # The JSON type of every key per section: int, float, str, or [kind] for a
 # list of such values.
@@ -46,6 +41,15 @@ ESTIMATOR_KEYS = {"backbone_layers": [int], "head_layers": [int], "activation": 
 TRAIN_KEYS = {"epochs": int, "samples_per_epoch": int, "batch_size": int, "lr_start": float,
               "lr_end": float, "eval_fraction": float, "checkpoint_every": int}
 EVAL_KEYS = {"thresholds": [float], "intervals": [[float]]}
+# A checkpoint's sections, every key required. Its estimator also records
+# the input width and head count a config derives from its env and horizon.
+SAVED_SECTIONS = {
+    "estimator": (EstimatorConfig, {"input_dim": int, "n_heads": int, **ESTIMATOR_KEYS}),
+    "horizon": (HorizonConfig, HORIZON_KEYS),
+    "loss": (LossWeights, LOSS_KEYS),
+}
+# Fields whose key differs (`lambda` is a Python keyword).
+_KEY_OF_FIELD = {"lam": "lambda"}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
@@ -100,15 +104,16 @@ def _typed(value, kind, path: str):
     return value
 
 
-def _section(raw, path: str, keys: dict, required=(), preset: dict | None = None) -> dict:
-    """The keys `raw` sets, overridden by `preset`, each checked against its
-    type in `keys`."""
+def _section(raw, path: str, keys: dict, required=()) -> dict:
+    """The keys `raw` sets, each checked against its type in `keys`, by the
+    name of the field each sets."""
 
     _check_keys(raw, keys, path)
-    raw = {**raw, **(preset or {})}
     for key in required:
         _require(raw, key, path)
-    return {key: _typed(value, keys[key], f"{path}.{key}") for key, value in raw.items()}
+    field_of_key = {key: name for name, key in _KEY_OF_FIELD.items()}
+    return {field_of_key.get(key, key): _typed(value, keys[key], f"{path}.{key}")
+            for key, value in raw.items()}
 
 
 def _build(path: str, make, *args, **kwargs):
@@ -118,6 +123,19 @@ def _build(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def to_section(obj) -> dict:
+    """Every field of a HorizonConfig, LossWeights or EstimatorConfig, by key."""
+
+    return {_KEY_OF_FIELD.get(name, name): v for name, v in asdict(obj).items()}
+
+
+def saved_sections(doc: dict) -> list:
+    """The EstimatorConfig, HorizonConfig and LossWeights of a checkpoint."""
+
+    return [_build(name, cls, **_section(doc[name], name, keys, required=keys))
+            for name, (cls, keys) in SAVED_SECTIONS.items()]
 
 
 def _world(raw) -> ChainWorld | CorridorWorld:
@@ -140,11 +158,7 @@ def _world(raw) -> ChainWorld | CorridorWorld:
     return _build("env", make_world, _build("env", make_spec, **fields), **world_args)
 
 
-def load_config(
-    path: str | Path,
-    paper_parity: bool = False,
-    seed_override: int | None = None,
-) -> RunConfig:
+def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -178,13 +192,9 @@ def load_config(
         if gen_count < 1:
             raise ConfigError("gen.count: must be >= 1")
 
-    h = _section(_require(raw, "horizon", "config"), "horizon", HORIZON_KEYS,
-                 required=HORIZON_KEYS, preset=PARITY_HORIZON if paper_parity else None)
-    horizon = _build("horizon", HorizonConfig, delta_t=h["delta_t"], n_heads=h["n_heads"],
-                     lam=h["lambda"], trunc_n=h["trunc_n"])
-
-    loss = _build("loss", LossWeights, **_section(
-        raw.get("loss", {}), "loss", LOSS_KEYS, preset=PARITY_LOSS if paper_parity else None))
+    horizon = _build("horizon", HorizonConfig, **_section(
+        _require(raw, "horizon", "config"), "horizon", HORIZON_KEYS, required=HORIZON_KEYS))
+    loss = _build("loss", LossWeights, **_section(raw.get("loss", {}), "loss", LOSS_KEYS))
 
     arch = _section(raw.get("estimator", {}), "estimator", ESTIMATOR_KEYS)
     # Stable derivation so a config without an explicit seed still
@@ -194,10 +204,9 @@ def load_config(
                        n_heads=horizon.n_heads, **arch)
 
     train = None
-    if "train" in raw or paper_parity:
-        fields = _section(raw.get("train", {}), "train", TRAIN_KEYS,
-                          required=("epochs", "samples_per_epoch"),
-                          preset=PARITY_TRAIN if paper_parity else None)
+    if "train" in raw:
+        fields = _section(raw["train"], "train", TRAIN_KEYS,
+                          required=("epochs", "samples_per_epoch"))
         train = _build("train", TrainConfig, horizon=horizon, loss=loss, master_seed=master_seed,
                        **fields)
 

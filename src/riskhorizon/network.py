@@ -17,20 +17,27 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import write_json
+from .returns import HorizonConfig
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT = "riskhorizon-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_KEYS = {"format", "version", "estimator", "horizon", "loss", "epochs_completed",
+                   "params", "adam", "sampler", "metrics"}
+# Version 1 files have no sampler state or metric history, and list the
+# parameter layout.
+V1_CHECKPOINT_KEYS = CHECKPOINT_KEYS - {"sampler", "metrics"} | {"layout"}
 
 
 class EmptyBatchError(ValueError):
@@ -101,12 +108,21 @@ class LossWeights:
         return self.p_noncollision / self.p_collision
 
 
-def _init_dense(
-    params: dict[str, np.ndarray], rng: np.random.Generator, name: str, out_dim: int, in_dim: int
-) -> None:
-    bound = 1.0 / np.sqrt(in_dim)
-    params[f"{name}.w"] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    params[f"{name}.b"] = rng.uniform(-bound, bound, size=out_dim)
+def _dense_layers(cfg: EstimatorConfig) -> list[tuple[str, int, int]]:
+    """(name, out_dim, in_dim) of every dense layer, in storage order."""
+
+    widths = [cfg.input_dim, *cfg.backbone_layers]
+    head_widths = [cfg.backbone_layers[-1] + 1, *cfg.head_layers]
+    layers = [(f"backbone{l}", widths[l + 1], widths[l]) for l in range(len(widths) - 1)]
+    return layers + [(f"head{i}.l{l}", head_widths[l + 1], head_widths[l])
+                     for i in range(cfg.n_heads) for l in range(len(head_widths) - 1)]
+
+
+def param_layout(cfg: EstimatorConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array, in the order they tile the flat vector."""
+
+    return [(f"{name}.{part}", shape) for name, out_dim, in_dim in _dense_layers(cfg)
+            for part, shape in (("w", (out_dim, in_dim)), ("b", (out_dim,)))]
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -151,25 +167,17 @@ class MultiHeadEstimator:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         rng = np.random.default_rng(config.init_seed)
-        init: dict[str, np.ndarray] = {}
-        widths = [config.input_dim, *config.backbone_layers]
-        for l in range(len(config.backbone_layers)):
-            _init_dense(init, rng, f"backbone{l}", widths[l + 1], widths[l])
-        head_in = config.backbone_layers[-1] + 1
-        head_widths = [head_in, *config.head_layers]
-        for i in range(config.n_heads):
-            for l in range(len(config.head_layers)):
-                _init_dense(init, rng, f"head{i}.l{l}", head_widths[l + 1], head_widths[l])
-        layout = [(k, v.shape) for k, v in init.items()]
-        self.params = FlatArrays(np.concatenate([v.ravel() for v in init.values()]), layout)
+        init = []
+        for _, out_dim, in_dim in _dense_layers(config):
+            bound = 1.0 / np.sqrt(in_dim)
+            init.append(rng.uniform(-bound, bound, size=(out_dim, in_dim)).ravel())
+            init.append(rng.uniform(-bound, bound, size=out_dim))
+        self.params = FlatArrays(np.concatenate(init), param_layout(config))
         # (weight, bias) parameter names per layer, in evaluation order.
-        self._backbone_keys = [
-            (f"backbone{l}.w", f"backbone{l}.b") for l in range(len(config.backbone_layers))
-        ]
-        self._head_keys = [
-            [(f"head{i}.l{l}.w", f"head{i}.l{l}.b") for l in range(len(config.head_layers))]
-            for i in range(config.n_heads)
-        ]
+        keys = [(f"{name}.w", f"{name}.b") for name, _, _ in _dense_layers(config)]
+        n_backbone, per_head = len(config.backbone_layers), len(config.head_layers)
+        self._backbone_keys = keys[:n_backbone]
+        self._head_keys = [keys[k : k + per_head] for k in range(n_backbone, len(keys), per_head)]
         # Gradient buffer in the same layout, made by the first backward pass
         # and reused by every later one.
         self._grads: FlatArrays | None = None
@@ -187,9 +195,6 @@ class MultiHeadEstimator:
         single = x.ndim == 1
         preds, _ = self._forward_cached(np.atleast_2d(x), want_cache=False)
         return preds[0] if single else preds
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        return self.forward(features)
 
     def _forward_cached(self, x: np.ndarray, want_cache: bool = True):
         """Raw head outputs [B, n_heads], and the cache `_backward` needs.
@@ -247,7 +252,7 @@ class MultiHeadEstimator:
         cfg = self.config
         act = cfg.activation
         if self._grads is None:
-            self._grads = FlatArrays(np.zeros(self.n_params), self.layout())
+            self._grads = FlatArrays(np.zeros(self.n_params), param_layout(cfg))
         grads = self._grads
         grads.flat.fill(0.0)
         params = self.params
@@ -289,9 +294,6 @@ class MultiHeadEstimator:
 
     # The flat vector in layout order, used by checkpoints and the
     # finite-difference tests.
-
-    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(k, v.shape) for k, v in self.params.items()]
 
     @property
     def n_params(self) -> int:
@@ -460,7 +462,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, estimator: MultiHeadEstimator) -> "AdamState":
-        layout = estimator.layout()
+        layout = param_layout(estimator.config)
         return cls(
             step=0,
             m=FlatArrays(np.zeros(estimator.n_params), layout),
@@ -468,41 +470,24 @@ class AdamState:
         )
 
 
-def _flat_gradient(estimator: MultiHeadEstimator, grads: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The gradient as one vector in the estimator's layout order."""
-
-    params = estimator.params
-    if (
-        isinstance(grads, FlatArrays)
-        and grads.flat.shape == params.flat.shape
-        and list(grads) == list(params)
-    ):
-        return grads.flat
-    if set(grads) != set(params):
-        raise ValueError("gradient keys do not match estimator parameters")
-    parts = []
-    for k, p in params.items():
-        g = np.asarray(grads[k], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient {k!r} has shape {g.shape}, parameter has {p.shape}")
-        parts.append(g.ravel())
-    return np.concatenate(parts)
-
-
 def optimizer_step(
     estimator: MultiHeadEstimator,
-    grads: Mapping[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     learning_rate: float,
 ) -> MultiHeadEstimator:
     """One bias-corrected Adam update, in place, as whole-vector operations.
 
-    A non-finite gradient aborts before any parameter is touched.
+    `grad` is the gradient as one vector in the parameter layout, such as
+    the `.flat` of `batch_loss_and_grad`'s result. A non-finite gradient
+    aborts before any parameter is touched.
     """
 
     if learning_rate <= 0 or not np.isfinite(learning_rate):
         raise ValueError("learning_rate must be positive and finite")
-    g = _flat_gradient(estimator, grads)
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != estimator.params.flat.shape:
+        raise ValueError(f"expected a gradient of {estimator.n_params} values, got {g.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteUpdateError("non-finite gradient; update aborted")
     state.step += 1
@@ -530,18 +515,40 @@ def optimizer_step(
     return estimator
 
 
-# Checkpoints: one JSON document, parameters and optimizer moments base64
-# encoded as little-endian float64 in the documented flat layout. Identical
-# state serializes to identical bytes.
+# Checkpoints: one JSON document holding a run's whole state. The estimator,
+# horizon and loss sections have the shape of the run-config sections of the
+# same name; parameters and Adam moments are base64 little-endian float64
+# vectors in the layout `param_layout` derives from the estimator section.
+# Identical state serializes to identical bytes.
+
+
+@dataclass
+class EpochMetrics:
+    epoch: int
+    lr: float
+    loss: float
+    loss_mse: float
+    loss_interval: float
+    loss_chain: float
+    acc_per_head: tuple[float, ...]
+    pes_mean: float
 
 
 @dataclass
 class Checkpoint:
+    """A training run's whole state: what `train` resumes from, hands to
+    `on_epoch_end` and returns, and what a checkpoint file holds. `sampler`
+    is the replay generator's `bit_generator.state` after the last completed
+    epoch; without one (untrained, or read from a version 1 file) replay
+    starts from the configured seed."""
+
     estimator: MultiHeadEstimator
-    horizon: "HorizonConfig"
+    horizon: HorizonConfig
     loss_weights: LossWeights
-    adam: AdamState | None
-    epochs_completed: int
+    adam: AdamState
+    epochs_completed: int = 0
+    sampler: dict | None = None
+    metrics: list[EpochMetrics] = field(default_factory=list)
 
 
 def _encode(arr: np.ndarray) -> str:
@@ -552,72 +559,52 @@ def _decode(text: str, size: int) -> np.ndarray:
     raw = base64.b64decode(text.encode("ascii"))
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if arr.shape != (size,):
-        raise CheckpointError(f"expected {size} values, got {arr.shape}")
+        raise ValueError(f"expected {size} values, got {arr.shape}")
     return arr
 
 
 def _count(value, name: str) -> int:
     # bool is an int subclass, so true would pass an isinstance check.
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"{name} must be an integer in [0, 2**63), got {value!r}")
     return value
 
 
-def save_checkpoint(
-    path: str | Path,
-    estimator: MultiHeadEstimator,
-    horizon: "HorizonConfig",
-    loss_weights: LossWeights,
-    adam: AdamState | None = None,
-    epochs_completed: int = 0,
-) -> None:
-    from .returns import HorizonConfig  # local import avoids a cycle
+def _epoch_metrics(entry: dict, n_heads: int) -> EpochMetrics:
+    m = EpochMetrics(**entry)  # a TypeError for a missing or unknown field
+    values = [m.lr, m.loss, m.loss_mse, m.loss_interval, m.loss_chain, m.pes_mean]
+    if (type(m.acc_per_head) is not list or len(m.acc_per_head) != n_heads
+            or any(type(v) is not float for v in values + m.acc_per_head)):
+        raise ValueError("metrics need float values and one acc_per_head value per head")
+    return replace(m, epoch=_count(m.epoch, "metrics epoch"), acc_per_head=tuple(m.acc_per_head))
 
-    if not isinstance(horizon, HorizonConfig):
-        raise TypeError(f"horizon must be a HorizonConfig, got {type(horizon).__name__}")
-    if estimator.config.n_heads != horizon.n_heads:
-        raise ValueError("estimator and horizon disagree on n_heads")
-    layout = []
-    offset = 0
-    for name, shape in estimator.layout():
-        size = int(np.prod(shape))
-        layout.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
-        offset += size
-    doc = {
+
+def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
+    """Write `state` as a version 2 checkpoint."""
+
+    from .config import to_section  # config imports this module
+
+    adam = state.adam
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "estimator": {
-            "input_dim": estimator.config.input_dim,
-            "n_heads": estimator.config.n_heads,
-            "backbone_layers": list(estimator.config.backbone_layers),
-            "head_layers": list(estimator.config.head_layers),
-            "activation": estimator.config.activation,
-            "init_seed": estimator.config.init_seed,
-        },
-        "horizon": {
-            "delta_t": horizon.delta_t,
-            "n_heads": horizon.n_heads,
-            "lambda": horizon.lam,
-            "trunc_n": horizon.trunc_n,
-        },
-        "loss": {
-            "c_interval": loss_weights.c_interval,
-            "c_chain": loss_weights.c_chain,
-            "p_collision": loss_weights.p_collision,
-            "p_noncollision": loss_weights.p_noncollision,
-        },
-        "epochs_completed": int(epochs_completed),
-        "layout": layout,
-        "params": _encode(estimator.params.flat),
-        "adam": None,
-    }
-    if adam is not None:
-        doc["adam"] = {"step": adam.step, "m": _encode(adam.m.flat), "v": _encode(adam.v.flat)}
-    write_json(path, doc)
+        # to_section raises TypeError for anything but a config dataclass.
+        "estimator": to_section(state.estimator.config),
+        "horizon": to_section(state.horizon),
+        "loss": to_section(state.loss_weights),
+        "epochs_completed": state.epochs_completed,
+        "params": _encode(state.estimator.params.flat),
+        "adam": {"step": adam.step, "m": _encode(adam.m.flat), "v": _encode(adam.v.flat)},
+        "sampler": state.sampler,
+        "metrics": [asdict(m) for m in state.metrics],
+    })
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    from .returns import HorizonConfig
+    """Read a version 2 or version 1 checkpoint; anything malformed raises
+    CheckpointError."""
+
+    from .config import saved_sections  # config imports this module
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -625,61 +612,43 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} document")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    if set(doc) != (CHECKPOINT_KEYS if version > 1 else V1_CHECKPOINT_KEYS):
+        raise CheckpointError(f"{path}: missing or unknown fields for version {version}")
     try:
-        est_cfg = EstimatorConfig(
-            input_dim=doc["estimator"]["input_dim"],
-            n_heads=doc["estimator"]["n_heads"],
-            backbone_layers=tuple(doc["estimator"]["backbone_layers"]),
-            head_layers=tuple(doc["estimator"]["head_layers"]),
-            activation=doc["estimator"]["activation"],
-            init_seed=doc["estimator"]["init_seed"],
-        )
-        horizon = HorizonConfig(
-            delta_t=doc["horizon"]["delta_t"],
-            n_heads=doc["horizon"]["n_heads"],
-            lam=doc["horizon"]["lambda"],
-            trunc_n=doc["horizon"]["trunc_n"],
-        )
-        weights = LossWeights(
-            c_interval=doc["loss"]["c_interval"],
-            c_chain=doc["loss"]["c_chain"],
-            p_collision=doc["loss"]["p_collision"],
-            p_noncollision=doc["loss"]["p_noncollision"],
-        )
+        est_cfg, horizon, weights = saved_sections(doc)
+        if est_cfg.n_heads != horizon.n_heads:
+            raise ValueError("estimator and horizon disagree on n_heads")
+        layout = param_layout(est_cfg)
+        sizes = [math.prod(shape) for _, shape in layout]
+        if version == 1 and doc["layout"] != [
+            {"name": name, "shape": list(shape), "offset": offset, "size": size}
+            for (name, shape), offset, size in zip(layout, accumulate([0, *sizes]), sizes)
+        ]:
+            raise ValueError("parameter layout does not match the estimator section")
+        params = _decode(doc["params"], sum(sizes))  # before a huge layer is allocated
         estimator = MultiHeadEstimator(est_cfg)
-        expected = [(e["name"], tuple(e["shape"])) for e in doc["layout"]]
-        if expected != estimator.layout():
-            raise CheckpointError(f"{path}: parameter layout does not match configuration")
-        off = 0
-        for entry, (_, shape) in zip(doc["layout"], estimator.layout()):
-            size = int(np.prod(shape))
-            if entry["offset"] != off or entry["size"] != size:
-                raise CheckpointError(f"{path}: corrupt layout entry for {entry['name']!r}")
-            off += size
-        estimator.set_flat(_decode(doc["params"], estimator.n_params))
-        adam = None
-        if doc.get("adam") is not None:
-            layout = estimator.layout()
-            adam = AdamState(
-                step=_count(doc["adam"]["step"], "adam.step"),
-                m=FlatArrays(_decode(doc["adam"]["m"], estimator.n_params), layout),
-                v=FlatArrays(_decode(doc["adam"]["v"], estimator.n_params), layout),
-            )
-        epochs = _count(doc["epochs_completed"], "epochs_completed")
+        estimator.set_flat(params)
+        adam = AdamState.zeros(estimator)
+        if doc["adam"] is not None or version > 1:
+            adam.step = _count(doc["adam"]["step"], "adam.step")
+            adam.m.flat[:] = _decode(doc["adam"]["m"], params.size)
+            adam.v.flat[:] = _decode(doc["adam"]["v"], params.size)
+        state = Checkpoint(estimator, horizon, weights, adam,
+                           _count(doc["epochs_completed"], "epochs_completed"))
+        if version > 1:
+            if doc["sampler"] is not None:
+                bit_generator = np.random.PCG64(0)
+                bit_generator.state = doc["sampler"]  # raises for a state PCG64 rejects
+                state.sampler = bit_generator.state
+            state.metrics = [_epoch_metrics(entry, horizon.n_heads) for entry in doc["metrics"]]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from exc
-    except CheckpointError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        # A field of the wrong type or value, e.g. "n_heads": "five" or
-        # parameters that are not base64 (binascii.Error is a ValueError).
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        # A field of the wrong type or value, e.g. "n_heads": "five",
+        # parameters that are not base64 (binascii.Error is a ValueError)
+        # or a sampler state integer wider than 128 bits.
         raise CheckpointError(f"{path}: invalid field: {exc}") from exc
-    return Checkpoint(
-        estimator=estimator,
-        horizon=horizon,
-        loss_weights=weights,
-        adam=adam,
-        epochs_completed=epochs,
-    )
+    return state

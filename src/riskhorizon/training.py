@@ -5,23 +5,27 @@ every training state; each batch builds the targets of its sampled rows from
 that snapshot (semi-gradient: no gradient flows through targets, and there
 is no separate target network). The learning rate decays exponentially from
 lr_start to lr_end over the configured epochs; held-out episodes are split
-off before training and evaluated after every epoch.
+off before training and evaluated after every epoch. The run's state is one
+`Checkpoint` record, which training advances epoch by epoch, so resuming
+from a saved one continues the run exactly.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .artifacts import write_table
 from .episodes import Episode
-from .evaluation import EvalReport, evaluate
+from .evaluation import evaluate
 from .network import (
     AdamState,
     Checkpoint,
+    EpochMetrics,
     EstimatorConfig,
     LossWeights,
     MultiHeadEstimator,
@@ -30,6 +34,8 @@ from .network import (
 )
 from .replay import build_index, sample
 from .returns import HorizonConfig, lambda_targets
+
+log = logging.getLogger(__name__)
 
 
 class DegenerateCorpusError(ValueError):
@@ -75,25 +81,15 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr_start * (cfg.lr_end / cfg.lr_start) ** frac
 
 
-@dataclass
-class EpochMetrics:
-    epoch: int
-    lr: float
-    loss: float
-    loss_mse: float
-    loss_interval: float
-    loss_chain: float
-    acc_per_head: tuple[float, ...]
-    pes_mean: float
+class TrainResult(NamedTuple):
+    """The run state `train` advanced, and the episodes it held out."""
 
-
-@dataclass
-class TrainResult:
-    estimator: MultiHeadEstimator
-    adam: AdamState
-    metrics: list[EpochMetrics]
+    state: Checkpoint
     held_out: list[int]
-    epochs_completed: int
+
+    @property
+    def metrics(self) -> list[EpochMetrics]:
+        return self.state.metrics
 
 
 def _split(n: int, fraction: float, rng: np.random.Generator) -> tuple[list[int], list[int]]:
@@ -107,7 +103,7 @@ def train(
     cfg: TrainConfig,
     estimator_cfg: EstimatorConfig | None = None,
     resume: Checkpoint | None = None,
-    on_epoch_end: Callable[[int, MultiHeadEstimator, AdamState, EpochMetrics], None] | None = None,
+    on_epoch_end: Callable[[Checkpoint], None] | None = None,
 ) -> TrainResult:
     """Train an estimator on an episode corpus.
 
@@ -115,10 +111,12 @@ def train(
     of every epoch and held constant across its batches (semi-gradient
     updates against a periodically refreshed snapshot).
 
-    With `resume`, training continues from the checkpoint's estimator,
-    optimizer state, and epoch counter; otherwise a fresh estimator is built
-    from `estimator_cfg`, and one of the two is required. Zero configured
-    epochs returns the estimator untouched.
+    With `resume`, training continues that state in place: its estimator,
+    optimizer state, epoch counter, replay sampler and metric history.
+    Otherwise a fresh estimator is built from `estimator_cfg`, and one of the
+    two is required. The state takes the horizon and loss weights of `cfg`,
+    and is handed to `on_epoch_end` after every epoch. With no epochs left,
+    the estimator is returned untouched.
     """
 
     episodes = list(episodes)
@@ -138,28 +136,18 @@ def train(
     # renumbering would change the draws of every run.
     split_seq, _, sample_seq = seed_seq.spawn(3)
 
-    if resume is not None:
-        estimator = resume.estimator
-        adam = resume.adam if resume.adam is not None else AdamState.zeros(estimator)
-        start_epoch = resume.epochs_completed
-        if estimator.config.input_dim != obs_dim:
-            raise ValueError(
-                f"checkpoint expects input_dim {estimator.config.input_dim}, data has {obs_dim}"
-            )
-        if estimator.config.n_heads != cfg.horizon.n_heads:
-            raise ValueError("checkpoint and configuration disagree on n_heads")
-    else:
+    state = resume
+    if state is None:
         if estimator_cfg is None:
             raise ValueError("train needs an estimator_cfg or a checkpoint to resume")
-        if estimator_cfg.input_dim != obs_dim:
-            raise ValueError(
-                f"estimator config expects input_dim {estimator_cfg.input_dim}, data has {obs_dim}"
-            )
-        if estimator_cfg.n_heads != cfg.horizon.n_heads:
-            raise ValueError("estimator config and horizon disagree on n_heads")
         estimator = MultiHeadEstimator(estimator_cfg)
-        adam = AdamState.zeros(estimator)
-        start_epoch = 0
+        state = Checkpoint(estimator, cfg.horizon, cfg.loss, AdamState.zeros(estimator))
+    estimator, adam = state.estimator, state.adam
+    arch = estimator.config
+    if (arch.input_dim, arch.n_heads) != (obs_dim, cfg.horizon.n_heads):
+        raise ValueError(f"the estimator takes {arch.input_dim} inputs to {arch.n_heads} heads; "
+                         f"the data has {obs_dim} and the horizon {cfg.horizon.n_heads}")
+    state.horizon, state.loss_weights = cfg.horizon, cfg.loss
 
     train_ids, held_out = _split(len(episodes), cfg.eval_fraction, np.random.default_rng(split_seq))
     train_eps = [episodes[j] for j in train_ids]
@@ -180,9 +168,13 @@ def train(
         raise DegenerateCorpusError("no timestep in the corpus can anchor a valid target")
 
     sample_rng = np.random.default_rng(sample_seq)
-    metrics: list[EpochMetrics] = []
-    epoch = start_epoch
-    for epoch in range(start_epoch, cfg.epochs):
+    if state.sampler is not None:
+        sample_rng.bit_generator.state = state.sampler
+    elif 0 < state.epochs_completed < cfg.epochs:
+        log.warning("resuming from a state without replay sampler state or metric history "
+                    "(a version 1 checkpoint): replay restarts from the configured seed, so "
+                    "this run will differ from an uninterrupted one")
+    for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         # One forward per episode, as its rounding depends on the row count.
         snapshot = np.concatenate([estimator.forward(ep.observations) for ep in train_eps])
@@ -205,33 +197,19 @@ def train(
                 estimator, features, targets.values, targets.valid, batch.collision_related,
                 cfg.loss,
             )
-            optimizer_step(estimator, grads, adam, lr)
+            optimizer_step(estimator, grads.flat, adam, lr)
             sums += np.array(
                 [breakdown.total, breakdown.mse, breakdown.interval, breakdown.chain]
             ) * breakdown.n_valid
             n_valid_total += breakdown.n_valid
-        report: EvalReport = evaluate(held_eps, estimator, cfg.horizon)
-        entry = EpochMetrics(
-            epoch=epoch,
-            lr=lr,
-            loss=sums[0] / n_valid_total,
-            loss_mse=sums[1] / n_valid_total,
-            loss_interval=sums[2] / n_valid_total,
-            loss_chain=sums[3] / n_valid_total,
-            acc_per_head=tuple(float(a) for a in report.acc),
-            pes_mean=report.pes_mean,
-        )
-        metrics.append(entry)
+        report = evaluate(held_eps, estimator, cfg.horizon)
+        state.metrics.append(EpochMetrics(epoch, lr, *(sums / n_valid_total),
+                                          tuple(float(a) for a in report.acc), report.pes_mean))
+        state.epochs_completed = epoch + 1
+        state.sampler = sample_rng.bit_generator.state
         if on_epoch_end is not None:
-            on_epoch_end(epoch, estimator, adam, entry)
-    epochs_completed = cfg.epochs if cfg.epochs > start_epoch else start_epoch
-    return TrainResult(
-        estimator=estimator,
-        adam=adam,
-        metrics=metrics,
-        held_out=held_out,
-        epochs_completed=epochs_completed,
-    )
+            on_epoch_end(state)
+    return TrainResult(state, held_out)
 
 
 def write_metric_log(path: str | Path, metrics: list[EpochMetrics], n_heads: int) -> None:

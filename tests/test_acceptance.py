@@ -111,7 +111,7 @@ def chain_run():
     elapsed = time.monotonic() - started
     held = [episodes[j] for j in result.held_out]
     return {
-        "estimator": result.estimator,
+        "estimator": result.state.estimator,
         "table": dp_cumulative(CHAIN_SPEC, CHAIN_HORIZON.n_heads),
         "held": held,
         "elapsed": elapsed,
@@ -144,7 +144,7 @@ def corridor_run():
         backbone_layers=(64, 64), head_layers=(16, 1), activation="tanh", init_seed=3,
     )
     result = train(episodes, cfg, estimator_cfg=est_cfg)
-    return {"episodes": episodes, "estimator": result.estimator}
+    return {"episodes": episodes, "estimator": result.state.estimator}
 
 
 # --- criteria -----------------------------------------------------------------
@@ -284,7 +284,7 @@ def test_criterion_05_gradient_correctness():
             continue
 
         _, _, grads = batch_loss_and_grad(est, features, targets, valid, collision, weights)
-        analytic = np.concatenate([grads[k].ravel() for k, _ in est.layout()])
+        analytic = np.concatenate([grads[k].ravel() for k in est.params])
         flat = est.get_flat()
         fd = np.empty_like(flat)
         h = 1e-6
@@ -387,7 +387,7 @@ def test_criterion_09_stratified_unbiasedness():
             np.array([as_collision]),
             weights,
         )
-        return np.concatenate([grads[k].ravel() for k, _ in est.layout()])
+        return np.concatenate([grads[k].ravel() for k in est.params])
 
     slot_of = {}
     plain = np.zeros((200, est.n_params))

@@ -65,11 +65,12 @@ from riskhorizon.evaluation import (
     write_head_metrics, write_oracle_errors, write_summary,
 )
 from riskhorizon.network import (
-    AdamState, EstimatorConfig, LossWeights, MultiHeadEstimator, save_checkpoint,
+    AdamState, Checkpoint, EpochMetrics, EstimatorConfig, LossWeights, MultiHeadEstimator,
+    save_checkpoint,
 )
 from riskhorizon.oracle import dp_cumulative, write_oracle_table
 from riskhorizon.returns import HorizonConfig
-from riskhorizon.training import EpochMetrics, write_metric_log
+from riskhorizon.training import write_metric_log
 
 root, limit = Path(sys.argv[1]), int(sys.argv[2])
 spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.3), transition=((0.5, 0.5), (0.5, 0.5)),
@@ -86,8 +87,9 @@ curves = CharacteristicCurves(offsets_s=np.array([0.2, 0.1]), per_episode=np.zer
 detection = DetectionTable((0.1,), ((0.0, 0.4),), np.array([[0.5]]), 2)
 writers = {
     "episodes": lambda p: save_episodes(p, corpus, "abc"),
-    "checkpoint": lambda p: save_checkpoint(p, estimator, horizon, LossWeights(),
-                                            adam=AdamState.zeros(estimator), epochs_completed=1),
+    "checkpoint": lambda p: save_checkpoint(p, Checkpoint(
+        estimator, horizon, LossWeights(), AdamState.zeros(estimator), epochs_completed=1,
+        sampler=np.random.PCG64(1).state, metrics=[epoch])),
     "metric_log": lambda p: write_metric_log(p, [epoch], 2),
     "head_metrics": lambda p: write_head_metrics(p, report),
     "characteristic": lambda p: write_characteristic(p, curves),

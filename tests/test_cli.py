@@ -10,13 +10,15 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskhorizon
-from riskhorizon.cli import build_parser, main
+from riskhorizon.cli import main
 from riskhorizon.episodes import Terminal
+from riskhorizon.network import EstimatorConfig, param_layout
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -120,18 +122,6 @@ def test_missing_subcommand_is_a_usage_error():
 def test_unknown_flag_is_a_usage_error(tmp_path):
     result = run_cli("gen", "--config", "x.json", "--out", "y", "--frobnicate")
     assert result.returncode == 1
-
-
-def test_paper_parity_is_a_train_option_only():
-    # gen reads none of horizon, loss or train, so the preset has nothing
-    # to change there.
-    parser = build_parser()
-    args = parser.parse_args(["train", "--config", "c.json", "--episodes", "e.jsonl",
-                              "--out", "run", "--paper-parity"])
-    assert args.paper_parity
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["gen", "--config", "c.json", "--out", "e.jsonl", "--paper-parity"])
-    assert exc.value.code == 1
 
 
 # --- gen ---------------------------------------------------------------------
@@ -334,6 +324,66 @@ def test_train_periodic_checkpoints(tmp_path):
     ]
 
 
+def tiny_corridor_config(path, train):
+    """corridor_default.json shrunk to a second of work, with `train` merged in."""
+
+    doc = json.loads(CORRIDOR_CONFIG.read_text())
+    doc["gen"]["count"] = 12
+    doc["horizon"].update({"n_heads": 4, "trunc_n": 2})
+    doc["estimator"] = {"backbone_layers": [8], "head_layers": [4, 1]}
+    doc["train"].update({"samples_per_epoch": 100, "batch_size": 16, "lr_start": 1e-3,
+                         "lr_end": 1e-4, **train})
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("world", ["chain", "corridor"])
+def test_a_resumed_run_writes_the_bytes_of_an_uninterrupted_one(tmp_path, world):
+    train = {"epochs": 4, "checkpoint_every": 2}
+    if world == "chain":
+        cfg = write_config(tmp_path / "cfg.json", {"train": train})
+    else:
+        cfg = tiny_corridor_config(tmp_path / "cfg.json", train)
+    assert run_cli("gen", "--config", cfg, "--out", tmp_path / "e.jsonl").returncode == 0
+    args = ["train", "--config", cfg, "--episodes", tmp_path / "e.jsonl"]
+    whole = run_cli(*args, "--out", tmp_path / "whole")
+    assert whole.returncode == 0, whole.stderr
+    resumed = run_cli(*args, "--out", tmp_path / "resumed",
+                      "--checkpoint", tmp_path / "whole" / "checkpoint_epoch0002.json")
+    assert resumed.returncode == 0, resumed.stderr
+    assert "trained 2 epochs (4 total)" in resumed.stdout
+    for name in ("checkpoint.json", "checkpoint_epoch0004.json", "metrics.tsv"):
+        assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def as_version_1(doc):
+    """A version 2 checkpoint document as the version 1 writer wrote the same
+    state: no sampler state or metric history, and the parameter layout listed."""
+
+    doc = {k: v for k, v in doc.items() if k not in ("sampler", "metrics")}
+    layout, offset = [], 0
+    for name, shape in param_layout(EstimatorConfig(**doc["estimator"])):
+        size = int(np.prod(shape))
+        layout.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
+        offset += size
+    return {**doc, "version": 1, "layout": layout}
+
+
+def test_a_version_1_checkpoint_still_resumes_with_a_warning(pipeline, tmp_path):
+    doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(as_version_1(doc)))
+    cfg = write_config(tmp_path / "cfg.json", {"train": {"epochs": 3}})
+    result = run_cli("train", "--config", cfg, "--episodes", pipeline["root"] / "eps.jsonl",
+                     "--out", tmp_path / "run", "--checkpoint", v1)
+    assert result.returncode == 0, result.stderr
+    assert "trained 1 epochs (3 total)" in result.stdout
+    assert "replay restarts from the configured seed" in result.stderr
+    # Without a metric history, the log lists only the epoch this run trained.
+    rows = (tmp_path / "run" / "metrics.tsv").read_text().splitlines()[2:]
+    assert [row.split("\t")[0] for row in rows] == ["2"]
+
+
 def test_train_rejects_mismatched_observation_width(pipeline, tmp_path):
     # same chain but stacked twice: the expected width doubles
     stacked = write_config(tmp_path / "stacked.json", {"env": {"stack_frames": 2}})
@@ -418,6 +468,19 @@ def test_eval_without_config_skips_the_oracle_table(pipeline, tmp_path):
     assert "oracle_max_abs_error" not in summary
 
 
+def test_a_version_1_checkpoint_evaluates_to_the_same_reports(pipeline, tmp_path):
+    doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(as_version_1(doc)))
+    result = run_cli("eval", "--checkpoint", v1, "--episodes", pipeline["root"] / "eps.jsonl",
+                     "--out", tmp_path / "reports", "--config", pipeline["cfg"])
+    assert result.returncode == 0, result.stderr
+    reports = pipeline["root"] / "reports"
+    assert listing(tmp_path / "reports") == listing(reports)
+    for name in listing(reports):
+        assert (tmp_path / "reports" / name).read_bytes() == (reports / name).read_bytes()
+
+
 def test_eval_rejects_mismatched_episode_width(pipeline, tmp_path):
     stacked = write_config(tmp_path / "stacked.json", {"env": {"stack_frames": 2}})
     run_cli("gen", "--config", stacked, "--out", tmp_path / "wide.jsonl")
@@ -471,13 +534,50 @@ def _set_adam_step_to_a_string(doc):
     doc["adam"]["step"] = "7"
 
 
+def _set_sampler_to_another_generator(doc):
+    doc["sampler"]["bit_generator"] = "MT19937"
+
+
+def _set_sampler_state_beyond_128_bits(doc):
+    doc["sampler"]["state"]["state"] = 2**200
+
+
+def _drop_the_sampler_increment(doc):
+    del doc["sampler"]["state"]["inc"]
+
+
+def _set_a_metric_to_a_string(doc):
+    doc["metrics"][1]["loss"] = "0.5"
+
+
+def _drop_a_head_from_the_metrics(doc):
+    doc["metrics"][0]["acc_per_head"].pop()
+
+
+def _set_the_metrics_to_an_object(doc):
+    doc["metrics"] = {"epoch": 0}
+
+
+def _drop_the_metrics(doc):
+    del doc["metrics"]
+
+
+def _set_the_loss_section_to_a_list(doc):
+    doc["loss"] = [1.0]
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_set_params_to_bad_base64, _set_n_heads_to_a_word, _set_layout_to_a_number,
      _set_epochs_completed_negative, _set_epochs_completed_to_a_float, _set_adam_step_negative,
-     _set_adam_step_to_a_string],
+     _set_adam_step_to_a_string, _set_sampler_to_another_generator,
+     _set_sampler_state_beyond_128_bits, _drop_the_sampler_increment, _set_a_metric_to_a_string,
+     _drop_a_head_from_the_metrics, _set_the_metrics_to_an_object, _drop_the_metrics,
+     _set_the_loss_section_to_a_list],
     ids=["bad-base64", "n-heads-word", "layout-number", "epochs-negative", "epochs-float",
-         "step-negative", "step-string"],
+         "step-negative", "step-string", "sampler-generator", "sampler-state-wide",
+         "sampler-inc-missing", "metric-string", "metric-heads-short", "metrics-object",
+         "metrics-missing", "loss-list"],
 )
 def test_eval_maps_malformed_checkpoint_fields_to_the_data_code(pipeline, tmp_path, tamper):
     doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
@@ -583,6 +683,99 @@ def test_eval_on_an_edited_episode_file_exits_0_or_2_without_a_traceback(
     if code == 0:
         summary = json.loads((root / "reports" / "summary.json").read_text())
         assert summary["episodes"] == len(episode_lines)
+
+
+def leaves(doc, path=()):
+    """The path of every leaf of a JSON document: each value that is not a
+    nonempty object or list."""
+
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from leaves(value, (*path, key))
+    else:
+        yield path
+
+
+def replace_leaf(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# What replaces a leaf: null, a bool, a string, a negative or huge number, a
+# list or an object.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.sampled_from([-1, -2.5, 10**30, -(10**30), 1e300, -1e300]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def quiet_main(*args):
+    """(exit code, stderr) of `riskhorizon *args` run in this process."""
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def resumable(pipeline, tmp_path_factory):
+    """A checkpoint after the first of two epochs, so resuming it trains."""
+
+    root = tmp_path_factory.mktemp("resumable")
+    cfg = write_config(root / "cfg.json", {"train": {"checkpoint_every": 1}})
+    code, err = quiet_main("train", "--config", cfg, "--episodes", pipeline["root"] / "eps.jsonl",
+                           "--out", root / "run")
+    assert code == 0, err
+    return {"cfg": cfg, "checkpoint": root / "run" / "checkpoint_epoch0001.json"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_checkpoint_with_one_leaf_replaced_exits_0_or_2_without_a_traceback(
+    pipeline, resumable, tmp_path_factory, data
+):
+    doc = json.loads(resumable["checkpoint"].read_text())
+    path = data.draw(st.sampled_from(list(leaves(doc))))
+    replace_leaf(doc, path, data.draw(JSON_VALUES))
+    root = tmp_path_factory.mktemp("checkpoint-leaf")
+    (root / "ckpt.json").write_text(json.dumps(doc))
+    episodes = pipeline["root"] / "eps.jsonl"
+    for command, out, args in (
+        ("eval", "reports", ()),
+        ("train", "run", ("--config", resumable["cfg"])),
+    ):
+        # An uncaught exception would fail the test with its traceback.
+        code, err = quiet_main(command, "--checkpoint", root / "ckpt.json",
+                               "--episodes", episodes, "--out", root / out, *args)
+        assert code in (0, 2), (path, err)
+        assert (root / out).exists() == (code == 0), (path, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_config_with_one_leaf_replaced_exits_0_or_2_without_a_traceback(
+    pipeline, tmp_path_factory, data
+):
+    root = tmp_path_factory.mktemp("config-leaf")
+    doc = json.loads(write_config(root / "cfg.json").read_text())
+    path = data.draw(st.sampled_from(list(leaves(doc))))
+    replace_leaf(doc, path, data.draw(JSON_VALUES))
+    (root / "cfg.json").write_text(json.dumps(doc))
+    # gen rolls --episodes, not gen.count: a valid count of 10**30 episodes
+    # would run for ever.
+    code, err = quiet_main("gen", "--config", root / "cfg.json", "--out", root / "e.jsonl",
+                           "--episodes", 6)
+    assert code in (0, 2), (path, err)
+    assert (root / "e.jsonl").exists() == (code == 0), (path, err)
+    code, err = quiet_main("eval", "--config", root / "cfg.json",
+                           "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+                           "--episodes", pipeline["root"] / "eps.jsonl", "--out", root / "reports")
+    assert code in (0, 2), (path, err)
+    assert (root / "reports").exists() == (code == 0), (path, err)
 
 
 # --- oracle ------------------------------------------------------------------

@@ -14,9 +14,12 @@ from riskhorizon.network import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    Checkpoint,
     CheckpointError,
     EmptyBatchError,
+    EpochMetrics,
     EstimatorConfig,
+    FlatArrays,
     LossWeights,
     MultiHeadEstimator,
     NonFiniteUpdateError,
@@ -26,6 +29,7 @@ from riskhorizon.network import (
     loss_interval,
     loss_mse,
     optimizer_step,
+    param_layout,
     save_checkpoint,
 )
 from riskhorizon.returns import HorizonConfig
@@ -260,7 +264,7 @@ def finite_difference_check(est, feats, targets, valid, coll, weights, step=1e-5
 
     base = est.get_flat()
     _, _, grads = batch_loss_and_grad(est, feats, targets, valid, coll, weights)
-    analytic = np.concatenate([grads[k].ravel() for k, _ in est.layout()])
+    analytic = np.concatenate([grads[k].ravel() for k in est.params])
     numeric = np.empty_like(analytic)
     for j in range(base.size):
         plus = base.copy()
@@ -455,8 +459,7 @@ def test_adam_zero_gradient_no_move():
     est = small_estimator(seed=1)
     before = est.get_flat()
     state = AdamState.zeros(est)
-    grads = {k: np.zeros_like(p) for k, p in est.params.items()}
-    optimizer_step(est, grads, state, 1e-3)
+    optimizer_step(est, np.zeros(est.n_params), state, 1e-3)
     assert np.array_equal(est.get_flat(), before)
     assert state.step == 1
 
@@ -466,10 +469,9 @@ def test_adam_first_step_is_signed_lr():
     # lr * g / (|g| + eps): essentially lr * sign(g).
     est = small_estimator(seed=2)
     before = {k: p.copy() for k, p in est.params.items()}
-    grads = {k: np.full_like(p, 0.5) for k, p in est.params.items()}
     state = AdamState.zeros(est)
     lr = 1e-3
-    optimizer_step(est, grads, state, lr)
+    optimizer_step(est, np.full(est.n_params, 0.5), state, lr)
     expected_move = lr * 0.5 / (np.sqrt(0.25) + 1e-8)
     for k, p in est.params.items():
         assert p == pytest.approx(before[k] - expected_move, abs=1e-12)
@@ -478,11 +480,11 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_descends_monotonically_on_fixed_gradient():
     est = small_estimator(seed=3)
     p0 = est.get_flat()
-    grads = {k: np.ones_like(p) for k, p in est.params.items()}
+    grad = np.ones(est.n_params)
     state = AdamState.zeros(est)
-    optimizer_step(est, grads, state, 1e-3)
+    optimizer_step(est, grad, state, 1e-3)
     p1 = est.get_flat()
-    optimizer_step(est, grads, state, 1e-3)
+    optimizer_step(est, grad, state, 1e-3)
     p2 = est.get_flat()
     assert np.all(p1 < p0)
     assert np.all(p2 < p1)
@@ -491,11 +493,11 @@ def test_adam_descends_monotonically_on_fixed_gradient():
 def test_adam_rejects_nonfinite_gradient_before_mutation():
     est = small_estimator(seed=4)
     before = est.get_flat()
-    grads = {k: np.ones_like(p) for k, p in est.params.items()}
-    grads["backbone0.w"][0, 0] = np.inf
+    grads = FlatArrays(np.ones(est.n_params), param_layout(est.config))
+    grads["head1.l0.w"][0, 0] = np.inf
     state = AdamState.zeros(est)
     with pytest.raises(NonFiniteUpdateError):
-        optimizer_step(est, grads, state, 1e-3)
+        optimizer_step(est, grads.flat, state, 1e-3)
     assert np.array_equal(est.get_flat(), before)
     assert state.step == 0
 
@@ -525,15 +527,16 @@ def test_flat_adam_matches_per_array_reference_bitwise():
     coll = rng.integers(0, 2, size=6).astype(bool)
     for step in range(1, 7):
         if step % 2:
-            # A plain dict of separate arrays.
-            grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
-                     for k, p in ref.items()}
+            # A fresh vector, each parameter array at its own scale.
+            grads = FlatArrays(np.concatenate(
+                [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.size) for p in ref.values()]
+            ), param_layout(est.config))
         else:
             # The estimator's own gradient buffer.
             _, _, grads = batch_loss_and_grad(est, feats, targets, valid, coll, W)
         expected = {k: g.copy() for k, g in grads.items()}
         lr = 1e-3 / step
-        optimizer_step(est, grads, state, lr)
+        optimizer_step(est, grads.flat, state, lr)
         reference_adam_step(ref, expected, ref_m, ref_v, step, lr)
         for k in ref:
             assert np.array_equal(est.params[k], ref[k])
@@ -545,7 +548,7 @@ def test_flat_adam_matches_per_array_reference_bitwise():
 def test_parameter_views_write_through_to_the_flat_vector():
     est = small_estimator(seed=6)
     offsets, off = {}, 0
-    for name, shape in est.layout():
+    for name, shape in param_layout(est.config):
         offsets[name] = off
         off += int(np.prod(shape))
     assert off == est.n_params
@@ -568,55 +571,63 @@ def horizon():
     return HorizonConfig(delta_t=0.1, n_heads=4, lam=0.8, trunc_n=3)
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    est = small_estimator(seed=21)
+def trained_state(seed, steps=1, epochs_completed=0):
+    """A run state after `steps` Adam steps on random gradients."""
+
+    est = small_estimator(seed=seed)
     adam = AdamState.zeros(est)
-    grads = {k: np.full_like(p, 0.25) for k, p in est.params.items()}
-    optimizer_step(est, grads, adam, 1e-3)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        optimizer_step(est, rng.normal(size=est.n_params), adam, 1e-3)
+    metrics = [EpochMetrics(epoch=e, lr=1e-3, loss=0.5, loss_mse=0.25, loss_interval=0.125,
+                            loss_chain=0.125, acc_per_head=(0.1, float("nan"), 0.3, 0.4),
+                            pes_mean=-0.01) for e in range(epochs_completed)]
+    sampler = np.random.PCG64(seed).state if epochs_completed else None
+    return Checkpoint(est, horizon(), W, adam, epochs_completed, sampler, metrics)
+
+
+def test_checkpoint_round_trip_bit_exact(tmp_path):
+    state = trained_state(21, epochs_completed=7)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, est, horizon(), W, adam=adam, epochs_completed=7)
+    save_checkpoint(path, state)
     loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.estimator.get_flat(), est.get_flat())
-    assert loaded.estimator.config == est.config
+    assert np.array_equal(loaded.estimator.get_flat(), state.estimator.get_flat())
+    assert loaded.estimator.config == state.estimator.config
     assert loaded.horizon == horizon()
     assert loaded.loss_weights == W
     assert loaded.epochs_completed == 7
-    assert loaded.adam is not None and loaded.adam.step == adam.step
-    for k in est.params:
-        assert np.array_equal(loaded.adam.m[k], adam.m[k])
-        assert np.array_equal(loaded.adam.v[k], adam.v[k])
+    assert loaded.adam.step == state.adam.step
+    assert np.array_equal(loaded.adam.m.flat, state.adam.m.flat)
+    assert np.array_equal(loaded.adam.v.flat, state.adam.v.flat)
+    assert loaded.sampler == state.sampler
+    assert [m.epoch for m in loaded.metrics] == list(range(7))
+    assert loaded.metrics[0].acc_per_head[0] == 0.1
+    assert np.isnan(loaded.metrics[0].acc_per_head[1])
 
 
 def test_checkpoint_bytes_stable(tmp_path):
-    est = small_estimator(seed=22)
+    state = trained_state(22, steps=0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_checkpoint(a, est, horizon(), W)
-    save_checkpoint(b, est, horizon(), W)
+    save_checkpoint(a, state)
+    save_checkpoint(b, state)
     assert a.read_bytes() == b.read_bytes()
-    loaded = load_checkpoint(a)
     c = tmp_path / "c.json"
-    save_checkpoint(c, loaded.estimator, loaded.horizon, loaded.loss_weights)
+    save_checkpoint(c, load_checkpoint(a))
     assert c.read_bytes() == a.read_bytes()
 
 
 def test_checkpoint_save_load_save_is_byte_identical_with_adam(tmp_path):
-    est = small_estimator(seed=24)
-    adam = AdamState.zeros(est)
-    rng = np.random.default_rng(24)
-    for _ in range(3):
-        grads = {k: rng.normal(size=p.shape) for k, p in est.params.items()}
-        optimizer_step(est, grads, adam, 1e-3)
+    state = trained_state(24, steps=3, epochs_completed=3)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_checkpoint(a, est, horizon(), W, adam=adam, epochs_completed=3)
+    save_checkpoint(a, state)
     loaded = load_checkpoint(a)
-    save_checkpoint(b, loaded.estimator, loaded.horizon, loaded.loss_weights,
-                    adam=loaded.adam, epochs_completed=loaded.epochs_completed)
+    save_checkpoint(b, loaded)
     assert b.read_bytes() == a.read_bytes()
     # The restored moments drive the next step exactly like the originals.
-    grads = {k: rng.normal(size=p.shape) for k, p in est.params.items()}
-    optimizer_step(est, grads, adam, 1e-3)
-    optimizer_step(loaded.estimator, grads, loaded.adam, 1e-3)
-    assert np.array_equal(loaded.estimator.get_flat(), est.get_flat())
+    grad = np.random.default_rng(24).normal(size=state.estimator.n_params)
+    optimizer_step(state.estimator, grad, state.adam, 1e-3)
+    optimizer_step(loaded.estimator, grad, loaded.adam, 1e-3)
+    assert np.array_equal(loaded.estimator.get_flat(), state.estimator.get_flat())
 
 
 def test_save_checkpoint_rejects_a_non_horizon_under_optimization(tmp_path):
@@ -627,11 +638,13 @@ def test_save_checkpoint_rejects_a_non_horizon_under_optimization(tmp_path):
         f"""
         from types import SimpleNamespace
         from riskhorizon.network import (
-            EstimatorConfig, LossWeights, MultiHeadEstimator, save_checkpoint)
+            AdamState, Checkpoint, EstimatorConfig, LossWeights, MultiHeadEstimator,
+            save_checkpoint)
         est = MultiHeadEstimator(EstimatorConfig(input_dim=3, n_heads=4))
         fake = SimpleNamespace(delta_t=0.1, n_heads=4, lam=0.8, trunc_n=3)
         try:
-            save_checkpoint({str(path)!r}, est, fake, LossWeights())
+            save_checkpoint({str(path)!r},
+                            Checkpoint(est, fake, LossWeights(), AdamState.zeros(est)))
         except TypeError:
             raise SystemExit(0)
         raise SystemExit(3)
@@ -660,11 +673,77 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_rejects_tampered_payload(tmp_path):
     import json
 
-    est = small_estimator(seed=23)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, est, horizon(), W)
+    save_checkpoint(path, trained_state(23))
     doc = json.loads(path.read_text())
-    doc["layout"][0]["size"] += 1
+    doc["params"] = doc["params"][:-12]
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="expected"):
+        load_checkpoint(path)
+
+
+def v1_document(state):
+    """`state` as the version 1 writer wrote it: no sampler state or metric
+    history, and the parameter layout listed."""
+
+    import base64
+
+    layout, offset = [], 0
+    for name, shape in param_layout(state.estimator.config):
+        size = int(np.prod(shape))
+        layout.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
+        offset += size
+
+    def encode(arr):
+        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
+    cfg, h, w = state.estimator.config, state.horizon, state.loss_weights
+    return {
+        "format": "riskhorizon-checkpoint",
+        "version": 1,
+        "estimator": {"input_dim": cfg.input_dim, "n_heads": cfg.n_heads,
+                      "backbone_layers": list(cfg.backbone_layers),
+                      "head_layers": list(cfg.head_layers), "activation": cfg.activation,
+                      "init_seed": cfg.init_seed},
+        "horizon": {"delta_t": h.delta_t, "n_heads": h.n_heads, "lambda": h.lam,
+                    "trunc_n": h.trunc_n},
+        "loss": {"c_interval": w.c_interval, "c_chain": w.c_chain,
+                 "p_collision": w.p_collision, "p_noncollision": w.p_noncollision},
+        "epochs_completed": state.epochs_completed,
+        "layout": layout,
+        "params": encode(state.estimator.params.flat),
+        "adam": {"step": state.adam.step, "m": encode(state.adam.m.flat),
+                 "v": encode(state.adam.v.flat)},
+    }
+
+
+def test_a_version_1_checkpoint_still_loads(tmp_path):
+    import json
+
+    state = trained_state(25, steps=2, epochs_completed=2)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1_document(state)))
+    loaded = load_checkpoint(path)
+    assert loaded.estimator.get_flat().tobytes() == state.estimator.get_flat().tobytes()
+    assert loaded.adam.m.flat.tobytes() == state.adam.m.flat.tobytes()
+    assert (loaded.adam.step, loaded.epochs_completed) == (2, 2)
+    assert (loaded.sampler, loaded.metrics) == (None, [])
+    # A version 1 file without optimizer state starts Adam from zero.
+    doc = v1_document(state)
+    doc["adam"] = None
+    path.write_text(json.dumps(doc))
+    assert load_checkpoint(path).adam.step == 0
+    assert not load_checkpoint(path).adam.m.flat.any()
+
+
+@pytest.mark.parametrize("entry, value", [(0, {"size": 1}), (1, {"offset": 0}),
+                                          (2, {"name": "head0.l0.w"}), (3, {"shape": [6, 1]})])
+def test_a_version_1_layout_must_equal_the_derived_one(tmp_path, entry, value):
+    import json
+
+    doc = v1_document(trained_state(26))
+    doc["layout"][entry].update(value)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="layout"):
         load_checkpoint(path)

@@ -1,6 +1,8 @@
 """Training loop: schedule arithmetic, determinism, degenerate corpora,
 resume bookkeeping, and the metric log format."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -117,16 +119,17 @@ def test_zero_epochs_returns_untouched_estimator():
     from riskhorizon.network import MultiHeadEstimator
 
     fresh = MultiHeadEstimator(estimator_cfg())
-    assert np.array_equal(result.estimator.get_flat(), fresh.get_flat())
+    assert np.array_equal(result.state.estimator.get_flat(), fresh.get_flat())
     assert result.metrics == []
-    assert result.epochs_completed == 0
+    assert result.state.epochs_completed == 0
+    assert result.state.sampler is None
 
 
 def test_train_is_deterministic():
     eps = corpus()
     a = train(eps, config(2), estimator_cfg=estimator_cfg())
     b = train(eps, config(2), estimator_cfg=estimator_cfg())
-    assert np.array_equal(a.estimator.get_flat(), b.estimator.get_flat())
+    assert np.array_equal(a.state.estimator.get_flat(), b.state.estimator.get_flat())
     assert a.metrics == b.metrics
     assert a.held_out == b.held_out
 
@@ -135,7 +138,7 @@ def test_train_seed_changes_everything():
     eps = corpus()
     a = train(eps, config(1), estimator_cfg=estimator_cfg())
     b = train(eps, config(1, master_seed=1), estimator_cfg=estimator_cfg())
-    assert not np.array_equal(a.estimator.get_flat(), b.estimator.get_flat())
+    assert not np.array_equal(a.state.estimator.get_flat(), b.state.estimator.get_flat())
 
 
 def test_metric_log_shape_and_finiteness():
@@ -185,17 +188,16 @@ def test_train_needs_an_estimator_config_or_a_checkpoint():
 def test_resume_continues_epoch_counter(tmp_path):
     eps = corpus()
     first = train(eps, config(2), estimator_cfg=estimator_cfg())
-    assert first.epochs_completed == 2
+    assert first.state.epochs_completed == 2
     ckpt_path = tmp_path / "ckpt.json"
-    save_checkpoint(
-        ckpt_path, first.estimator, HORIZON, LOSS, adam=first.adam, epochs_completed=2
-    )
+    save_checkpoint(ckpt_path, first.state)
     resumed = train(eps, config(5), resume=load_checkpoint(ckpt_path))
-    assert [m.epoch for m in resumed.metrics] == [2, 3, 4]
-    assert resumed.epochs_completed == 5
+    assert [m.epoch for m in resumed.metrics] == [0, 1, 2, 3, 4]
+    assert resumed.metrics[:2] == first.metrics
+    assert resumed.state.epochs_completed == 5
     # The learning rate follows the global schedule, not a restarted one.
     cfg5 = config(5)
-    for m in resumed.metrics:
+    for m in resumed.metrics[2:]:
         assert m.lr == pytest.approx(lr_schedule(m.epoch, cfg5))
 
 
@@ -203,13 +205,38 @@ def test_resume_beyond_config_epochs_is_noop(tmp_path):
     eps = corpus()
     first = train(eps, config(2), estimator_cfg=estimator_cfg())
     ckpt_path = tmp_path / "ckpt.json"
-    save_checkpoint(
-        ckpt_path, first.estimator, HORIZON, LOSS, adam=first.adam, epochs_completed=2
-    )
+    save_checkpoint(ckpt_path, first.state)
     resumed = train(eps, config(2), resume=load_checkpoint(ckpt_path))
-    assert resumed.metrics == []
-    assert resumed.epochs_completed == 2
-    assert np.array_equal(resumed.estimator.get_flat(), first.estimator.get_flat())
+    assert resumed.metrics == first.metrics
+    assert resumed.state.epochs_completed == 2
+    assert np.array_equal(resumed.state.estimator.get_flat(), first.state.estimator.get_flat())
+
+
+def test_a_resumed_run_equals_an_uninterrupted_one(tmp_path):
+    eps = corpus()
+    whole = train(eps, config(4), estimator_cfg=estimator_cfg()).state
+
+    def save_epoch_two(state):
+        if state.epochs_completed == 2:
+            save_checkpoint(tmp_path / "two.json", state)
+
+    train(eps, config(4), estimator_cfg=estimator_cfg(), on_epoch_end=save_epoch_two)
+    resumed = train(eps, config(4), resume=load_checkpoint(tmp_path / "two.json")).state
+    assert resumed.estimator.get_flat().tobytes() == whole.estimator.get_flat().tobytes()
+    assert resumed.adam.m.flat.tobytes() == whole.adam.m.flat.tobytes()
+    assert resumed.adam.v.flat.tobytes() == whole.adam.v.flat.tobytes()
+    assert (resumed.adam.step, resumed.sampler) == (whole.adam.step, whole.sampler)
+    assert resumed.metrics == whole.metrics
+
+
+def test_resuming_without_sampler_state_warns_and_restarts_the_sampler(tmp_path, caplog):
+    eps = corpus()
+    first = train(eps, config(2), estimator_cfg=estimator_cfg()).state
+    first.sampler = None
+    with caplog.at_level(logging.WARNING, logger="riskhorizon"):
+        resumed = train(eps, config(3), resume=first)
+    assert "replay restarts from the configured seed" in caplog.text
+    assert resumed.state.epochs_completed == 3
 
 
 def test_training_reduces_loss_on_small_chain():
