@@ -130,6 +130,13 @@ def cmd_train(args) -> int:
     if header["spec_hash"] != world_fingerprint(cfg.world):
         log.warning("episode file was generated from a different environment spec")
     resume = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if resume is not None:
+        have, want = resume.estimator.config, cfg.estimator
+        if (have.input_dim, have.n_heads) != (want.input_dim, want.n_heads):
+            raise CheckpointError(
+                f"{args.checkpoint}: the estimator takes {have.input_dim} inputs to "
+                f"{have.n_heads} heads; the config asks {want.input_dim} inputs to "
+                f"{want.n_heads} heads")
     start = resume.epochs_completed if resume else 0
 
     out_dir = Path(args.out)

@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import write_json, write_table
 from .episodes import Episode
 from .oracle import OracleTable
-from .returns import HorizonConfig
+from .returns import HorizonConfig, window_collides, window_known
 
 REPORT_VERSION = 1
 
@@ -62,39 +62,27 @@ class EvalReport:
         return float(self.acc[present].mean())
 
 
-def _window_outcomes(ep: Episode, head: int) -> tuple[np.ndarray, np.ndarray]:
-    """(timesteps, outcomes) of every valid MC window of one head."""
-
-    steps = ep.steps
-    if ep.ends_in_collision:
-        t = np.arange(steps)
-        return t, (t + head >= steps).astype(np.float64)
-    last = steps - 1 - head
-    if last < 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    t = np.arange(last + 1)
-    return t, np.zeros(last + 1)
-
-
 def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalReport:
     """Accuracy and pessimism errors over every valid window of a corpus."""
 
     if not episodes:
         raise ValueError("cannot evaluate on an empty episode collection")
     n = cfg.n_heads
+    heads = np.arange(1, n + 1)
     sq = np.zeros(n)
     signed = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     for ep in episodes:
         preds = estimator.forward(ep.observations)
-        for i in range(1, n + 1):
-            t, outcomes = _window_outcomes(ep, i)
-            if t.size == 0:
-                continue
-            resid = outcomes - preds[t, i - 1]
-            sq[i - 1] += float((resid**2).sum())
-            signed[i - 1] += float(resid.sum())
-            counts[i - 1] += t.size
+        # [steps, n_heads]; each head's known windows are a prefix of the steps.
+        t, last = np.arange(ep.steps)[:, None], ep.steps - 1
+        known = window_known(t, last, ep.ends_in_collision, heads).sum(axis=0)
+        outcomes = window_collides(t, last, ep.ends_in_collision, heads).astype(np.float64)
+        for i, k in enumerate(known.tolist()):
+            resid = outcomes[:k, i] - preds[:k, i]
+            sq[i] += float((resid**2).sum())
+            signed[i] += float(resid.sum())
+            counts[i] += k
     with np.errstate(invalid="ignore"):
         acc = np.where(counts > 0, sq / np.maximum(counts, 1), np.nan)
         pes = np.where(counts > 0, signed / np.maximum(counts, 1), np.nan)

@@ -309,44 +309,6 @@ class MultiHeadEstimator:
         self.params.flat[:] = flat
 
 
-def loss_mse(prediction: float, target: float, collision_sample: bool, weights: LossWeights) -> float:
-    """Squared error, importance-weighted for accepted collision windows."""
-
-    if not 0.0 <= target <= 1.0:
-        raise ValueError("targets must lie in [0, 1]")
-    w = weights.collision_mse_factor if collision_sample else 1.0
-    return w * (target - prediction) ** 2
-
-
-def loss_interval(prediction: float, c_interval: float) -> float:
-    """Hinge on leaving [0, 1]: c * max(0, max(-p, p - 1))."""
-
-    return c_interval * max(0.0, max(-prediction, prediction - 1.0))
-
-
-def loss_chain(predictions: np.ndarray, head: int, c_chain: float) -> float:
-    """One-sided hinges tying head `head` (1-based) to its neighbours.
-
-    The cumulative probability must not decrease with horizon length: the
-    first head is penalized only against its successor, the last only
-    against its predecessor, interior heads against both.
-    """
-
-    p = np.asarray(predictions, dtype=np.float64)
-    n = p.shape[0]
-    if not 1 <= head <= n:
-        raise ValueError(f"head {head} outside 1..{n}")
-    if n == 1:
-        return 0.0
-    idx = head - 1
-    total = 0.0
-    if idx >= 1:
-        total += max(p[idx - 1] - p[idx], 0.0)
-    if idx <= n - 2:
-        total += max(p[idx] - p[idx + 1], 0.0)
-    return c_chain * total
-
-
 @dataclass
 class LossBreakdown:
     total: float
@@ -363,9 +325,8 @@ def batch_loss_and_grad(
     valid: np.ndarray,
     collision_mask: np.ndarray,
     weights: LossWeights,
-    want_grad: bool = True,
-) -> tuple[float, LossBreakdown, FlatArrays | None]:
-    """Composite loss (and optionally its gradients) over one batch.
+) -> tuple[float, LossBreakdown, FlatArrays]:
+    """Composite loss and its gradients over one batch.
 
     The loss is the mean over valid (sample, head) entries of squared error
     plus interval and chain penalties. Masked entries contribute nothing,
@@ -394,7 +355,7 @@ def batch_loss_and_grad(
     if not np.all(np.isfinite(checked)) or checked.min() < 0.0 or checked.max() > 1.0:
         raise ValueError("valid targets must be finite and lie in [0, 1]")
 
-    preds, cache = estimator._forward_cached(features, want_cache=want_grad)
+    preds, cache = estimator._forward_cached(features)
     err = preds - np.where(valid, targets, 0.0)
     mse_w = np.where(collision_mask, weights.collision_mse_factor, 1.0)[:, None]
     mse_terms = mse_w * err**2
@@ -428,8 +389,6 @@ def batch_loss_and_grad(
     )
     if not np.isfinite(total):
         raise NonFiniteUpdateError("loss is not finite")
-    if not want_grad:
-        return total, breakdown, None
 
     d_preds = vmask * (2.0 * mse_w * err)
     d_preds += vmask * weights.c_interval * (np.where(preds > 1.0, 1.0, 0.0) - np.where(preds < 0.0, 1.0, 0.0))

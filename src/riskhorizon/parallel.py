@@ -82,6 +82,10 @@ def _start_worker(work: Callable) -> None:
     global _work
     # Ctrl-C reaches the parent, which stops the pool; workers stay quiet.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Stopping the pool sends SIGTERM to workers that may still be exiting. A
+    # handler inherited from the caller would raise inside that exit, where
+    # the worker can deadlock and its parent wait on it forever.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _work = work
 
 

@@ -1,18 +1,21 @@
 """Replay index with stratified sampling for rare collision windows.
 
-Collisions are rare, and only timesteps within the final head's horizon of
-one actually carry a positive Monte Carlo outcome. The index marks those
-timesteps collision-related; sampling then proposes uniformly over the
-index and accepts proposals with probability p_collision or p_noncollision
-depending on the flag. The loss undoes that bias: it weights the squared
-error of collision-related rows by `LossWeights.collision_mse_factor`
-(p_noncollision / p_collision), so weighted expectations match uniform
-sampling scaled by p_noncollision.
+Replay addresses the rows of the training episodes laid end to end, the row
+space of the bootstrap snapshot (`returns.corpus_rows`). Only rows whose
+1-step window has a known outcome can anchor a valid target, so only those
+are indexed; the last row of a truncated episode is not. Collisions are rare,
+and only rows within the final head's horizon of one carry a positive Monte
+Carlo outcome. The index marks those rows collision-related; sampling then
+proposes uniformly over the index and accepts proposals with probability
+p_collision or p_noncollision depending on the flag. The loss undoes that
+bias: it weights the squared error of collision-related rows by
+`LossWeights.collision_mse_factor` (p_noncollision / p_collision), so
+weighted expectations match uniform sampling scaled by p_noncollision.
 
-The index is one NumPy record array with fields `episode`, `timestep` and
+The index is one NumPy record array with fields `row` and
 `collision_related`. A subset (`index[mask]`) and a drawn batch are record
 arrays of the same type: whole columns for the training loop, and
-per-record attributes (`batch[k].episode`) where one row is wanted.
+per-record attributes (`batch[k].row`) where one row is wanted.
 """
 
 from __future__ import annotations
@@ -20,30 +23,25 @@ from __future__ import annotations
 import numpy as np
 
 from .episodes import Episode
-from .returns import HorizonConfig
+from .returns import HorizonConfig, corpus_rows, window_collides, window_known
 
-INDEX_DTYPE = np.dtype(
-    [("episode", np.int64), ("timestep", np.int64), ("collision_related", np.bool_)]
-)
+INDEX_DTYPE = np.dtype([("row", np.int64), ("collision_related", np.bool_)])
 
 
 def build_index(episodes: list[Episode], cfg: HorizonConfig) -> np.recarray:
-    """Index every in-episode timestep exactly once, in episode order.
+    """Index every row that can anchor a valid target once, in row order.
 
-    A timestep is collision-related when its episode ends in a collision and
-    it lies within n_heads steps of it, i.e. the final head's window covers
-    the collision there.
+    A row is collision-related when the final head's window after it holds
+    its episode's collision.
     """
 
     if not episodes:
         raise ValueError("cannot index an empty episode collection")
-    steps = np.array([ep.steps for ep in episodes], dtype=np.int64)
-    collided = np.array([ep.ends_in_collision for ep in episodes])
-    index = np.recarray(int(steps.sum()), dtype=INDEX_DTYPE)
-    index.episode = np.repeat(np.arange(len(episodes)), steps)
-    index.timestep = np.arange(len(index)) - np.repeat(np.cumsum(steps) - steps, steps)
-    remaining = steps[index.episode] - index.timestep
-    index.collision_related = collided[index.episode] & (remaining <= cfg.n_heads)
+    last_rows, collided = corpus_rows(episodes)
+    rows = np.flatnonzero(window_known(np.arange(len(last_rows)), last_rows, collided, 1))
+    index = np.recarray(len(rows), dtype=INDEX_DTYPE)
+    index.row = rows
+    index.collision_related = window_collides(rows, last_rows[rows], collided[rows], cfg.n_heads)
     return index
 
 

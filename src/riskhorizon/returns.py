@@ -12,7 +12,9 @@ Windows on truncated (non-collision) episodes have unknown outcomes past the
 recorded steps. The rule used throughout: a depth-n component at time t is
 computable only if a collision occurs within steps t+1..t+n, or the landing
 state s_{t+n} is a recorded observation. Anything else is masked invalid,
-never zero-filled.
+never zero-filled. `window_known` and `window_collides` state that rule once,
+vectorized over rows of episodes laid end to end (`corpus_rows`); targets,
+the replay index and evaluation all read it from there.
 """
 
 from __future__ import annotations
@@ -204,6 +206,30 @@ def lambda_return(
     return min(max(total, 0.0), 1.0)
 
 
+def corpus_rows(episodes: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the episodes laid end to end: the row of its episode's
+    final recorded state, and whether that episode ends in a collision."""
+
+    steps = np.array([ep.steps for ep in episodes], dtype=np.int64)
+    collided = np.array([ep.ends_in_collision for ep in episodes], dtype=bool)
+    return np.repeat(np.cumsum(steps) - 1, steps), np.repeat(collided, steps)
+
+
+def window_known(rows, last_rows, collided, length):
+    """Whether the window of `length` steps after each anchor row has a known
+    outcome: it holds its episode's collision, or it closes on a recorded
+    state. Arguments broadcast; equal to `mc_return` not raising."""
+
+    return collided | (rows + length <= last_rows)
+
+
+def window_collides(rows, last_rows, collided, length):
+    """Whether the window of `length` steps after each anchor row holds its
+    episode's collision: `mc_return` is 1 there. Arguments broadcast."""
+
+    return collided & (rows + length > last_rows)
+
+
 @functools.lru_cache(maxsize=32)
 def _weight_table(cfg: HorizonConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (depth_weights, deepest) for a horizon.
@@ -257,7 +283,7 @@ def lambda_targets(
         component = np.zeros((rows.shape[0], n_heads))
         if n < n_heads:
             component[landed, n:] = snapshot[rows[landed] + n, : n_heads - n]
-        component[collided & ~landed] = 1.0
+        component[window_collides(rows, last_rows, collided, n)] = 1.0
         # Accumulating depth by depth in this order reproduces the scalar
         # blend's rounding exactly.
         values += component * weight
@@ -266,7 +292,7 @@ def lambda_targets(
     # accumulation can still land one ulp outside
     np.clip(values, 0.0, 1.0, out=values)
 
-    valid = collided[:, None] | (rows[:, None] + deepest[None, :] <= last_rows[:, None])
+    valid = window_known(rows[:, None], last_rows[:, None], collided[:, None], deepest)
     values[~valid] = 0.0
     return TargetMatrix(values=values, valid=valid)
 
@@ -287,13 +313,8 @@ def targets_from_estimates(
         raise ValueError(
             f"estimates must be [{steps}, {cfg.n_heads}], got {estimates.shape}"
         )
-    return lambda_targets(
-        np.clip(estimates, 0.0, 1.0),
-        np.arange(steps),
-        np.full(steps, steps - 1),
-        np.full(steps, episode.ends_in_collision),
-        cfg,
-    )
+    last_rows, collided = corpus_rows([episode])
+    return lambda_targets(np.clip(estimates, 0.0, 1.0), np.arange(steps), last_rows, collided, cfg)
 
 
 def build_targets(episode: Episode, estimator, cfg: HorizonConfig) -> TargetMatrix:

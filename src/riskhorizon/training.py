@@ -33,7 +33,7 @@ from .network import (
     optimizer_step,
 )
 from .replay import build_index, sample
-from .returns import HorizonConfig, lambda_targets
+from .returns import HorizonConfig, corpus_rows, lambda_targets
 
 log = logging.getLogger(__name__)
 
@@ -152,20 +152,13 @@ def train(
     train_ids, held_out = _split(len(episodes), cfg.eval_fraction, np.random.default_rng(split_seq))
     train_eps = [episodes[j] for j in train_ids]
     held_eps = [episodes[j] for j in held_out]
-    # Per training episode: its rows in the packed epoch snapshot, and how
-    # it ended.
-    steps = np.array([ep.steps for ep in train_eps])
-    last_rows = np.cumsum(steps) - 1
-    first_rows = last_rows - steps + 1
-    collided = np.array([ep.ends_in_collision for ep in train_eps])
-
+    # The training split packed once, each episode's states in consecutive
+    # rows: the row space of the replay index and of the snapshot.
+    observations = np.concatenate([ep.observations for ep in train_eps])
+    bounds = np.cumsum([0] + [ep.steps for ep in train_eps]).tolist()
+    last_rows, collided = corpus_rows(train_eps)
     index = build_index(train_eps, cfg.horizon)
-    # The final timestep of a truncated episode can anchor no valid target
-    # under strict masking; sampling skips those, the index itself keeps them.
-    owner = index.episode
-    pool = index[collided[owner] | (index.timestep <= steps[owner] - 2)]
-    if len(pool) == 0:
-        raise DegenerateCorpusError("no timestep in the corpus can anchor a valid target")
+    snapshot = np.empty((len(observations), cfg.horizon.n_heads))
 
     sample_rng = np.random.default_rng(sample_seq)
     if state.sampler is not None:
@@ -177,25 +170,21 @@ def train(
     for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         # One forward per episode, as its rounding depends on the row count.
-        snapshot = np.concatenate([estimator.forward(ep.observations) for ep in train_eps])
+        for lo, hi in zip(bounds, bounds[1:]):
+            snapshot[lo:hi] = estimator.forward(observations[lo:hi])
         np.clip(snapshot, 0.0, 1.0, out=snapshot)
         drawn = 0
         sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
         n_valid_total = 0
         while drawn < cfg.samples_per_epoch:
             size = min(cfg.batch_size, cfg.samples_per_epoch - drawn)
-            batch = sample(pool, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
+            batch = sample(index, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
             drawn += size
-            ep_ids, timesteps = batch.episode, batch.timestep
-            rows = first_rows[ep_ids] + timesteps
-            targets = lambda_targets(
-                snapshot, rows, last_rows[ep_ids], collided[ep_ids], cfg.horizon
-            )
-            features = np.stack([train_eps[e].observations[t] for e, t in
-                                 zip(ep_ids.tolist(), timesteps.tolist())])
+            rows = batch.row
+            targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
             _, breakdown, grads = batch_loss_and_grad(
-                estimator, features, targets.values, targets.valid, batch.collision_related,
-                cfg.loss,
+                estimator, observations[rows], targets.values, targets.valid,
+                batch.collision_related, cfg.loss,
             )
             optimizer_step(estimator, grads.flat, adam, lr)
             sums += np.array(

@@ -292,14 +292,10 @@ def test_criterion_05_gradient_correctness():
             probe = flat.copy()
             probe[j] = flat[j] + h
             est.set_flat(probe)
-            up, _, _ = batch_loss_and_grad(
-                est, features, targets, valid, collision, weights, want_grad=False
-            )
+            up, _, _ = batch_loss_and_grad(est, features, targets, valid, collision, weights)
             probe[j] = flat[j] - h
             est.set_flat(probe)
-            down, _, _ = batch_loss_and_grad(
-                est, features, targets, valid, collision, weights, want_grad=False
-            )
+            down, _, _ = batch_loss_and_grad(est, features, targets, valid, collision, weights)
             fd[j] = (up - down) / (2 * h)
         est.set_flat(flat)
         rel = float(np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12))
@@ -366,16 +362,18 @@ def test_criterion_09_stratified_unbiasedness():
                         head_layers=(4, 1), activation="tanh", init_seed=11)
     )
     full = build_index(episodes, horizon)
-    steps = np.array([episodes[e].steps for e in full.episode])
-    alive = full.collision_related | (full.timestep <= steps - 2)
     keep = np.zeros(len(full), dtype=bool)
-    keep[np.flatnonzero(alive & full.collision_related)[:100]] = True
-    keep[np.flatnonzero(alive & ~full.collision_related)[:100]] = True
+    keep[np.flatnonzero(full.collision_related)[:100]] = True
+    keep[np.flatnonzero(~full.collision_related)[:100]] = True
     buffer = full[keep]
     assert len(buffer) == 200 and buffer.collision_related.sum() == 100
+    # (episode, timestep) of each buffer row in the episodes laid end to end.
+    first_row = np.cumsum([0] + [ep.steps for ep in episodes])
+    owner = np.searchsorted(first_row, buffer.row, side="right") - 1
+    anchors = list(zip(owner.tolist(), (buffer.row - first_row[owner]).tolist()))
 
     weights = LossWeights(c_interval=0.0, c_chain=0.0, p_collision=p_c, p_noncollision=p_nc)
-    targets = {e: build_targets(episodes[e], est, horizon) for e in set(buffer.episode.tolist())}
+    targets = {e: build_targets(episodes[e], est, horizon) for e in set(owner.tolist())}
 
     def grad_vec(e, t, as_collision):
         tm = targets[e]
@@ -392,9 +390,8 @@ def test_criterion_09_stratified_unbiasedness():
     slot_of = {}
     plain = np.zeros((200, est.n_params))
     weighted = np.zeros((200, est.n_params))
-    for k in range(200):
-        e, t = int(buffer.episode[k]), int(buffer.timestep[k])
-        slot_of[(e, t)] = k
+    for k, (e, t) in enumerate(anchors):
+        slot_of[int(buffer.row[k])] = k
         plain[k] = grad_vec(e, t, False)
         weighted[k] = grad_vec(e, t, bool(buffer.collision_related[k]))
 
@@ -405,7 +402,7 @@ def test_criterion_09_stratified_unbiasedness():
     drawn = 0
     while drawn < 100_000:
         for ref in sample(buffer, 1024, rng, p_c, p_nc):
-            counts[slot_of[(ref.episode, ref.timestep)]] += 1
+            counts[slot_of[ref.row]] += 1
         drawn += 1024
     stratified = accept_rate * (counts @ weighted) / drawn
     rel = float(np.linalg.norm(stratified - expected) / np.linalg.norm(expected))

@@ -397,6 +397,18 @@ def test_train_rejects_mismatched_observation_width(pipeline, tmp_path):
     assert "obs_dim" in result.stderr
 
 
+def test_train_rejects_a_checkpoint_that_does_not_fit_the_config(pipeline, tmp_path, capsys):
+    four_heads = write_config(tmp_path / "cfg.json", {"horizon": {"n_heads": 4}})
+    code, err = run_main(
+        capsys, "train", "--config", four_heads, "--episodes", pipeline["root"] / "eps.jsonl",
+        "--out", tmp_path / "run", "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "3 heads" in err and "4 heads" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_numeric_blowup_exits_with_the_numeric_code(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"train": {"lr_start": 1e200, "lr_end": 1e200}}

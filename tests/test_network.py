@@ -25,9 +25,6 @@ from riskhorizon.network import (
     NonFiniteUpdateError,
     batch_loss_and_grad,
     load_checkpoint,
-    loss_chain,
-    loss_interval,
-    loss_mse,
     optimizer_step,
     param_layout,
     save_checkpoint,
@@ -126,6 +123,37 @@ def test_flat_round_trip():
 
 
 # --- scalar loss terms ------------------------------------------------------
+# Per-entry reference oracles for the vectorized batch loss.
+
+
+def loss_mse(prediction, target, collision_sample, weights):
+    """Squared error, importance-weighted for accepted collision windows."""
+
+    assert 0.0 <= target <= 1.0
+    w = weights.collision_mse_factor if collision_sample else 1.0
+    return w * (target - prediction) ** 2
+
+
+def loss_interval(prediction, c_interval):
+    """Hinge on leaving [0, 1]: c * max(0, max(-p, p - 1))."""
+
+    return c_interval * max(0.0, max(-prediction, prediction - 1.0))
+
+
+def loss_chain(predictions, head, c_chain):
+    """One-sided hinges tying head `head` (1-based) to its neighbours: the
+    first head only against its successor, the last only against its
+    predecessor, interior heads against both."""
+
+    p = np.asarray(predictions, dtype=np.float64)
+    idx = head - 1
+    total = 0.0
+    if idx >= 1:
+        total += max(p[idx - 1] - p[idx], 0.0)
+    if idx <= p.shape[0] - 2:
+        total += max(p[idx] - p[idx + 1], 0.0)
+    return c_chain * total
+
 
 
 def test_mse_worked_values():
@@ -164,6 +192,41 @@ def test_hinges_zero_exactly_on_valid_cdf_vectors():
         assert loss_chain(q, 3, 1.0) > 0.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 12),
+    n_heads=st.integers(1, 5),
+    scale=st.floats(0.1, 10.0),
+    c_interval=st.floats(0.0, 3.0),
+    c_chain=st.floats(0.0, 3.0),
+    p_collision=st.floats(0.05, 1.0),
+)
+def test_batch_loss_is_the_mean_of_the_scalar_terms(seed, b, n_heads, scale, c_interval,
+                                                   c_chain, p_collision):
+    rng = np.random.default_rng(seed)
+    est = small_estimator(seed=seed % 1000, n_heads=n_heads)
+    weights = LossWeights(c_interval=c_interval, c_chain=c_chain, p_collision=p_collision,
+                          p_noncollision=p_collision / 4)
+    feats = scale * rng.normal(size=(b, 3))
+    targets = rng.uniform(0.0, 1.0, size=(b, n_heads))
+    valid = rng.random((b, n_heads)) < 0.7
+    valid[rng.integers(b), rng.integers(n_heads)] = True
+    coll = rng.random(b) < 0.5
+    total, breakdown, _ = batch_loss_and_grad(est, feats, targets, valid, coll, weights)
+    preds = est.forward(feats)
+    entries = list(zip(*np.nonzero(valid)))
+    mse = sum(loss_mse(preds[k, h], targets[k, h], coll[k], weights) for k, h in entries)
+    interval = sum(loss_interval(preds[k, h], c_interval) for k, h in entries)
+    chain = sum(loss_chain(preds[k], h + 1, c_chain) for k, h in entries)
+    n = len(entries)
+    assert breakdown.n_valid == n
+    assert breakdown.mse == pytest.approx(mse / n, rel=1e-12, abs=1e-15)
+    assert breakdown.interval == pytest.approx(interval / n, rel=1e-12, abs=1e-15)
+    assert breakdown.chain == pytest.approx(chain / n, rel=1e-12, abs=1e-15)
+    assert total == pytest.approx((mse + interval + chain) / n, rel=1e-12, abs=1e-15)
+
+
 # --- batch loss and gradients -----------------------------------------------
 
 
@@ -196,10 +259,10 @@ def test_perfect_predictions_zero_loss_zero_grad():
 def test_loss_permutation_invariant():
     est = small_estimator(seed=3)
     feats, targets, valid, coll = batch_of(est, 8, seed=11, all_valid=False)
-    total, _, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W, want_grad=False)
+    total, _, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W)
     perm = np.random.default_rng(6).permutation(8)
     total_p, _, _ = batch_loss_and_grad(
-        est, feats[perm], targets[perm], valid[perm], coll[perm], W, want_grad=False
+        est, feats[perm], targets[perm], valid[perm], coll[perm], W
     )
     assert total_p == pytest.approx(total, rel=1e-12)
 
@@ -207,9 +270,9 @@ def test_loss_permutation_invariant():
 def test_doubling_chain_weight_doubles_chain_term_only():
     est = small_estimator(seed=4)
     feats, targets, valid, coll = batch_of(est, 6, seed=12)
-    _, b1, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W, want_grad=False)
+    _, b1, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W)
     w2 = LossWeights(c_interval=1.0, c_chain=2.0, p_collision=0.25, p_noncollision=0.025)
-    _, b2, _ = batch_loss_and_grad(est, feats, targets, valid, coll, w2, want_grad=False)
+    _, b2, _ = batch_loss_and_grad(est, feats, targets, valid, coll, w2)
     assert b2.chain == pytest.approx(2.0 * b1.chain, rel=1e-12)
     assert b2.mse == pytest.approx(b1.mse, rel=1e-12)
     assert b2.interval == pytest.approx(b1.interval, rel=1e-12)
@@ -243,8 +306,8 @@ def test_masked_targets_ignored_but_predictions_still_chained():
     valid[1, 2] = False
     t2 = targets.copy()
     t2[1, 2] = 0.0
-    a, _, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W, want_grad=False)
-    b, _, _ = batch_loss_and_grad(est, feats, t2, valid, coll, W, want_grad=False)
+    a, _, _ = batch_loss_and_grad(est, feats, targets, valid, coll, W)
+    b, _, _ = batch_loss_and_grad(est, feats, t2, valid, coll, W)
     assert a == pytest.approx(b, rel=1e-12)
     # ...but a neighbouring valid head still hinges against its prediction:
     # the gradient of head 3's parameters is generally nonzero.
@@ -258,7 +321,7 @@ def finite_difference_check(est, feats, targets, valid, coll, weights, step=1e-5
     def loss_at(flat):
         est.set_flat(flat)
         total, _, _ = batch_loss_and_grad(
-            est, feats, targets, valid, coll, weights, want_grad=False
+            est, feats, targets, valid, coll, weights
         )
         return total
 

@@ -135,6 +135,23 @@ def test_pool_workers_ignore_sigint(pool):
     assert got == [True] * 4
 
 
+def exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def test_pool_workers_die_on_sigterm_whatever_the_caller_handles(pool):
+    # Stopping a pool sends SIGTERM to workers that may still be exiting; one
+    # that inherited this handler raised inside its exit and could hang there.
+    previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+    try:
+        got = []
+        parallel.map_ranges(lambda lo, hi: [signal.getsignal(signal.SIGTERM) == signal.SIG_DFL],
+                            4, 0, got.extend)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert got == [True] * 4
+
+
 def test_a_rolling_error_in_a_worker_reaches_the_caller(pool):
     class FailingWorld:
         max_steps = 10

@@ -1,15 +1,16 @@
-"""Stratified sampling: window classification, acceptance arithmetic,
-importance factors, and the unbiasedness identity."""
+"""Replay index and stratified sampling: which rows anchor, which are
+collision-related, acceptance arithmetic, importance factors, and the
+unbiasedness identity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.network import LossWeights
 from riskhorizon.replay import build_index, sample
-from riskhorizon.returns import HorizonConfig
+from riskhorizon.returns import HorizonConfig, InvalidTargetError, mc_return
 
 
 def episode(steps, collides, seed=0, dim=2):
@@ -25,12 +26,11 @@ def horizon(n_heads, trunc_n=None):
 
 
 def test_thirty_step_episode_window():
-    # The 20 timesteps nearest the collision are collision-related.
+    # The 20 rows nearest the collision are collision-related.
     index = build_index([episode(30, True)], horizon(20, trunc_n=10))
     assert len(index) == 30
     assert index.collision_related.sum() == 20
-    related = sorted(index.timestep[index.collision_related])
-    assert related == list(range(10, 30))
+    assert index.row[index.collision_related].tolist() == list(range(10, 30))
 
 
 def test_all_collision_short_episodes_fully_related():
@@ -39,19 +39,43 @@ def test_all_collision_short_episodes_fully_related():
     assert index.collision_related.sum() == len(index) == 15
 
 
-def test_no_collision_corpus_has_no_related_entries():
+def test_a_truncated_episodes_final_row_is_absent():
     eps = [episode(8, False, seed=s) for s in range(4)]
     index = build_index(eps, horizon(5))
-    assert len(index) == 32
+    assert index.row.tolist() == [r for r in range(32) if r % 8 != 7]
     assert index.collision_related.sum() == 0
 
 
-def test_every_timestep_indexed_once():
-    eps = [episode(6, True), episode(9, False, seed=1)]
-    index = build_index(eps, horizon(4))
-    pairs = set(zip(index.episode.tolist(), index.timestep.tolist()))
-    assert len(pairs) == len(index) == 15
-    assert all(0 <= t < (6 if e == 0 else 9) for e, t in pairs)
+def test_a_one_step_truncated_episode_has_no_anchor():
+    eps = [episode(1, False), episode(3, True, seed=1), episode(1, False, seed=2)]
+    assert build_index(eps, horizon(2)).row.tolist() == [1, 2, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=6),
+    n_heads=st.integers(1, 8),
+)
+def test_the_index_holds_each_anchorable_row_once_in_row_order(shapes, n_heads):
+    eps = [episode(steps, collides, seed=k) for k, (steps, collides) in enumerate(shapes)]
+    index = build_index(eps, horizon(n_heads))
+    want_rows, want_related, first = [], [], 0
+    for ep in eps:
+        for t in range(ep.steps):
+            # An anchor needs a known 1-step outcome; it is related when the
+            # final head's window holds the collision.
+            try:
+                mc_return(ep, t, 1)
+            except InvalidTargetError:
+                continue
+            want_rows.append(first + t)
+            try:
+                want_related.append(mc_return(ep, t, n_heads) == 1.0)
+            except InvalidTargetError:
+                want_related.append(False)
+        first += ep.steps
+    assert index.row.tolist() == want_rows
+    assert index.collision_related.tolist() == want_related
 
 
 def test_sample_importance_factors():
@@ -79,17 +103,16 @@ def test_a_batch_is_a_sequence_of_records():
     batch = sample(index, 64, np.random.default_rng(0), p_collision=0.25, p_noncollision=0.025)
     assert len(batch) == 64
     for k, ref in enumerate(batch):
-        assert ref.episode in (0, 1)
-        assert 0 <= ref.timestep < 10
-        assert ref.collision_related == (ref.episode == 0 and ref.timestep >= 5)
-        assert (ref.episode, ref.timestep) == (batch.episode[k], batch.timestep[k])
+        assert 0 <= ref.row < 19
+        assert ref.collision_related == (5 <= ref.row < 10)
+        assert ref.row == batch.row[k]
     assert sum(ref.collision_related for ref in batch) == batch.collision_related.sum()
 
 
 def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
     """Proposal-by-proposal acceptance: the loop `sample` must reproduce.
 
-    Returns (episode, timestep, collision_related) tuples."""
+    Returns (row, collision_related) tuples."""
 
     out = []
     chunk = max(batch_size * 4, 64)
@@ -100,7 +123,7 @@ def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
             related = bool(index.collision_related[j])
             threshold = p_collision if related else p_noncollision
             if u < threshold:
-                out.append((int(index.episode[j]), int(index.timestep[j]), related))
+                out.append((int(index.row[j]), related))
                 if len(out) == batch_size:
                     break
     return out
@@ -118,11 +141,11 @@ def reference_sample(index, batch_size, rng, p_collision, p_noncollision):
 def test_sample_matches_scalar_reference(shapes, n_heads, batch_size, seed, p_collision, ratio):
     eps = [episode(steps, collides, seed=k) for k, (steps, collides) in enumerate(shapes)]
     index = build_index(eps, horizon(n_heads))
+    assume(len(index) > 0)
     p_noncollision = p_collision * ratio
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample(index, batch_size, rng, p_collision, p_noncollision)
-    columns = list(zip(got.episode.tolist(), got.timestep.tolist(),
-                       got.collision_related.tolist()))
+    columns = list(zip(got.row.tolist(), got.collision_related.tolist()))
     assert columns == reference_sample(index, batch_size, ref_rng, p_collision, p_noncollision)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -137,9 +160,10 @@ def test_sample_rejects_empty_index():
 def test_accepted_batch_class_fraction():
     # Half the entries collision-related, acceptance 0.5 vs 0.05: the
     # accepted stream should be collision-related 10/11 of the time.
-    eps = [episode(50, True), episode(50, False, seed=1)]
+    # The truncated episode's final row anchors nothing, so it has 50 rows.
+    eps = [episode(50, True), episode(51, False, seed=1)]
     index = build_index(eps, horizon(50))
-    assert index.collision_related.sum() == 50
+    assert len(index) == 100 and index.collision_related.sum() == 50
     rng = np.random.default_rng(3)
     batch = sample(index, 100_000, rng, p_collision=0.5, p_noncollision=0.05)
     frac = np.mean(batch.collision_related)
@@ -149,8 +173,9 @@ def test_accepted_batch_class_fraction():
 def test_stratified_expectation_matches_uniform_times_pnc():
     # E[accepted * importance * g] per proposal draw = p_nc * E_uniform[g].
     rng = np.random.default_rng(17)
-    eps = [episode(20, True), episode(20, False, seed=1)]
+    eps = [episode(20, True), episode(21, False, seed=1)]
     index = build_index(eps, horizon(8))
+    assert len(index) == 40
     g = rng.normal(size=len(index))  # an arbitrary per-entry statistic
 
     p_c, p_nc = 0.25, 0.025

@@ -12,12 +12,15 @@ from riskhorizon.oracle import dp_cumulative
 from riskhorizon.returns import (
     HorizonConfig,
     InvalidTargetError,
+    corpus_rows,
     lambda_return,
     lambda_targets,
     lambda_weights,
     mc_return,
     n_step_return,
     targets_from_estimates,
+    window_collides,
+    window_known,
 )
 
 
@@ -122,6 +125,29 @@ def test_mc_monotone_in_window_length(tr, data):
 
 
 # --- n_step_return ----------------------------------------------------------
+
+
+@given(st.lists(random_traces(), min_size=1, max_size=5), st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_the_window_rule_is_where_mc_return_is_defined(traces, length):
+    # Over the episodes laid end to end: a window is known exactly where the
+    # paper's Monte Carlo return is defined, and collides where it is 1.
+    last_rows, collided = corpus_rows(traces)
+    rows = np.arange(len(last_rows))
+    known = window_known(rows, last_rows, collided, length)
+    collides = window_collides(rows, last_rows, collided, length)
+    row = 0
+    for tr in traces:
+        for t in range(tr.steps):
+            try:
+                outcome = mc_return(tr, t, length)
+            except InvalidTargetError:
+                assert not known[row]
+            else:
+                assert known[row]
+                assert collides[row] == (outcome == 1.0)
+            row += 1
+    assert row == len(rows)
 
 
 def test_n_step_zero_rewards_pass_bootstrap_through():
