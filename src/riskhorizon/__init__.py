@@ -38,7 +38,6 @@ from .returns import (
     HorizonConfig,
     InvalidTargetError,
     TargetMatrix,
-    build_targets,
     lambda_return,
     lambda_weights,
     mc_return,
@@ -75,7 +74,6 @@ __all__ = [
     "batch_loss_and_grad",
     "brute_force_cumulative",
     "build_index",
-    "build_targets",
     "chain_observation",
     "collision_characteristic",
     "detection_rate",

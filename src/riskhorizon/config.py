@@ -32,8 +32,8 @@ CONFIG_VERSION = 1
 # list of such values.
 CHAIN_ENV_KEYS = {"kind": str, "n_states": int, "hazard": [float], "transition": [[float]],
                   "start_distribution": [float], "max_steps": int, "stack_frames": int}
-CORRIDOR_ENV_KEYS = {**{key: type(value) for key, value in CorridorWorldSpec().fields().items()},
-                     "stack_frames": int}
+CORRIDOR_ENV_KEYS = {"kind": str, **{key: type(value) for key, value in
+                                    asdict(CorridorWorldSpec()).items()}, "stack_frames": int}
 HORIZON_KEYS = {"delta_t": float, "n_heads": int, "lambda": float, "trunc_n": int}
 LOSS_KEYS = {"c_interval": float, "c_chain": float, "p_collision": float, "p_noncollision": float}
 ESTIMATOR_KEYS = {"backbone_layers": [int], "head_layers": [int], "activation": str,

@@ -17,14 +17,20 @@ the most recent `stack_frames` feature frames (the reset frame repeated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .episodes import Episode, Terminal, spec_fingerprint
+from .artifacts import canonical_json
+from .episodes import Episode, Terminal
 from .parallel import map_ranges
 
 CORRIDOR_FRAME_DIM = 8
+# Far above the presets' 1 and 3 frames, and low enough that an observation
+# row stays small: a huge count would otherwise fail in the first reset with
+# an OverflowError or a memory error rather than as a rejected value.
+MAX_STACK_FRAMES = 1024
 
 # Fixed corridor constants; the tunable surface lives in CorridorWorldSpec.
 _EGO_ACCEL = 2.5  # m/s^2 back toward target speed
@@ -86,15 +92,6 @@ class ChainWorldSpec:
         if any(p < 0.0 for p in self.start_distribution) or abs(sum(self.start_distribution) - 1.0) > 1e-12:
             raise ValueError("start_distribution must sum to 1")
 
-    def fields(self) -> dict:
-        return {
-            "kind": "chain",
-            "n_states": self.n_states,
-            "hazard": list(self.hazard),
-            "transition": [list(r) for r in self.transition],
-            "start_distribution": list(self.start_distribution),
-        }
-
 
 def chain_observation(spec: ChainWorldSpec, state: int, stack_frames: int = 1) -> np.ndarray:
     """One-hot encoding of a chain state, tiled over the frame stack."""
@@ -108,8 +105,8 @@ class ChainWorld:
     def __init__(self, spec: ChainWorldSpec, max_steps: int = 100, stack_frames: int = 1):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if stack_frames < 1:
-            raise ValueError("stack_frames must be >= 1")
+        if not 1 <= stack_frames <= MAX_STACK_FRAMES:
+            raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
         self.spec = spec
         self.max_steps = max_steps
         self.stack_frames = stack_frames
@@ -125,10 +122,6 @@ class ChainWorld:
     @property
     def obs_dim(self) -> int:
         return self.spec.n_states * self.stack_frames
-
-    @property
-    def state(self) -> int:
-        return self._state
 
     def reset(self, seed: int) -> EnvStep:
         self._rng = np.random.default_rng(seed)
@@ -208,27 +201,11 @@ class CorridorWorldSpec:
         if self.blocked_timeout_s <= 0:
             raise ValueError("blocked_timeout_s must be positive")
 
-    def fields(self) -> dict:
-        return {
-            "kind": "corridor",
-            "lane_length": self.lane_length,
-            "target_speed": self.target_speed,
-            "brake_decel": self.brake_decel,
-            "reaction_delay_steps": self.reaction_delay_steps,
-            "check_horizon_s": self.check_horizon_s,
-            "spawn_rate": self.spawn_rate,
-            "speed_min": self.speed_min,
-            "speed_max": self.speed_max,
-            "delta_t": self.delta_t,
-            "max_steps": self.max_steps,
-            "blocked_timeout_s": self.blocked_timeout_s,
-        }
-
 
 class CorridorWorld:
     def __init__(self, spec: CorridorWorldSpec, stack_frames: int = 3):
-        if stack_frames < 1:
-            raise ValueError("stack_frames must be >= 1")
+        if not 1 <= stack_frames <= MAX_STACK_FRAMES:
+            raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
         self.spec = spec
         self.stack_frames = stack_frames
         self._rng: np.random.Generator | None = None
@@ -403,8 +380,11 @@ def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode
 
 
 def world_fingerprint(world) -> str:
-    fields_dict = dict(world.spec.fields())
-    fields_dict["stack_frames"] = world.stack_frames
-    if isinstance(world, ChainWorld):
-        fields_dict["max_steps"] = world.max_steps
-    return spec_fingerprint(fields_dict)
+    """Short stable hash of everything that shapes a world's episodes."""
+
+    chain = isinstance(world, ChainWorld)
+    doc = {"kind": "chain" if chain else "corridor", **asdict(world.spec),
+           "stack_frames": world.stack_frames}
+    if chain:
+        doc["max_steps"] = world.max_steps
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]

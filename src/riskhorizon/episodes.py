@@ -10,7 +10,6 @@ from the end reason, and the loader checks the flags it reads against it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -83,12 +82,6 @@ class Episode:
     @property
     def ends_in_collision(self) -> bool:
         return self.terminal is Terminal.COLLISION
-
-
-def spec_fingerprint(spec_fields: dict) -> str:
-    """Short stable hash of an environment description."""
-
-    return hashlib.sha256(canonical_json(spec_fields).encode()).hexdigest()[:16]
 
 
 def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> None:

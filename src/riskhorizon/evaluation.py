@@ -49,17 +49,15 @@ class EvalReport:
 
     @property
     def pes_mean(self) -> float:
-        present = self.counts > 0
-        if not present.any():
-            return float("nan")
-        return float(self.pes[present].mean())
+        return self._mean_over_present(self.pes)
 
     @property
     def acc_mean(self) -> float:
+        return self._mean_over_present(self.acc)
+
+    def _mean_over_present(self, per_head: np.ndarray) -> float:
         present = self.counts > 0
-        if not present.any():
-            return float("nan")
-        return float(self.acc[present].mean())
+        return float(per_head[present].mean()) if present.any() else float("nan")
 
 
 def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalReport:

@@ -365,15 +365,13 @@ def batch_loss_and_grad(
     interval_terms = weights.c_interval * (below + above)
 
     # gaps[:, j] > 0 means head j+1 exceeds head j+2 (0-based j): a violation.
-    if n_heads > 1:
-        gaps = preds[:, :-1] - preds[:, 1:]
-        pos = np.maximum(gaps, 0.0)
-        chain_terms = np.zeros_like(preds)
-        chain_terms[:, 1:] += pos
-        chain_terms[:, :-1] += pos
-        chain_terms *= weights.c_chain
-    else:
-        chain_terms = np.zeros_like(preds)
+    # With one head the slices are empty and every chain term stays 0.
+    gaps = preds[:, :-1] - preds[:, 1:]
+    pos = np.maximum(gaps, 0.0)
+    chain_terms = np.zeros_like(preds)
+    chain_terms[:, 1:] += pos
+    chain_terms[:, :-1] += pos
+    chain_terms *= weights.c_chain
 
     vmask = valid.astype(np.float64)
     mse_sum = float((mse_terms * vmask).sum())
@@ -392,20 +390,19 @@ def batch_loss_and_grad(
 
     d_preds = vmask * (2.0 * mse_w * err)
     d_preds += vmask * weights.c_interval * (np.where(preds > 1.0, 1.0, 0.0) - np.where(preds < 0.0, 1.0, 0.0))
-    if n_heads > 1:
-        active = gaps > 0.0
-        # Hinge of a valid entry at idx against its predecessor (idx >= 1).
-        left = vmask[:, 1:] * active
-        d_left = weights.c_chain * left
-        d_preds_chain = np.zeros_like(preds)
-        d_preds_chain[:, :-1] += d_left
-        d_preds_chain[:, 1:] -= d_left
-        # Hinge of a valid entry at idx against its successor (idx <= n-2).
-        right = vmask[:, :-1] * active
-        d_right = weights.c_chain * right
-        d_preds_chain[:, :-1] += d_right
-        d_preds_chain[:, 1:] -= d_right
-        d_preds += d_preds_chain
+    active = gaps > 0.0
+    # Hinge of a valid entry at idx against its predecessor (idx >= 1).
+    left = vmask[:, 1:] * active
+    d_left = weights.c_chain * left
+    d_preds_chain = np.zeros_like(preds)
+    d_preds_chain[:, :-1] += d_left
+    d_preds_chain[:, 1:] -= d_left
+    # Hinge of a valid entry at idx against its successor (idx <= n-2).
+    right = vmask[:, :-1] * active
+    d_right = weights.c_chain * right
+    d_preds_chain[:, :-1] += d_right
+    d_preds_chain[:, 1:] -= d_right
+    d_preds += d_preds_chain
     d_preds /= n_valid
     grads = estimator._backward(cache, d_preds)
     return total, breakdown, grads
@@ -413,20 +410,15 @@ def batch_loss_and_grad(
 
 @dataclass
 class AdamState:
-    """Step count and first/second moments, laid out like the parameters."""
+    """Step count and first/second moments, vectors in the parameter layout."""
 
     step: int
-    m: FlatArrays
-    v: FlatArrays
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, estimator: MultiHeadEstimator) -> "AdamState":
-        layout = param_layout(estimator.config)
-        return cls(
-            step=0,
-            m=FlatArrays(np.zeros(estimator.n_params), layout),
-            v=FlatArrays(np.zeros(estimator.n_params), layout),
-        )
+        return cls(step=0, m=np.zeros(estimator.n_params), v=np.zeros(estimator.n_params))
 
 
 def optimizer_step(
@@ -457,7 +449,7 @@ def optimizer_step(
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
     #   p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
     # so the result is bit-identical to it.
-    m, v = state.m.flat, state.v.flat
+    m, v = state.m, state.v
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -553,7 +545,7 @@ def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
         "loss": to_section(state.loss_weights),
         "epochs_completed": state.epochs_completed,
         "params": _encode(state.estimator.params.flat),
-        "adam": {"step": adam.step, "m": _encode(adam.m.flat), "v": _encode(adam.v.flat)},
+        "adam": {"step": adam.step, "m": _encode(adam.m), "v": _encode(adam.v)},
         "sampler": state.sampler,
         "metrics": [asdict(m) for m in state.metrics],
     })
@@ -593,8 +585,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         adam = AdamState.zeros(estimator)
         if doc["adam"] is not None or version > 1:
             adam.step = _count(doc["adam"]["step"], "adam.step")
-            adam.m.flat[:] = _decode(doc["adam"]["m"], params.size)
-            adam.v.flat[:] = _decode(doc["adam"]["v"], params.size)
+            adam.m[:] = _decode(doc["adam"]["m"], params.size)
+            adam.v[:] = _decode(doc["adam"]["v"], params.size)
         state = Checkpoint(estimator, horizon, weights, adam,
                            _count(doc["epochs_completed"], "epochs_completed"))
         if version > 1:

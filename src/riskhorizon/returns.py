@@ -57,10 +57,6 @@ class HorizonConfig:
         if not 1 <= self.trunc_n <= self.n_heads:
             raise ValueError("trunc_n must lie in [1, n_heads]")
 
-    @property
-    def horizon_seconds(self) -> float:
-        return self.n_heads * self.delta_t
-
 
 @dataclass
 class TargetMatrix:
@@ -126,8 +122,6 @@ def lambda_weights(i: int, lam: float, trunc_n: int) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     m = min(i, trunc_n)
-    if m == 1:
-        return np.ones(1)
     w = np.empty(m)
     w[: m - 1] = (1.0 - lam) * lam ** np.arange(m - 1)
     w[m - 1] = lam ** (m - 1)
@@ -316,14 +310,3 @@ def targets_from_estimates(
     last_rows, collided = corpus_rows([episode])
     return lambda_targets(np.clip(estimates, 0.0, 1.0), np.arange(steps), last_rows, collided, cfg)
 
-
-def build_targets(episode: Episode, estimator, cfg: HorizonConfig) -> TargetMatrix:
-    """Target matrix for an episode, bootstrapping from a live estimator.
-
-    The estimator is evaluated once on every recorded observation; the
-    resulting snapshot is constant with respect to the update that consumes
-    these targets.
-    """
-
-    estimates = np.asarray(estimator.forward(episode.observations), dtype=np.float64)
-    return targets_from_estimates(episode, estimates, cfg)

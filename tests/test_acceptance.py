@@ -40,11 +40,11 @@ from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.returns import (
     HorizonConfig,
     InvalidTargetError,
-    build_targets,
     lambda_return,
     lambda_weights,
     mc_return,
     n_step_return,
+    targets_from_estimates,
 )
 from riskhorizon.training import TrainConfig, train
 
@@ -373,7 +373,8 @@ def test_criterion_09_stratified_unbiasedness():
     anchors = list(zip(owner.tolist(), (buffer.row - first_row[owner]).tolist()))
 
     weights = LossWeights(c_interval=0.0, c_chain=0.0, p_collision=p_c, p_noncollision=p_nc)
-    targets = {e: build_targets(episodes[e], est, horizon) for e in set(owner.tolist())}
+    targets = {e: targets_from_estimates(episodes[e], est.forward(episodes[e].observations),
+                                         horizon) for e in set(owner.tolist())}
 
     def grad_vec(e, t, as_collision):
         tm = targets[e]

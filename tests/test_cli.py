@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import riskhorizon
 from riskhorizon.cli import main
+from riskhorizon.envs import MAX_STACK_FRAMES
 from riskhorizon.episodes import Terminal
 from riskhorizon.network import EstimatorConfig, param_layout
 
@@ -205,6 +206,13 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
                      id="train-eval-fraction-one"),
         pytest.param({"env": {"stack_frames": 0}}, "env: stack_frames must be >= 1",
                      id="env-stack-frames-zero"),
+        # Values that would otherwise overflow or exhaust memory in reset().
+        pytest.param({"env": {"stack_frames": 10**30}}, "env: stack_frames",
+                     id="env-stack-frames-huge"),
+        pytest.param({"env": {"stack_frames": MAX_STACK_FRAMES + 1}}, "env: stack_frames",
+                     id="env-stack-frames-above-bound"),
+        pytest.param({"env": Whole({"kind": "corridor", "stack_frames": 10**30})},
+                     "env: stack_frames", id="corridor-stack-frames-huge"),
         pytest.param({"env": {"max_steps": 0}}, "env: max_steps must be >= 1",
                      id="env-max-steps-zero"),
         pytest.param({"estimator": {"activation": "swish"}},

@@ -2,12 +2,14 @@
 the exact tables, corridor behaviours, and the file schema."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskhorizon.config import load_config
 from riskhorizon.envs import (
     ChainWorld,
     ChainWorldSpec,
@@ -513,6 +515,15 @@ def test_world_fingerprint_distinguishes_specs():
     )
     assert world_fingerprint(ChainWorld(other)) != a
     assert world_fingerprint(CorridorWorld(CorridorWorldSpec())) != a
+
+
+@pytest.mark.parametrize("name, want", [("chain_small.json", "d1584237049b7513"),
+                                        ("corridor_default.json", "f897a4629f260cbd")])
+def test_world_fingerprint_of_the_presets_is_unchanged(name, want):
+    # Episode files carry this string as spec_hash, and train warns when it
+    # differs from the config's, so files written earlier depend on it.
+    world = load_config(Path(__file__).resolve().parents[1] / "configs" / name).world
+    assert world_fingerprint(world) == want
 
 
 # --- persistence ------------------------------------------------------------

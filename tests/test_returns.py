@@ -285,16 +285,6 @@ def test_all_collision_blend_does_not_overshoot_one():
 # --- targets_from_estimates -------------------------------------------------
 
 
-class ConstantEstimator:
-    def __init__(self, n_heads, value=0.0):
-        self.value = value
-        self.n_heads = n_heads
-
-    def forward(self, obs):
-        obs = np.atleast_2d(obs)
-        return np.full((obs.shape[0], self.n_heads), self.value)
-
-
 def matrix_for(tr, estimates, horizon):
     return targets_from_estimates(tr, np.asarray(estimates, dtype=float), horizon)
 
@@ -454,18 +444,6 @@ def test_targets_oracle_fixed_point_in_expectation():
     assert mean[1] == pytest.approx(table.at(0, 2), abs=0.02)
 
 
-def test_build_targets_uses_estimator(tmp_path):
-    from riskhorizon.returns import build_targets
-
-    obs = np.eye(4)[[0, 1, 2, 3]].astype(float)
-    ep = Episode(observations=obs, terminal=Terminal.COLLISION, seed=1)
-    horizon = cfg(n_heads=2, lam=0.8)
-    tm = build_targets(ep, ConstantEstimator(2, 0.5), horizon)
-    assert tm.values.shape == (4, 2)
-    assert tm.valid.all()
-    assert tm.values[3] == pytest.approx([1.0, 1.0])
-
-
 def test_horizon_config_validation():
     with pytest.raises(ValueError):
         HorizonConfig(delta_t=0.1, n_heads=0, lam=0.5, trunc_n=1)
@@ -475,5 +453,3 @@ def test_horizon_config_validation():
         HorizonConfig(delta_t=0.1, n_heads=4, lam=0.5, trunc_n=5)
     with pytest.raises(ValueError):
         HorizonConfig(delta_t=-0.1, n_heads=4, lam=0.5, trunc_n=2)
-    horizon = HorizonConfig(delta_t=0.1, n_heads=20, lam=0.8, trunc_n=10)
-    assert horizon.horizon_seconds == pytest.approx(2.0)
