@@ -170,6 +170,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg: RunConfig | None = load_config(args.config) if args.config else None
     ckpt = load_checkpoint(args.checkpoint)
+    if cfg is not None and cfg.world.obs_dim != ckpt.estimator.config.input_dim:
+        raise CheckpointError(
+            f"{args.checkpoint}: the estimator takes {ckpt.estimator.config.input_dim} inputs; "
+            f"the configured environment emits {cfg.world.obs_dim}")
     episodes, header = load_episodes(args.episodes)
     if header["obs_dim"] != ckpt.estimator.config.input_dim:
         raise SchemaError(

@@ -24,12 +24,16 @@ import numpy as np
 from .artifacts import write_json, write_table
 from .episodes import Episode
 from .oracle import OracleTable
-from .returns import HorizonConfig, window_collides, window_known
+from .returns import HorizonConfig, corpus_rows, window_collides, window_known
 
 REPORT_VERSION = 1
 
 DEFAULT_THRESHOLDS = (0.0125, 0.025, 0.05, 0.1, 0.2)
 DEFAULT_INTERVALS = ((0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
+
+# Reports forward whole episodes in groups of about this many rows: few
+# calls, and memory that does not grow with the corpus.
+GROUP_ROWS = 1024
 
 
 @dataclass
@@ -60,27 +64,38 @@ class EvalReport:
         return float(per_head[present].mean()) if present.any() else float("nan")
 
 
+def _groups(sizes):
+    """Slices of consecutive items, each holding the items whose first row
+    falls into one block of GROUP_ROWS rows, when items of the given row
+    counts are laid end to end."""
+
+    starts = np.cumsum(sizes) - sizes
+    cuts = np.flatnonzero(np.diff(starts // GROUP_ROWS)) + 1
+    bounds = [0, *cuts.tolist(), len(starts)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
 def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalReport:
     """Accuracy and pessimism errors over every valid window of a corpus."""
 
     if not episodes:
         raise ValueError("cannot evaluate on an empty episode collection")
-    n = cfg.n_heads
-    heads = np.arange(1, n + 1)
-    sq = np.zeros(n)
-    signed = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    for ep in episodes:
-        preds = estimator.forward(ep.observations)
-        # [steps, n_heads]; each head's known windows are a prefix of the steps.
-        t, last = np.arange(ep.steps)[:, None], ep.steps - 1
-        known = window_known(t, last, ep.ends_in_collision, heads).sum(axis=0)
-        outcomes = window_collides(t, last, ep.ends_in_collision, heads).astype(np.float64)
-        for i, k in enumerate(known.tolist()):
-            resid = outcomes[:k, i] - preds[:k, i]
-            sq[i] += float((resid**2).sum())
-            signed[i] += float(resid.sum())
-            counts[i] += k
+    heads = np.arange(1, cfg.n_heads + 1)
+    sq = np.zeros(cfg.n_heads)
+    signed = np.zeros(cfg.n_heads)
+    counts = np.zeros(cfg.n_heads, dtype=np.int64)
+    for group in _groups([ep.steps for ep in episodes]):
+        members = episodes[group]
+        preds = estimator.forward(np.concatenate([ep.observations for ep in members]))
+        # [rows, n_heads] over the group's episodes laid end to end.
+        rows = np.arange(len(preds))[:, None]
+        last_rows, collided = (a[:, None] for a in corpus_rows(members))
+        known = window_known(rows, last_rows, collided, heads)
+        outcomes = window_collides(rows, last_rows, collided, heads)
+        resid = np.where(known, outcomes - preds, 0.0)
+        sq += (resid**2).sum(axis=0)
+        signed += resid.sum(axis=0)
+        counts += known.sum(axis=0)
     with np.errstate(invalid="ignore"):
         acc = np.where(counts > 0, sq / np.maximum(counts, 1), np.nan)
         pes = np.where(counts > 0, signed / np.maximum(counts, 1), np.nan)
@@ -107,21 +122,16 @@ def collision_characteristic(
 ) -> CharacteristicCurves:
     n = cfg.n_heads
     offsets = np.arange(n, 0, -1) * cfg.delta_t
-    rows: list[np.ndarray] = []
-    skipped = 0
-    for ep in episodes:
-        if not ep.ends_in_collision:
-            continue
-        if ep.steps < n:
-            skipped += 1
-            continue
-        preds = estimator.forward(ep.observations[ep.steps - n : ep.steps])
-        rows.append(preds[:, n - 1])
-    per_episode = np.array(rows) if rows else np.empty((0, n))
-    mean = per_episode.mean(axis=0) if rows else np.full(n, np.nan)
-    return CharacteristicCurves(
-        offsets_s=offsets, per_episode=per_episode, mean=mean, skipped=skipped
-    )
+    collisions = [ep for ep in episodes if ep.ends_in_collision]
+    eligible = [ep for ep in collisions if ep.steps >= n]
+    # The final head's estimates over each eligible episode's last n states.
+    per_episode = np.empty((len(eligible), n))
+    for group in _groups([n] * len(eligible)):
+        tails = np.concatenate([ep.observations[-n:] for ep in eligible[group]])
+        per_episode[group] = estimator.forward(tails)[:, n - 1].reshape(-1, n)
+    mean = per_episode.mean(axis=0) if eligible else np.full(n, np.nan)
+    return CharacteristicCurves(offsets_s=offsets, per_episode=per_episode, mean=mean,
+                                skipped=len(collisions) - len(eligible))
 
 
 @dataclass
@@ -162,21 +172,25 @@ def detection_rate(
 ) -> DetectionTable:
     check_detection_grid(thresholds, intervals)
     collisions = [ep for ep in episodes if ep.ends_in_collision]
-    rates = np.zeros((len(thresholds), len(intervals)))
     if not collisions:
-        return DetectionTable(tuple(thresholds), tuple(intervals), rates, 0)
+        return DetectionTable(tuple(thresholds), tuple(intervals),
+                              np.zeros((len(thresholds), len(intervals))), 0)
+    lo, hi = np.array(intervals).T
     # Max final-head estimate per (episode, interval); thresholds then just
     # compare against it, which also forces monotonicity in the threshold.
-    peak = np.full((len(collisions), len(intervals)), -np.inf)
-    for e, ep in enumerate(collisions):
-        preds = estimator.forward(ep.observations)[:, cfg.n_heads - 1]
-        ttc = (ep.steps - np.arange(ep.steps)) * cfg.delta_t
-        for b, (lo, hi) in enumerate(intervals):
-            inside = (ttc > lo) & (ttc <= hi)
-            if inside.any():
-                peak[e, b] = preds[inside].max()
-    for a, theta in enumerate(thresholds):
-        rates[a] = (peak > theta).mean(axis=0)
+    peak = np.empty((len(collisions), len(intervals)))
+    for group in _groups([ep.steps for ep in collisions]):
+        members = collisions[group]
+        preds = estimator.forward(np.concatenate([ep.observations for ep in members]))
+        final = preds[:, cfg.n_heads - 1, None]
+        # Time to collision of every row, against every interval.
+        last_rows, _ = corpus_rows(members)
+        ttc = ((last_rows + 1 - np.arange(len(preds))) * cfg.delta_t)[:, None]
+        inside = (ttc > lo) & (ttc <= hi)
+        steps = np.array([ep.steps for ep in members])
+        peak[group] = np.maximum.reduceat(np.where(inside, final, -np.inf),
+                                          np.cumsum(steps) - steps, axis=0)
+    rates = (peak > np.array(thresholds)[:, None, None]).mean(axis=1)
     return DetectionTable(tuple(thresholds), tuple(intervals), rates, len(collisions))
 
 

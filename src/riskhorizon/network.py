@@ -31,6 +31,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# A batch forward pads to at least ROW_FLOOR rows, above the largest row
+# count at which a layer's matrix product rounds differently, and runs in
+# chunks of at most ROW_CHUNK rows, which bounds its activation memory.
+ROW_FLOOR = 256
+ROW_CHUNK = 512
+
 CHECKPOINT_FORMAT = "riskhorizon-checkpoint"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_KEYS = {"format", "version", "estimator", "horizon", "loss", "epochs_completed",
@@ -189,20 +195,47 @@ class MultiHeadEstimator:
         return l > 0 and widths[l] == widths[l + 1]
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        """Raw head outputs; [n_heads] for a vector, [B, n_heads] for a batch."""
+        """Raw head outputs; [n_heads] for a vector, [B, n_heads] for a batch.
+
+        A batch is row-invariant: each row's output depends on that row
+        alone, bit for bit, not on the rows around it. BLAS rounds a
+        matrix product the same way for every row count above a small
+        threshold per shape, but a one-output product (a matrix-vector
+        product) differs up to several hundred rows. So a batch runs in
+        near-equal chunks of at most ROW_CHUNK rows, a batch under ROW_FLOOR
+        rows is zero-padded up to it, and each head's output layer runs as a
+        2-output product against its weight plus one zero row. A vector
+        runs unpadded, as one row.
+        """
 
         x = np.asarray(features, dtype=np.float64)
-        single = x.ndim == 1
-        preds, _ = self._forward_cached(np.atleast_2d(x), want_cache=False)
-        return preds[0] if single else preds
+        if x.ndim == 1:
+            return self._forward_cached(x[None], want_cache=False)[0][0]
+        cfg = self.config
+        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+            raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
+        weights = [self.params[layers[-1][0]] for layers in self._head_keys]
+        padded_out = [np.vstack([w, np.zeros_like(w)]) for w in weights]
+        n = x.shape[0]
+        if n < ROW_FLOOR:
+            x = np.concatenate([x, np.zeros((ROW_FLOOR - n, cfg.input_dim))])
+        chunks = -(-len(x) // ROW_CHUNK)
+        bounds = [len(x) * k // chunks for k in range(chunks + 1)]
+        preds = np.empty((len(x), cfg.n_heads))
+        for lo, hi in zip(bounds, bounds[1:]):
+            preds[lo:hi] = self._forward_cached(x[lo:hi], False, padded_out)[0]
+        return preds[:n]
 
-    def _forward_cached(self, x: np.ndarray, want_cache: bool = True):
+    def _forward_cached(self, x: np.ndarray, want_cache: bool = True,
+                        padded_out: list[np.ndarray] | None = None):
         """Raw head outputs [B, n_heads], and the cache `_backward` needs.
 
         Every head reads one [B, latent + 1] input buffer: the latent
         columns are filled once, and the last column is overwritten with
         the previous head's output before each head runs. The buffer and
-        every temporary belong to this call alone.
+        every temporary belong to this call alone. With `padded_out` (per
+        head, the output layer's weight with one zero row appended), each
+        output layer runs as a 2-output product.
         """
 
         cfg = self.config
@@ -216,7 +249,8 @@ class MultiHeadEstimator:
             z = h @ params[wk].T
             z += params[bk]
             a = _act(z, act)
-            bb.append((h, a))
+            if want_cache:
+                bb.append((h, a))
             h = a + h if self._residual(l) else a
 
         n = x.shape[0]
@@ -231,11 +265,13 @@ class MultiHeadEstimator:
             cur = u
             acts = []
             for l, (wk, bk) in enumerate(layers):
-                cur = cur @ params[wk].T
+                w = padded_out[i] if l == last and padded_out is not None else params[wk]
+                cur = cur @ w.T
                 cur += params[bk]
                 if l < last:  # the scalar output layer stays linear
                     acts.append(_act(cur, act))
-            hidden.append(acts)
+            if want_cache:
+                hidden.append(acts)
             preds[:, i] = cur[:, 0]
             u[:, latent_dim] = cur[:, 0]
         if not want_cache:

@@ -155,10 +155,8 @@ def train(
     # The training split packed once, each episode's states in consecutive
     # rows: the row space of the replay index and of the snapshot.
     observations = np.concatenate([ep.observations for ep in train_eps])
-    bounds = np.cumsum([0] + [ep.steps for ep in train_eps]).tolist()
     last_rows, collided = corpus_rows(train_eps)
     index = build_index(train_eps, cfg.horizon)
-    snapshot = np.empty((len(observations), cfg.horizon.n_heads))
 
     sample_rng = np.random.default_rng(sample_seq)
     if state.sampler is not None:
@@ -169,9 +167,9 @@ def train(
                     "this run will differ from an uninterrupted one")
     for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        # One forward per episode, as its rounding depends on the row count.
-        for lo, hi in zip(bounds, bounds[1:]):
-            snapshot[lo:hi] = estimator.forward(observations[lo:hi])
+        # One forward over every training row: a row's output does not
+        # depend on the rows forwarded with it.
+        snapshot = estimator.forward(observations)
         np.clip(snapshot, 0.0, 1.0, out=snapshot)
         drawn = 0
         sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
@@ -191,6 +189,8 @@ def train(
                 [breakdown.total, breakdown.mse, breakdown.interval, breakdown.chain]
             ) * breakdown.n_valid
             n_valid_total += breakdown.n_valid
+        # Freed before the held-out forward and the next epoch's snapshot.
+        del snapshot
         report = evaluate(held_eps, estimator, cfg.horizon)
         state.metrics.append(EpochMetrics(epoch, lr, *(sums / n_valid_total),
                                           tuple(float(a) for a in report.acc), report.pes_mean))

@@ -514,6 +514,21 @@ def test_eval_rejects_mismatched_episode_width(pipeline, tmp_path):
     assert "obs_dim" in result.stderr
 
 
+def test_eval_rejects_a_config_whose_environment_does_not_fit_the_checkpoint(
+    pipeline, tmp_path, capsys
+):
+    stacked = write_config(tmp_path / "stacked.json", {"env": {"stack_frames": 2}})
+    code, err = run_main(
+        capsys, "eval", "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+        "--episodes", pipeline["root"] / "eps.jsonl", "--out", tmp_path / "reports",
+        "--config", stacked,
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "takes 4 inputs" in err and "emits 8" in err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_eval_rejects_a_garbage_checkpoint(pipeline, tmp_path):
     bad = tmp_path / "ckpt.json"
     bad.write_text('{"format": "something-else"}')

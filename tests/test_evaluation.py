@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
+from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.evaluation import (
     CharacteristicCurves,
@@ -22,8 +23,9 @@ from riskhorizon.evaluation import (
     write_oracle_errors,
     write_summary,
 )
+from riskhorizon.network import EstimatorConfig, MultiHeadEstimator
 from riskhorizon.oracle import dp_cumulative
-from riskhorizon.returns import HorizonConfig
+from riskhorizon.returns import HorizonConfig, mc_return
 
 # Hazards high enough that survival past 40 steps is ~1e-9: effectively every
 # episode collides, so no window is conditioned away and the mean squared
@@ -215,6 +217,86 @@ def test_report_acc_and_pes_match_a_per_window_loop():
     assert report.counts.tolist() == counts.tolist()
     np.testing.assert_allclose(report.acc, sq / counts, rtol=1e-12)
     np.testing.assert_allclose(report.pes, signed / counts, rtol=1e-12)
+
+
+# --- grouped forwards against per-episode loops ------------------------------
+# The reports forward groups of whole episodes. These loops forward one
+# episode at a time and read each statistic per episode and per head.
+
+
+def reference_evaluate(episodes, estimator, horizon):
+    n = horizon.n_heads
+    sq, signed, counts = np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+    for ep in episodes:
+        preds = estimator.forward(ep.observations)
+        for i in range(n):
+            for t in range(ep.steps):
+                if not ep.ends_in_collision and t + i + 1 > ep.steps - 1:
+                    break
+                resid = mc_return(ep, t, i + 1) - preds[t, i]
+                sq[i] += resid**2
+                signed[i] += resid
+                counts[i] += 1
+    return sq / counts, signed / counts, counts
+
+
+def reference_characteristic(episodes, estimator, horizon):
+    n = horizon.n_heads
+    rows = [estimator.forward(ep.observations[ep.steps - n:])[:, n - 1]
+            for ep in episodes if ep.ends_in_collision and ep.steps >= n]
+    return np.array(rows)
+
+
+def reference_peaks(episodes, estimator, horizon, intervals):
+    peaks = []
+    for ep in episodes:
+        if not ep.ends_in_collision:
+            continue
+        final = estimator.forward(ep.observations)[:, horizon.n_heads - 1]
+        ttc = (ep.steps - np.arange(ep.steps)) * horizon.delta_t
+        inside = [(ttc > lo) & (ttc <= hi) for lo, hi in intervals]
+        peaks.append([final[m].max() if m.any() else -np.inf for m in inside])
+    return np.array(peaks)
+
+
+@pytest.fixture(scope="module")
+def real_case():
+    """A mixed chain corpus and an untrained estimator with 4 heads."""
+
+    spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.3), transition=HEAVY.transition,
+                          start_distribution=HEAVY.start_distribution)
+    world = ChainWorld(spec, max_steps=12)
+    episodes, _ = generate_episodes(world, 300, master_seed=53)
+    assert {ep.terminal for ep in episodes} == {Terminal.COLLISION, Terminal.TIME_LIMIT}
+    est = MultiHeadEstimator(EstimatorConfig(input_dim=world.obs_dim, n_heads=4,
+                                             backbone_layers=(8, 8), head_layers=(4, 1),
+                                             init_seed=3))
+    return episodes, est, HorizonConfig(delta_t=0.1, n_heads=4, lam=0.8, trunc_n=2)
+
+
+@pytest.mark.parametrize("group_rows", [evaluation.GROUP_ROWS, 37])
+def test_grouped_reports_equal_per_episode_loops(real_case, monkeypatch, group_rows):
+    monkeypatch.setattr(evaluation, "GROUP_ROWS", group_rows)
+    episodes, est, horizon = real_case
+    assert sum(ep.steps for ep in episodes) > 10 * 37
+
+    acc, pes, counts = reference_evaluate(episodes, est, horizon)
+    report = evaluate(episodes, est, horizon)
+    assert report.counts.tolist() == counts.tolist()
+    np.testing.assert_allclose(report.acc, acc, rtol=1e-12)
+    np.testing.assert_allclose(report.pes, pes, rtol=1e-12)
+
+    curves = collision_characteristic(episodes, est, horizon)
+    assert curves.per_episode.tobytes() == reference_characteristic(episodes, est, horizon).tobytes()
+
+    intervals = ((0.0, 0.15), (0.15, 0.35), (0.35, 0.6), (0.6, 5.0))
+    peaks = reference_peaks(episodes, est, horizon, intervals)
+    # Thresholds inside the spread of the peaks, so every rate is informative.
+    thresholds = tuple(np.quantile(peaks[np.isfinite(peaks)], [0.1, 0.4, 0.7, 0.95]))
+    table = detection_rate(episodes, est, horizon, thresholds, intervals)
+    want = np.stack([(peaks > theta).mean(axis=0) for theta in thresholds])
+    assert table.rates.tobytes() == want.tobytes()
+    assert 0.0 < table.rates.mean() < 1.0
 
 
 # --- characteristic curves --------------------------------------------------

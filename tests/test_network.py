@@ -1,14 +1,17 @@
 """Estimator, composite loss, analytic gradients, Adam, checkpoints."""
 
+import functools
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskhorizon.config import load_config
 from riskhorizon.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -21,6 +24,8 @@ from riskhorizon.network import (
     EstimatorConfig,
     FlatArrays,
     LossWeights,
+    ROW_CHUNK,
+    ROW_FLOOR,
     MultiHeadEstimator,
     NonFiniteUpdateError,
     batch_loss_and_grad,
@@ -82,6 +87,45 @@ def test_forward_batch_matches_single():
     batch = est.forward(x)
     for row, feats in zip(batch, x):
         assert est.forward(feats) == pytest.approx(row, abs=1e-14)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CORPUS_ROWS = 2 * ROW_CHUNK + 600
+
+
+@functools.cache
+def fixture_case(name):
+    """The estimator of an acceptance fixture's config, and a corpus of inputs."""
+
+    cfg = load_config(CONFIGS / name).estimator
+    x = np.random.default_rng(7).normal(size=(CORPUS_ROWS, cfg.input_dim))
+    return MultiHeadEstimator(cfg), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["chain_small.json", "corridor_default.json"]),
+    size=st.one_of(
+        st.integers(1, ROW_FLOOR - 1),
+        st.just(ROW_FLOOR),
+        st.sampled_from([ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK,
+                         2 * ROW_CHUNK + 1, CORPUS_ROWS]),
+        st.integers(ROW_FLOOR + 1, CORPUS_ROWS),
+    ),
+    contiguous=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_a_batch_row_gets_the_bits_it_gets_in_any_other_batch(name, size, contiguous, seed):
+    # Rounding that depends on the batch would make every corpus forward
+    # (snapshot, evaluation, reports) depend on how rows are grouped.
+    est, x = fixture_case(name)
+    rng = np.random.default_rng(seed)
+    if contiguous:
+        start = int(rng.integers(0, CORPUS_ROWS - size + 1))
+        idx = np.arange(start, start + size)
+    else:
+        idx = rng.choice(CORPUS_ROWS, size=size, replace=False)
+    assert est.forward(x[idx]).tobytes() == est.forward(x)[idx].tobytes()
 
 
 def test_head_perturbation_respects_chain_topology():
@@ -405,8 +449,8 @@ def test_gradient_check_single_head():
 # The forward and backward passes as they were written before the head input
 # became one reused buffer: a fresh concatenated [B, latent + 1] input per
 # head, out-of-place biases and activations, and a cache of every layer's
-# (input, pre-activation, activation). The estimator must match them bit for
-# bit, so that every artifact stays byte-identical.
+# (input, pre-activation, activation). The estimator's training step must
+# match them bit for bit.
 
 
 def _ref_act(z, kind):
@@ -493,8 +537,13 @@ def test_forward_and_gradients_match_the_reference_bitwise(
     est, ref = MultiHeadEstimator(cfg), ReferenceEstimator(cfg)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=2.0, size=(rows, 5))
+    # The training step's forward and single-observation scoring match bit
+    # for bit. A batch forward runs row-invariant products, which round
+    # differently.
+    want = ref._forward_cached(x, want_cache=False)[0]
+    assert est._forward_cached(x, want_cache=False)[0].tobytes() == want.tobytes()
     out = est.forward(x)
-    assert out.tobytes() == ref.forward(x).tobytes()
+    assert out == pytest.approx(want, abs=1e-14)
     assert est.forward(x[0]).tobytes() == ref.forward(x[0]).tobytes()
 
     targets = rng.uniform(size=(rows, n_heads))
