@@ -4,6 +4,7 @@ existing file as it was; JSON and table numbers have fixed formats, so
 identical inputs write identical bytes."""
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,7 +13,12 @@ import numpy as np
 
 
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # NaN and infinity are not JSON; an undefined number is written as null (nan_to_null).
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def nan_to_null(value: float) -> float | None:
+    return None if math.isnan(value) else float(value)
 
 
 @contextmanager

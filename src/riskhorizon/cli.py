@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import nan_to_null
 from .config import ConfigError, RunConfig, load_config
 from .envs import ChainWorld, chain_observation, generate_episodes, world_fingerprint
 from .episodes import SchemaError, load_episodes, save_episodes
@@ -186,8 +187,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(episodes, ckpt.estimator, ckpt.horizon)
-    curves = collision_characteristic(episodes, ckpt.estimator, ckpt.horizon)
-    detection = detection_rate(episodes, ckpt.estimator, ckpt.horizon, thresholds, intervals)
+    curves = collision_characteristic(episodes, report.final_head, ckpt.horizon)
+    detection = detection_rate(episodes, report.final_head, ckpt.horizon, thresholds, intervals)
     write_head_metrics(out_dir / "head_metrics.tsv", report)
     write_characteristic(out_dir / "collision_characteristic.tsv", curves)
     write_detection(out_dir / "detection_rate.tsv", detection)
@@ -197,10 +198,10 @@ def cmd_eval(args) -> int:
         "collision_episodes": detection.episode_count,
         "n_heads": ckpt.horizon.n_heads,
         "delta_t": ckpt.horizon.delta_t,
-        "acc_mean": report.acc_mean,
-        "pes_mean": report.pes_mean,
-        "acc_per_head": [None if c == 0 else float(a) for a, c in zip(report.acc, report.counts)],
-        "pes_per_head": [None if c == 0 else float(p) for p, c in zip(report.pes, report.counts)],
+        "acc_mean": nan_to_null(report.acc_mean),
+        "pes_mean": nan_to_null(report.pes_mean),
+        "acc_per_head": [nan_to_null(a) for a in report.acc],
+        "pes_per_head": [nan_to_null(p) for p in report.pes],
         "windows_per_head": [int(c) for c in report.counts],
         "characteristic_episodes": int(curves.per_episode.shape[0]),
         "tables": [

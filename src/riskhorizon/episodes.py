@@ -105,8 +105,8 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     error or an interrupt leaves an existing file as it was and no partial one.
     """
 
-    if not episodes:
-        raise ValueError("refusing to write an empty episode file")
+    if not episodes or episodes[0].obs_dim < 1:
+        raise ValueError("refusing to write an episode file without an episode or a feature")
     obs_dim = episodes[0].obs_dim
     if any(ep.obs_dim != obs_dim for ep in episodes):
         raise ValueError("episodes in one file must share obs_dim")
@@ -263,9 +263,10 @@ def _read_header(fh, path: Path) -> dict:
             f"{path}: schema version {head['version']} not supported "
             f"(expected {SCHEMA_VERSION})"
         )
+    # save_episodes writes no file without an episode or a feature.
     for key in ("obs_dim", "episodes"):
-        if type(head[key]) is not int or head[key] < 0:
-            raise SchemaError(f"{path}: header '{key}' must be a nonnegative integer")
+        if type(head[key]) is not int or head[key] < 1:
+            raise SchemaError(f"{path}: header '{key}' must be a positive integer")
     return head
 
 

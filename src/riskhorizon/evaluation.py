@@ -31,14 +31,15 @@ REPORT_VERSION = 1
 DEFAULT_THRESHOLDS = (0.0125, 0.025, 0.05, 0.1, 0.2)
 DEFAULT_INTERVALS = ((0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
 
-# Reports forward whole episodes in groups of about this many rows: few
+# `evaluate` forwards whole episodes in groups of about this many rows: few
 # calls, and memory that does not grow with the corpus.
 GROUP_ROWS = 1024
 
 
 @dataclass
 class EvalReport:
-    """Per-head squared and signed errors with their sample counts.
+    """Per-head squared and signed errors with their sample counts, and the
+    final head's output at every row of the episodes laid end to end.
 
     Heads with no valid window in the data carry NaN and count 0.
     """
@@ -46,6 +47,7 @@ class EvalReport:
     acc: np.ndarray
     pes: np.ndarray
     counts: np.ndarray
+    final_head: np.ndarray
 
     @property
     def n_heads(self) -> int:
@@ -84,10 +86,13 @@ def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalRepo
     sq = np.zeros(cfg.n_heads)
     signed = np.zeros(cfg.n_heads)
     counts = np.zeros(cfg.n_heads, dtype=np.int64)
+    final_head = []
     for group in _groups([ep.steps for ep in episodes]):
         members = episodes[group]
         preds = estimator.forward(np.concatenate([ep.observations for ep in members]))
-        # [rows, n_heads] over the group's episodes laid end to end.
+        # [rows, n_heads] over the group's episodes laid end to end; a copy
+        # of its final-head column outlives it.
+        final_head.append(preds[:, -1].copy())
         rows = np.arange(len(preds))[:, None]
         last_rows, collided = (a[:, None] for a in corpus_rows(members))
         known = window_known(rows, last_rows, collided, heads)
@@ -99,7 +104,7 @@ def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalRepo
     with np.errstate(invalid="ignore"):
         acc = np.where(counts > 0, sq / np.maximum(counts, 1), np.nan)
         pes = np.where(counts > 0, signed / np.maximum(counts, 1), np.nan)
-    return EvalReport(acc=acc, pes=pes, counts=counts)
+    return EvalReport(acc=acc, pes=pes, counts=counts, final_head=np.concatenate(final_head))
 
 
 @dataclass
@@ -118,20 +123,22 @@ class CharacteristicCurves:
 
 
 def collision_characteristic(
-    episodes: list[Episode], estimator, cfg: HorizonConfig
+    episodes: list[Episode], final_head: np.ndarray, cfg: HorizonConfig
 ) -> CharacteristicCurves:
+    """Curves from the `EvalReport.final_head` of the same episodes."""
+
     n = cfg.n_heads
-    offsets = np.arange(n, 0, -1) * cfg.delta_t
-    collisions = [ep for ep in episodes if ep.ends_in_collision]
-    eligible = [ep for ep in collisions if ep.steps >= n]
+    last_rows, collided = corpus_rows(episodes)
+    # Each episode's last row; eligible episodes collide after n or more steps.
+    ends = np.flatnonzero(last_rows == np.arange(len(last_rows)))
+    collisions = collided[ends]
+    eligible = ends[collisions & (np.diff(ends, prepend=-1) >= n)]
     # The final head's estimates over each eligible episode's last n states.
-    per_episode = np.empty((len(eligible), n))
-    for group in _groups([n] * len(eligible)):
-        tails = np.concatenate([ep.observations[-n:] for ep in eligible[group]])
-        per_episode[group] = estimator.forward(tails)[:, n - 1].reshape(-1, n)
-    mean = per_episode.mean(axis=0) if eligible else np.full(n, np.nan)
-    return CharacteristicCurves(offsets_s=offsets, per_episode=per_episode, mean=mean,
-                                skipped=len(collisions) - len(eligible))
+    per_episode = final_head[eligible[:, None] - (n - 1) + np.arange(n)]
+    mean = per_episode.mean(axis=0) if len(eligible) else np.full(n, np.nan)
+    return CharacteristicCurves(offsets_s=np.arange(n, 0, -1) * cfg.delta_t,
+                                per_episode=per_episode, mean=mean,
+                                skipped=int(collisions.sum()) - len(eligible))
 
 
 @dataclass
@@ -165,33 +172,30 @@ def check_detection_grid(
 
 def detection_rate(
     episodes: list[Episode],
-    estimator,
+    final_head: np.ndarray,
     cfg: HorizonConfig,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
     intervals: tuple[tuple[float, float], ...] = DEFAULT_INTERVALS,
 ) -> DetectionTable:
+    """Table from the `EvalReport.final_head` of the same episodes."""
+
     check_detection_grid(thresholds, intervals)
-    collisions = [ep for ep in episodes if ep.ends_in_collision]
-    if not collisions:
-        return DetectionTable(tuple(thresholds), tuple(intervals),
-                              np.zeros((len(thresholds), len(intervals))), 0)
+    last_rows, collided = corpus_rows(episodes)
+    # The rows of the collision episodes, and where each one starts among them.
+    rows = np.flatnonzero(collided)
+    last = last_rows[rows]
+    starts = np.flatnonzero(np.diff(last, prepend=-1))
     lo, hi = np.array(intervals).T
+    # Time to collision of every row, against every interval.
+    ttc = ((last + 1 - rows) * cfg.delta_t)[:, None]
+    inside = (ttc > lo) & (ttc <= hi)
     # Max final-head estimate per (episode, interval); thresholds then just
     # compare against it, which also forces monotonicity in the threshold.
-    peak = np.empty((len(collisions), len(intervals)))
-    for group in _groups([ep.steps for ep in collisions]):
-        members = collisions[group]
-        preds = estimator.forward(np.concatenate([ep.observations for ep in members]))
-        final = preds[:, cfg.n_heads - 1, None]
-        # Time to collision of every row, against every interval.
-        last_rows, _ = corpus_rows(members)
-        ttc = ((last_rows + 1 - np.arange(len(preds))) * cfg.delta_t)[:, None]
-        inside = (ttc > lo) & (ttc <= hi)
-        steps = np.array([ep.steps for ep in members])
-        peak[group] = np.maximum.reduceat(np.where(inside, final, -np.inf),
-                                          np.cumsum(steps) - steps, axis=0)
-    rates = (peak > np.array(thresholds)[:, None, None]).mean(axis=1)
-    return DetectionTable(tuple(thresholds), tuple(intervals), rates, len(collisions))
+    peak = np.maximum.reduceat(np.where(inside, final_head[rows, None], -np.inf),
+                               starts, axis=0)
+    # Without a collision episode every rate is 0.
+    rates = (peak > np.array(thresholds)[:, None, None]).sum(axis=1) / max(len(starts), 1)
+    return DetectionTable(tuple(thresholds), tuple(intervals), rates, len(starts))
 
 
 def oracle_errors(estimator, table: OracleTable, state_observations: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import nan_to_null, write_json
 from .returns import HorizonConfig
 
 ADAM_BETA1 = 0.9
@@ -559,11 +559,16 @@ def _count(value, name: str) -> int:
 
 def _epoch_metrics(entry: dict, n_heads: int) -> EpochMetrics:
     m = EpochMetrics(**entry)  # a TypeError for a missing or unknown field
-    values = [m.lr, m.loss, m.loss_mse, m.loss_interval, m.loss_chain, m.pes_mean]
-    if (type(m.acc_per_head) is not list or len(m.acc_per_head) != n_heads
-            or any(type(v) is not float for v in values + m.acc_per_head)):
-        raise ValueError("metrics need float values and one acc_per_head value per head")
-    return replace(m, epoch=_count(m.epoch, "metrics epoch"), acc_per_head=tuple(m.acc_per_head))
+    if type(m.acc_per_head) is not list or len(m.acc_per_head) != n_heads:
+        raise ValueError("metrics need one acc_per_head value per head")
+    losses = [m.lr, m.loss, m.loss_mse, m.loss_interval, m.loss_chain]
+    # A held-out error without a window is written as null and read as NaN.
+    held_out = [math.nan if v is None else v for v in (m.pes_mean, *m.acc_per_head)]
+    if (any(type(v) is not float for v in losses + held_out)
+            or not np.isfinite(losses).all() or np.isinf(held_out).any()):
+        raise ValueError("metrics need finite floats, and a float or null held-out error")
+    return replace(m, epoch=_count(m.epoch, "metrics epoch"), pes_mean=held_out[0],
+                   acc_per_head=tuple(held_out[1:]))
 
 
 def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
@@ -583,7 +588,9 @@ def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
         "params": _encode(state.estimator.params.flat),
         "adam": {"step": adam.step, "m": _encode(adam.m), "v": _encode(adam.v)},
         "sampler": state.sampler,
-        "metrics": [asdict(m) for m in state.metrics],
+        "metrics": [{**asdict(m), "pes_mean": nan_to_null(m.pes_mean),
+                     "acc_per_head": [nan_to_null(a) for a in m.acc_per_head]}
+                    for m in state.metrics],
     })
 
 

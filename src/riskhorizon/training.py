@@ -157,6 +157,9 @@ def train(
     observations = np.concatenate([ep.observations for ep in train_eps])
     last_rows, collided = corpus_rows(train_eps)
     index = build_index(train_eps, cfg.horizon)
+    if not len(index):
+        raise DegenerateCorpusError("no training row can anchor a target: every training "
+                                    "episode is a one-step truncation")
 
     sample_rng = np.random.default_rng(sample_seq)
     if state.sampler is not None:

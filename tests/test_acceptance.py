@@ -412,9 +412,11 @@ def test_criterion_09_stratified_unbiasedness():
 
 
 def test_criterion_10_detection_table(corridor_run):
+    episodes = corridor_run["episodes"]
+    final_head = evaluate(episodes, corridor_run["estimator"], CORRIDOR_HORIZON).final_head
     table = detection_rate(
-        corridor_run["episodes"],
-        corridor_run["estimator"],
+        episodes,
+        final_head,
         CORRIDOR_HORIZON,
         DEFAULT_THRESHOLDS,
         DEFAULT_INTERVALS,

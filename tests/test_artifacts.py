@@ -11,13 +11,25 @@ import sys
 import numpy as np
 import pytest
 
-from riskhorizon.artifacts import canonical_json, write_json, write_table
+from riskhorizon.artifacts import canonical_json, nan_to_null, write_json, write_table
 
 
 def test_canonical_json_sorts_keys_and_drops_whitespace():
     assert canonical_json({"b": [1, 2.5], "a": {"d": None, "c": "x"}}) == (
         '{"a":{"c":"x","d":null},"b":[1,2.5]}'
     )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_numbers_json_cannot_hold(value):
+    with pytest.raises(ValueError):
+        canonical_json({"acc_mean": value})
+
+
+def test_nan_to_null_keeps_every_other_number():
+    assert nan_to_null(float("nan")) is None
+    assert [nan_to_null(v) for v in (0.0, -0.25, np.float64(1e-300))] == [0.0, -0.25, 1e-300]
+    assert type(nan_to_null(np.float64(0.5))) is float
 
 
 def test_write_table_formats_integers_in_decimal_and_floats_as_twelve_digits(tmp_path):
@@ -81,7 +93,8 @@ estimator = MultiHeadEstimator(EstimatorConfig(input_dim=2, n_heads=2, backbone_
                                                head_layers=(2, 1)))
 epoch = EpochMetrics(epoch=0, lr=1e-3, loss=0.5, loss_mse=0.25, loss_interval=0.125,
                      loss_chain=0.0625, acc_per_head=(0.1, 0.2), pes_mean=-0.01)
-report = EvalReport(acc=np.array([0.1, 0.2]), pes=np.array([0.0, -0.1]), counts=np.array([3, 2]))
+report = EvalReport(acc=np.array([0.1, 0.2]), pes=np.array([0.0, -0.1]), counts=np.array([3, 2]),
+                    final_head=np.zeros(5))
 curves = CharacteristicCurves(offsets_s=np.array([0.2, 0.1]), per_episode=np.zeros((0, 2)),
                               mean=np.array([0.3, 0.4]), skipped=0)
 detection = DetectionTable((0.1,), ((0.0, 0.4),), np.array([[0.5]]), 2)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import riskhorizon
 from riskhorizon.cli import main
 from riskhorizon.envs import MAX_STACK_FRAMES
-from riskhorizon.episodes import Terminal
-from riskhorizon.network import EstimatorConfig, param_layout
+from riskhorizon.episodes import Terminal, load_episodes
+from riskhorizon.network import EstimatorConfig, MultiHeadEstimator, param_layout
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -364,6 +364,64 @@ def test_a_resumed_run_writes_the_bytes_of_an_uninterrupted_one(tmp_path, world)
         assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
+def one_step_corpus(root, seed, hazard=0.5):
+    """Two one-step chain episodes: `gen --episodes 2 --seed <seed>` with
+    every hazard set to `hazard`."""
+
+    cfg = write_config(root / f"one-step-{hazard}.json",
+                       {"env": {"max_steps": 1, "hazard": [hazard] * 4}})
+    out = root / f"one-step-{seed}-{hazard}.jsonl"
+    assert quiet_main("gen", "--config", cfg, "--out", out, "--episodes", 2,
+                      "--seed", seed)[0] == 0
+    return cfg, out
+
+
+def test_train_on_a_split_without_an_anchorable_row_is_a_data_error(tmp_path, capsys):
+    # Seed 11 rolls one collision and one truncation, and holds out the
+    # collision: the last row of a truncation anchors no target.
+    cfg, episodes = one_step_corpus(tmp_path, 11)
+    code, err = run_main(capsys, "train", "--config", cfg, "--episodes", episodes,
+                         "--out", tmp_path / "run", "--seed", 11)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "no training row can anchor a target" in err
+
+
+def test_undefined_held_out_errors_are_written_as_null_and_resume_exactly(tmp_path):
+    # Seed 13 holds out the one-step truncation, which has no known window.
+    cfg, episodes = one_step_corpus(tmp_path, 13)
+    args = ["train", "--config", cfg, "--episodes", episodes, "--seed", 13]
+    whole = tmp_path / "whole"
+    assert quiet_main(*args, "--out", whole)[0] == 0
+    text = (whole / "checkpoint.json").read_text()
+    assert "NaN" not in text
+    metrics = json.loads(text)["metrics"]
+    assert [m["pes_mean"] for m in metrics] == [None, None]
+    assert all(a is None for m in metrics for a in m["acc_per_head"])
+
+    cfg_doc = json.loads(cfg.read_text())
+    cfg_doc["train"]["epochs"] = 1
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(cfg_doc))
+    assert quiet_main("train", "--config", first, "--episodes", episodes, "--seed", 13,
+                      "--out", tmp_path / "half")[0] == 0
+    resumed = tmp_path / "resumed"
+    assert quiet_main(*args, "--out", resumed,
+                      "--checkpoint", tmp_path / "half" / "checkpoint.json")[0] == 0
+    for name in ("checkpoint.json", "metrics.tsv"):
+        assert (resumed / name).read_bytes() == (whole / name).read_bytes()
+
+    # An eval corpus without a known window: two one-step truncations.
+    _, quiet = one_step_corpus(tmp_path, 13, hazard=0.0)
+    assert quiet_main("eval", "--checkpoint", whole / "checkpoint.json",
+                      "--episodes", quiet, "--out", tmp_path / "reports")[0] == 0
+    text = (tmp_path / "reports" / "summary.json").read_text()
+    assert "NaN" not in text
+    summary = json.loads(text)
+    assert summary["acc_mean"] is None and summary["pes_mean"] is None
+    assert summary["acc_per_head"] == [None] * 3
+
+
 def as_version_1(doc):
     """A version 2 checkpoint document as the version 1 writer wrote the same
     state: no sampler state or metric history, and the parameter layout listed."""
@@ -527,6 +585,35 @@ def test_eval_rejects_a_config_whose_environment_does_not_fit_the_checkpoint(
     assert "Traceback" not in err
     assert "takes 4 inputs" in err and "emits 8" in err
     assert not (tmp_path / "reports").exists()
+
+
+def test_eval_on_an_episode_file_without_episodes_is_a_data_error(pipeline, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text('{"h":{"episodes":0,"obs_dim":4,"spec_hash":"x","version":1}}\n')
+    code, err = run_main(capsys, "eval",
+                         "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+                         "--episodes", empty, "--out", tmp_path / "reports")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "'episodes' must be a positive integer" in err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_eval_forwards_each_corpus_row_once(pipeline, tmp_path, monkeypatch):
+    forwarded = []
+    forward = MultiHeadEstimator.forward
+
+    def counting(self, observations):
+        forwarded.append(len(np.atleast_2d(observations)))
+        return forward(self, observations)
+
+    monkeypatch.setattr(MultiHeadEstimator, "forward", counting)
+    code, err = quiet_main("eval", "--checkpoint", pipeline["root"] / "run" / "checkpoint.json",
+                           "--episodes", pipeline["root"] / "eps.jsonl",
+                           "--out", tmp_path / "reports")
+    assert code == 0, err
+    episodes, _ = load_episodes(pipeline["root"] / "eps.jsonl")
+    assert sum(forwarded) == sum(ep.steps for ep in episodes)
 
 
 def test_eval_rejects_a_garbage_checkpoint(pipeline, tmp_path):

@@ -170,7 +170,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def episode_lists(draw):
-    obs_dim = draw(st.integers(0, 6))
+    obs_dim = draw(st.integers(1, 6))
     episodes = []
     for seed in range(draw(st.integers(1, 4))):
         steps = draw(st.integers(1, 12))
@@ -366,6 +366,23 @@ def test_malformed_records_raise_schema_errors(tmp_path, edit):
     edit(lines)
     path.write_text("".join(lines))
     with pytest.raises(SchemaError):
+        load_episodes(path)
+
+
+@pytest.mark.parametrize("episodes", [[], [Episode(np.zeros((3, 0)), Terminal.COLLISION, 0)]],
+                         ids=["no-episode", "no-feature"])
+def test_the_writer_refuses_a_file_without_an_episode_or_a_feature(tmp_path, episodes):
+    with pytest.raises(ValueError, match="refusing"):
+        save_episodes(tmp_path / "eps.jsonl", episodes, "abc")
+    assert not (tmp_path / "eps.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["episodes", "obs_dim"])
+def test_a_header_that_declares_zero_episodes_or_features_is_a_schema_error(tmp_path, key):
+    head = {"version": SCHEMA_VERSION, "spec_hash": "abc", "obs_dim": 2, "episodes": 1, key: 0}
+    path = tmp_path / "eps.jsonl"
+    path.write_text(json.dumps({"h": head}) + "\n")
+    with pytest.raises(SchemaError, match=f"'{key}' must be a positive integer"):
         load_episodes(path)
 
 

@@ -220,8 +220,9 @@ def test_report_acc_and_pes_match_a_per_window_loop():
 
 
 # --- grouped forwards against per-episode loops ------------------------------
-# The reports forward groups of whole episodes. These loops forward one
-# episode at a time and read each statistic per episode and per head.
+# `evaluate` forwards groups of whole episodes, and the other reports read the
+# final-head column it keeps. These loops forward one episode at a time and
+# read each statistic per episode and per head.
 
 
 def reference_evaluate(episodes, estimator, horizon):
@@ -244,7 +245,7 @@ def reference_characteristic(episodes, estimator, horizon):
     n = horizon.n_heads
     rows = [estimator.forward(ep.observations[ep.steps - n:])[:, n - 1]
             for ep in episodes if ep.ends_in_collision and ep.steps >= n]
-    return np.array(rows)
+    return np.array(rows).reshape(-1, n)
 
 
 def reference_peaks(episodes, estimator, horizon, intervals):
@@ -256,7 +257,13 @@ def reference_peaks(episodes, estimator, horizon, intervals):
         ttc = (ep.steps - np.arange(ep.steps)) * horizon.delta_t
         inside = [(ttc > lo) & (ttc <= hi) for lo, hi in intervals]
         peaks.append([final[m].max() if m.any() else -np.inf for m in inside])
-    return np.array(peaks)
+    return np.array(peaks).reshape(-1, len(intervals))
+
+
+def final_head_of(episodes, estimator):
+    """The final head's output at every row, episode by episode."""
+
+    return np.concatenate([estimator.forward(ep.observations)[:, -1] for ep in episodes])
 
 
 @pytest.fixture(scope="module")
@@ -286,30 +293,77 @@ def test_grouped_reports_equal_per_episode_loops(real_case, monkeypatch, group_r
     np.testing.assert_allclose(report.acc, acc, rtol=1e-12)
     np.testing.assert_allclose(report.pes, pes, rtol=1e-12)
 
-    curves = collision_characteristic(episodes, est, horizon)
+    curves = collision_characteristic(episodes, report.final_head, horizon)
     assert curves.per_episode.tobytes() == reference_characteristic(episodes, est, horizon).tobytes()
 
     intervals = ((0.0, 0.15), (0.15, 0.35), (0.35, 0.6), (0.6, 5.0))
     peaks = reference_peaks(episodes, est, horizon, intervals)
     # Thresholds inside the spread of the peaks, so every rate is informative.
     thresholds = tuple(np.quantile(peaks[np.isfinite(peaks)], [0.1, 0.4, 0.7, 0.95]))
-    table = detection_rate(episodes, est, horizon, thresholds, intervals)
+    table = detection_rate(episodes, report.final_head, horizon, thresholds, intervals)
     want = np.stack([(peaks > theta).mean(axis=0) for theta in thresholds])
     assert table.rates.tobytes() == want.tobytes()
     assert 0.0 < table.rates.mean() < 1.0
+
+
+@pytest.mark.parametrize("group_rows", [evaluation.GROUP_ROWS, 37])
+def test_final_head_is_the_last_column_of_one_corpus_forward(real_case, monkeypatch, group_rows):
+    monkeypatch.setattr(evaluation, "GROUP_ROWS", group_rows)
+    episodes, est, horizon = real_case
+    report = evaluate(episodes, est, horizon)
+    whole = est.forward(np.concatenate([ep.observations for ep in episodes]))[:, -1]
+    assert report.final_head.dtype == np.float64
+    assert report.final_head.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("shape", [
+    # (steps, ends in a collision) per episode
+    [(5, False), (1, False), (3, False)],  # no collision episode
+    [(2, True), (6, False), (1, True), (3, True)],  # collisions shorter than the horizon
+    [(1, True), (1, False), (4, True), (1, True), (1, False)],  # one-row episodes
+], ids=["no-collision", "short-collisions", "one-row-episodes"])
+@pytest.mark.parametrize("n_heads", [1, 3])
+def test_reports_at_the_edges_equal_per_episode_loops(shape, n_heads):
+    # Feature 0 carries a distinct value per row; every head echoes it.
+    values = np.random.default_rng(7).random(sum(steps for steps, _ in shape))
+    starts = np.cumsum([0] + [steps for steps, _ in shape])
+    episodes = [episode(steps, collision, feature=values[lo:lo + steps])
+                for (steps, collision), lo in zip(shape, starts)]
+    est, horizon = FeatureEstimator(n_heads), cfg(n_heads, delta_t=0.25)
+    final_head = evaluate(episodes, est, horizon).final_head
+    assert final_head.tobytes() == values.tobytes()
+
+    curves = collision_characteristic(episodes, final_head, horizon)
+    eligible = [ep for ep in episodes if ep.ends_in_collision and ep.steps >= n_heads]
+    collisions = [ep for ep in episodes if ep.ends_in_collision]
+    assert curves.per_episode.tobytes() == reference_characteristic(episodes, est, horizon).tobytes()
+    assert curves.skipped == len(collisions) - len(eligible)
+    if eligible:
+        np.testing.assert_array_equal(curves.mean, curves.per_episode.mean(axis=0))
+    else:
+        assert np.all(np.isnan(curves.mean))
+
+    intervals = ((0.0, 0.25), (0.25, 0.75), (0.75, 5.0))
+    thresholds = (0.0, 0.3, 0.6, 0.9)
+    table = detection_rate(episodes, final_head, horizon, thresholds, intervals)
+    peaks = reference_peaks(episodes, est, horizon, intervals)
+    assert table.episode_count == len(collisions)
+    want = np.stack([(peaks > theta).mean(axis=0) if collisions else np.zeros(len(intervals))
+                     for theta in thresholds])
+    assert table.rates.tobytes() == want.tobytes()
 
 
 # --- characteristic curves --------------------------------------------------
 
 
 def test_characteristic_offsets_count_down_to_one_step():
-    curves = collision_characteristic([episode(5, True)], ConstantEstimator(0.2, 3), cfg(3))
+    curves = collision_characteristic([episode(5, True)], np.full(5, 0.2), cfg(3))
     np.testing.assert_allclose(curves.offsets_s, [0.3, 0.2, 0.1])
 
 
 def test_characteristic_constant_estimator_is_flat():
     episodes = [episode(6, True, seed=i) for i in range(4)]
-    curves = collision_characteristic(episodes, ConstantEstimator(0.2, 3), cfg(3))
+    curves = collision_characteristic(episodes, np.full(24, 0.2), cfg(3))
     assert curves.per_episode.shape == (4, 3)
     assert np.all(curves.per_episode == 0.2)
     np.testing.assert_allclose(curves.mean, [0.2, 0.2, 0.2])
@@ -324,7 +378,8 @@ def test_characteristic_reads_final_head_along_the_realized_path():
     eligible = [
         ep for ep in episodes if ep.terminal is Terminal.COLLISION and ep.steps >= n_heads
     ]
-    curves = collision_characteristic(episodes, TableEstimator(table), cfg(n_heads))
+    final_head = evaluate(episodes, TableEstimator(table), cfg(n_heads)).final_head
+    curves = collision_characteristic(episodes, final_head, cfg(n_heads))
     assert curves.per_episode.shape[0] == len(eligible)
     for row, ep in zip(curves.per_episode, eligible):
         states = np.argmax(ep.observations, axis=1)[ep.steps - n_heads :]
@@ -339,13 +394,14 @@ def test_characteristic_skips_short_collisions_and_ignores_truncations():
         episode(9, False),  # not a collision: ignored silently
         episode(4, True),
     ]
-    curves = collision_characteristic(episodes, ConstantEstimator(0.1, 3), cfg(3))
+    curves = collision_characteristic(episodes, np.arange(15.0), cfg(3))
     assert curves.skipped == 1
-    assert curves.per_episode.shape == (1, 3)
+    # The last three rows of the 4-row collision: rows 12, 13 and 14.
+    np.testing.assert_array_equal(curves.per_episode, [[12.0, 13.0, 14.0]])
 
 
 def test_characteristic_with_no_eligible_episode_is_empty():
-    curves = collision_characteristic([episode(9, False)], ConstantEstimator(0.1, 3), cfg(3))
+    curves = collision_characteristic([episode(9, False)], np.full(9, 0.1), cfg(3))
     assert curves.per_episode.shape == (0, 3)
     assert np.all(np.isnan(curves.mean))
     assert curves.skipped == 0
@@ -357,10 +413,9 @@ def test_characteristic_with_no_eligible_episode_is_empty():
 def test_detection_intervals_are_left_open_right_closed():
     # delta_t 0.25 makes every time-to-collision exactly representable:
     # 1.0, 0.75, 0.5, 0.25 seconds at timesteps 0..3.
-    ep = episode(4, True, feature=(0.9, 0.2, 0.6, 0.4))
     table = detection_rate(
-        [ep],
-        FeatureEstimator(1),
+        [episode(4, True)],
+        np.array([0.9, 0.2, 0.6, 0.4]),
         cfg(1, delta_t=0.25),
         thresholds=(0.3, 0.5, 0.8, 0.95),
         intervals=((0.0, 0.25), (0.25, 0.75), (0.75, 1.0)),
@@ -380,9 +435,8 @@ def test_detection_intervals_are_left_open_right_closed():
 
 
 def test_detection_requires_strict_exceedance():
-    ep = episode(4, True, feature=(0.5, 0.5, 0.5, 0.5))
     table = detection_rate(
-        [ep], FeatureEstimator(1), cfg(1, delta_t=0.25),
+        [episode(4, True)], np.full(4, 0.5), cfg(1, delta_t=0.25),
         thresholds=(0.5,), intervals=((0.0, 1.0),),
     )
     assert table.rates[0, 0] == 0.0
@@ -397,9 +451,10 @@ def test_detection_uses_only_the_final_head():
             out[:, 1] = 0.01
             return out
 
-    ep = episode(4, True)
+    episodes = [episode(4, True)]
+    final_head = evaluate(episodes, LoudFirstHead(), cfg(2, delta_t=0.25)).final_head
     table = detection_rate(
-        [ep], LoudFirstHead(), cfg(2, delta_t=0.25),
+        episodes, final_head, cfg(2, delta_t=0.25),
         thresholds=(0.1,), intervals=((0.0, 2.0),),
     )
     assert table.rates[0, 0] == 0.0
@@ -411,7 +466,7 @@ def test_detection_rates_are_monotone_in_the_threshold():
     table = dp_cumulative(HEAVY, 3)
     result = detection_rate(
         episodes,
-        TableEstimator(table),
+        final_head_of(episodes, TableEstimator(table)),
         cfg(3),
         thresholds=(0.05, 0.2, 0.5, 0.9),
         intervals=((0.0, 0.1), (0.1, 0.3), (0.3, 2.0)),
@@ -423,9 +478,8 @@ def test_detection_rates_are_monotone_in_the_threshold():
 
 
 def test_detection_interval_beyond_episode_span_never_fires():
-    ep = episode(4, True, feature=(0.9, 0.9, 0.9, 0.9))
     table = detection_rate(
-        [ep], FeatureEstimator(1), cfg(1, delta_t=0.25),
+        [episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
         thresholds=(0.0,), intervals=((0.0, 1.0), (5.0, 6.0)),
     )
     np.testing.assert_array_equal(table.rates, [[1.0, 0.0]])
@@ -433,7 +487,7 @@ def test_detection_interval_beyond_episode_span_never_fires():
 
 def test_detection_without_collisions_is_an_empty_table():
     table = detection_rate(
-        [episode(6, False)], ConstantEstimator(0.9, 2), cfg(2),
+        [episode(6, False)], np.full(6, 0.9), cfg(2),
         thresholds=(0.1, 0.2), intervals=((0.0, 1.0),),
     )
     assert table.episode_count == 0
@@ -441,17 +495,17 @@ def test_detection_without_collisions_is_an_empty_table():
 
 
 def test_detection_validates_inputs():
-    ep = episode(4, True)
+    ep, final_head = episode(4, True), np.full(4, 0.5)
     with pytest.raises(ValueError):
-        detection_rate([ep], ConstantEstimator(0.5, 1), cfg(1), thresholds=())
+        detection_rate([ep], final_head, cfg(1), thresholds=())
     with pytest.raises(ValueError):
         detection_rate(
-            [ep], ConstantEstimator(0.5, 1), cfg(1),
+            [ep], final_head, cfg(1),
             thresholds=(0.1,), intervals=((0.4, 0.4),),
         )
     with pytest.raises(ValueError):
         detection_rate(
-            [ep], ConstantEstimator(0.5, 1), cfg(1),
+            [ep], final_head, cfg(1),
             thresholds=(0.1,), intervals=((-0.2, 0.4),),
         )
 
@@ -507,7 +561,7 @@ def test_head_metrics_file_round_trips(tmp_path):
 
 def test_characteristic_file_round_trips(tmp_path):
     episodes = [episode(6, True, seed=i) for i in range(3)]
-    curves = collision_characteristic(episodes, ConstantEstimator(0.25, 4), cfg(4))
+    curves = collision_characteristic(episodes, np.full(18, 0.25), cfg(4))
     path = tmp_path / "curves.tsv"
     write_characteristic(path, curves)
     columns, rows = parse_table(path, "collision-characteristic")
@@ -518,9 +572,8 @@ def test_characteristic_file_round_trips(tmp_path):
 
 
 def test_detection_file_lists_every_cell(tmp_path):
-    ep = episode(4, True, feature=(0.9, 0.2, 0.6, 0.4))
     table = detection_rate(
-        [ep], FeatureEstimator(1), cfg(1, delta_t=0.25),
+        [episode(4, True)], np.array([0.9, 0.2, 0.6, 0.4]), cfg(1, delta_t=0.25),
         thresholds=(0.3, 0.8), intervals=((0.0, 0.5), (0.5, 1.0)),
     )
     path = tmp_path / "detection.tsv"
@@ -560,7 +613,8 @@ def test_summary_file_is_versioned_json_with_stable_bytes(tmp_path):
 
 
 def test_report_dataclasses_expose_plain_fields():
-    report = EvalReport(acc=np.array([0.1]), pes=np.array([0.0]), counts=np.array([4]))
+    report = EvalReport(acc=np.array([0.1]), pes=np.array([0.0]), counts=np.array([4]),
+                        final_head=np.zeros(4))
     assert report.n_heads == 1
     curves = CharacteristicCurves(
         offsets_s=np.array([0.1]),

@@ -718,6 +718,48 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.isnan(loaded.metrics[0].acc_per_head[1])
 
 
+def test_undefined_metrics_are_written_as_null_and_read_back_as_nan(tmp_path):
+    import json
+
+    state = trained_state(26, epochs_completed=2)
+    state.metrics[1].pes_mean = float("nan")
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, state)
+    text = path.read_text()
+    assert "NaN" not in text
+    doc = json.loads(text)
+    assert [m["pes_mean"] for m in doc["metrics"]] == [-0.01, None]
+    assert [m["acc_per_head"][1] for m in doc["metrics"]] == [None, None]
+    loaded = load_checkpoint(path)
+    assert np.isnan(loaded.metrics[1].pes_mean)
+    assert np.isnan(loaded.metrics[0].acc_per_head[1])
+    # A file with NaN tokens in their place reads the same and is rewritten with null.
+    for m in doc["metrics"]:
+        m["acc_per_head"][1] = float("nan")
+    doc["metrics"][1]["pes_mean"] = float("nan")
+    tokens = tmp_path / "tokens.json"
+    tokens.write_text(json.dumps(doc))
+    again = tmp_path / "again.json"
+    save_checkpoint(again, load_checkpoint(tokens))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("loss", float("inf")), ("lr", float("nan")), ("loss_chain", None),
+    ("pes_mean", float("-inf")), ("acc_per_head", [0.1, float("inf"), 0.3, 0.4]),
+])
+def test_a_checkpoint_metric_that_json_cannot_hold_is_rejected(tmp_path, field, value):
+    import json
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, trained_state(27, epochs_completed=1))
+    doc = json.loads(path.read_text())
+    doc["metrics"][0][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="metrics"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bytes_stable(tmp_path):
     state = trained_state(22, steps=0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -171,6 +171,27 @@ def test_degenerate_corpora_rejected():
         train(mixed_dims, config(1))
 
 
+def test_one_step_episodes_reject_an_empty_index_or_hold_out_nan_errors():
+    # A one-step truncation anchors no target and has no known window; a
+    # one-step collision has both. Which of the two is held out depends on
+    # the seed, and the seeds below reach both splits.
+    eps = [Episode(observations=np.zeros((1, 3)), terminal=Terminal.TIME_LIMIT, seed=0),
+           Episode(observations=np.zeros((1, 3)), terminal=Terminal.COLLISION, seed=1)]
+    outcomes = set()
+    for seed in range(8):
+        try:
+            result = train(eps, config(1, master_seed=seed), estimator_cfg())
+        except DegenerateCorpusError as exc:
+            assert "no training row can anchor a target" in str(exc)
+            outcomes.add("empty index")
+        else:
+            assert result.held_out == [0]
+            assert np.isnan(result.metrics[0].pes_mean)
+            assert np.isnan(result.metrics[0].acc_per_head).all()
+            outcomes.add("no held-out window")
+    assert outcomes == {"empty index", "no held-out window"}
+
+
 def test_estimator_config_consistency_checked():
     bad_dim = EstimatorConfig(input_dim=9, n_heads=3, backbone_layers=(8,), head_layers=(4, 1))
     with pytest.raises(ValueError):
