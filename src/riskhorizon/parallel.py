@@ -17,6 +17,7 @@ the same ranges in this process.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 from collections.abc import Callable
 from typing import TypeVar
@@ -31,6 +32,12 @@ T = TypeVar("T")
 # and encoded about 1.5x faster on a pool, while a 400-episode chain corpus
 # (16 000 rows by count x max_steps, 5 233 recorded) rolled no faster.
 POOL_MIN_ROWS = 20_000
+# Signals that workers take over from the caller: they start with these
+# blocked and unblock them in _start_worker, once their own dispositions are
+# set. One that arrived earlier would run the caller's handler inside the
+# worker's start-up, where Python may swallow what it raises and leave the
+# worker alive for its parent to wait on forever.
+WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 # Ranges per worker, so that uneven episode lengths even out between workers.
 RANGES_PER_WORKER = 4
 # The serial path walks at least this many ranges, which bounds the size of
@@ -68,7 +75,12 @@ def map_ranges(work: Callable[[int, int], T], n: int, rows: int,
         # A daemonic process, such as another pool's worker, may not have children.
         if not multiprocessing.current_process().daemon:
             # Pool arguments reach forked workers by inheritance, not by pickling.
-            with multiprocessing.get_context("fork").Pool(workers, _start_worker, (work,)) as pool:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, WORKER_SIGNALS)
+            try:
+                pool = multiprocessing.get_context("fork").Pool(workers, _start_worker, (work,))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            with pool:
                 for result in pool.imap(_run_range, bounds):
                     sink(result)
             return
@@ -77,8 +89,6 @@ def map_ranges(work: Callable[[int, int], T], n: int, rows: int,
 
 
 def _start_worker(work: Callable) -> None:
-    import signal
-
     global _work
     # Ctrl-C reaches the parent, which stops the pool; workers stay quiet.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -86,6 +96,7 @@ def _start_worker(work: Callable) -> None:
     # handler inherited from the caller would raise inside that exit, where
     # the worker can deadlock and its parent wait on it forever.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, WORKER_SIGNALS)
     _work = work
 
 

@@ -152,6 +152,54 @@ def test_pool_workers_die_on_sigterm_whatever_the_caller_handles(pool):
     assert got == [True] * 4
 
 
+# A pool stopped while its second worker is still starting up: the first
+# worker does all the work, then stopping the pool sends SIGTERM to a worker
+# that has not yet set its own handlers, under a caller's handler that raises.
+STOPPED_DURING_STARTUP = """
+import os, signal, time
+from riskhorizon import parallel
+
+parallel.POOL_MIN_ROWS = 0
+parallel.usable_cpus = lambda: 2
+
+def exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+forks = 0
+
+def count_forks():
+    global forks
+    forks += 1
+
+def second_worker_starts_slowly():
+    if forks == 2:
+        time.sleep(1)
+
+os.register_at_fork(before=count_forks, after_in_child=second_worker_starts_slowly)
+signal.signal(signal.SIGTERM, exit_on_sigterm)
+got = []
+parallel.map_ranges(lambda lo, hi: list(range(lo, hi)), 4, 0, got.extend)
+print(got)
+"""
+
+
+def test_a_pool_stopped_while_a_worker_starts_up_does_not_wait_on_it():
+    proc = subprocess.Popen([sys.executable, "-c", STOPPED_DURING_STARTUP],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    finally:
+        # A hung run leaves workers behind: stop the whole process group.
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert out.strip() == "[0, 1, 2, 3]", err
+    assert err == ""
+
+
 def test_a_rolling_error_in_a_worker_reaches_the_caller(pool):
     class FailingWorld:
         max_steps = 10
