@@ -22,15 +22,16 @@ def nan_to_null(value: float) -> float | None:
 
 
 @contextmanager
-def replacing(path: str | Path):
-    """A text handle on `.<name>.<pid>.tmp` beside `path`, renamed over `path`
-    when the block succeeds and removed if anything is raised. A symlink at
-    `path` is replaced, and the new file gets the default mode for new files."""
+def replacing(path: str | Path, binary: bool = False):
+    """A handle on `.<name>.<pid>.tmp` beside `path`, renamed over `path`
+    when the block succeeds and removed if anything is raised; UTF-8 text
+    unless `binary`. A symlink at `path` is replaced, and the new file gets
+    the default mode for new files."""
 
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        with (tmp.open("wb") if binary else tmp.open("w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

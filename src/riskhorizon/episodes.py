@@ -1,11 +1,21 @@
-"""Episode records and their line-delimited text persistence.
+"""Episode records and their binary file.
 
 An episode is the unit of experience: one observation per step taken (the
 state the step started from) and the reason the episode ended. A collision,
 when present, is always the final step, so the end reason says which step,
 if any, collided; the post-collision state is never observed, so it is
-never recorded. The file still writes a collision flag per step, derived
-from the end reason, and the loader checks the flags it reads against it.
+never recorded.
+
+An episode file (version 2) is the uncompressed `.npz` archive that
+`np.savez` writes for exactly these members:
+
+  header        uint8 [bytes]            UTF-8 JSON: format, version, obs_dim,
+                                         episodes, spec_hash
+  observations  float64 [rows, obs_dim]  every episode's rows, end to end;
+                                         exact and finite
+  steps         int64 [episodes]         rows per episode, each >= 1
+  terminal      int8 [episodes]          index into TERMINAL_CODES
+  seed          uint64 [episodes]
 """
 
 from __future__ import annotations
@@ -18,22 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import canonical_json, replacing
-from .parallel import map_ranges
 
-SCHEMA_VERSION = 1
-
-# Fixed text precision for observation values. Nine significant digits is
-# lossy: a float64 needs up to 17 to round-trip, and a corridor corpus read
-# back differs from the one written by up to 5e-10. Schema v2, planned, will
-# write shortest round-trip floats instead.
-_FLOAT_FMT = "%.9g"
-
-# The frame of a step line as save_episodes writes it: {"s":[...],"c":0|1}.
-_STEP_HEAD = '{"s":['
-_STEP_TAILS = ('],"c":0}\n', '],"c":1}\n')
-_META_KEYS = {"seed", "terminal", "steps"}
-# Step lines parsed in one go at most, which bounds the loader's memory.
-_BLOCK_LINES = 1024
+FORMAT = "riskhorizon-episodes"
+SCHEMA_VERSION = 2
 
 
 class Terminal(Enum):
@@ -42,6 +39,14 @@ class Terminal(Enum):
     COLLISION = "collision"
     TIME_LIMIT = "time_limit"
     BLOCKED = "blocked"
+
+
+# The file's terminal codes: code k means TERMINAL_CODES[k]. Append only.
+TERMINAL_CODES = (Terminal.COLLISION, Terminal.TIME_LIMIT, Terminal.BLOCKED)
+# Every member of the archive, in the order written, with its dtype.
+MEMBERS = {"header": np.uint8, "observations": np.float64, "steps": np.int64,
+           "terminal": np.int8, "seed": np.uint64}
+_HEADER_KEYS = {"format", "version", "obs_dim", "episodes", "spec_hash"}
 
 
 class SchemaError(ValueError):
@@ -85,184 +90,117 @@ class Episode:
 
 
 def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> None:
-    """Write episodes as line-delimited JSON records.
+    """Write episodes as one version 2 file at exactly `path`, through
+    `artifacts.replacing`; the same episodes always write the same bytes.
 
-    Layout (one JSON object per line):
-      {"h": {"version": 1, "spec_hash": ..., "obs_dim": D, "episodes": N}}
-      {"e": {"seed": S, "terminal": "collision", "steps": T}}   once per episode
-      {"s": [..obs..], "c": 0|1}                                 T step lines
-
-    The flag "c" is derived from the terminal: 1 on the final step of a
-    collision episode, 0 everywhere else. Observation numbers are written
-    with 9 significant digits (`%.9g`), so the file does not round-trip
-    float64 values exactly.
-
-    Each episode's text depends on that episode alone, so ranges of episodes
-    are encoded on every CPU this process may use (see
-    `parallel.map_ranges`) when the recorded rows make that pay; their text
-    is written in episode order as it arrives, and the bytes do not depend
-    on the worker count. It is written through `artifacts.replacing`: an
-    error or an interrupt leaves an existing file as it was and no partial one.
+    Refuses no episode or feature, unequal widths, a non-finite observation
+    and a seed that is not a uint64. Each episode's rows go straight into the
+    observations member: the corpus is never copied into one matrix or one
+    bytes object.
     """
+
+    import zipfile  # only the file codec needs it; `riskhorizon --version` does not
 
     if not episodes or episodes[0].obs_dim < 1:
         raise ValueError("refusing to write an episode file without an episode or a feature")
     obs_dim = episodes[0].obs_dim
     if any(ep.obs_dim != obs_dim for ep in episodes):
         raise ValueError("episodes in one file must share obs_dim")
-    step_line = _STEP_HEAD + ",".join([_FLOAT_FMT] * obs_dim) + '],"c":%d}\n'
-    header = {
-        "h": {
-            "version": SCHEMA_VERSION,
-            "spec_hash": spec_hash,
-            "obs_dim": obs_dim,
-            "episodes": len(episodes),
-        }
+    for k, ep in enumerate(episodes):
+        row = _first_non_finite_row(ep.observations)
+        if row is not None:
+            raise ValueError(f"refusing to write a non-finite observation value "
+                             f"(episode {k}, row {row})")
+    codes = {t: k for k, t in enumerate(TERMINAL_CODES)}
+    header = {"format": FORMAT, "version": SCHEMA_VERSION, "obs_dim": obs_dim,
+              "episodes": len(episodes), "spec_hash": spec_hash}
+    members = {
+        "header": [np.frombuffer(canonical_json(header).encode(), dtype=np.uint8)],
+        "observations": [np.ascontiguousarray(ep.observations) for ep in episodes],
+        "steps": [np.array([ep.steps for ep in episodes], dtype=np.int64)],
+        "terminal": [np.array([codes[ep.terminal] for ep in episodes], dtype=np.int8)],
+        "seed": [np.array([int(ep.seed) for ep in episodes], dtype=np.uint64)],
     }
-    with replacing(path) as fh:
-        fh.write(canonical_json(header) + "\n")
-        map_ranges(lambda lo, hi: _encode_records(episodes[lo:hi], step_line),
-                   len(episodes), sum(ep.steps for ep in episodes), fh.write)
-
-
-def _encode_records(episodes: list[Episode], step_line: str) -> str:
-    """The episode and step lines of `episodes`, as save_episodes writes them."""
-
-    parts = []
-    for ep in episodes:
-        meta = {"e": {"seed": int(ep.seed), "terminal": ep.terminal.value, "steps": ep.steps}}
-        parts.append(canonical_json(meta) + "\n")
-        *rows, last = ep.observations.tolist()
-        parts.extend(step_line % (*row, 0) for row in rows)
-        parts.append(step_line % (*last, ep.ends_in_collision))
-    return "".join(parts)
+    with replacing(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, parts in members.items():
+            shape = (sum(len(part) for part in parts), *parts[0].shape[1:])
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, {"descr": parts[0].dtype.str, "fortran_order": False, "shape": shape})
+                for part in parts:
+                    member.write(part.data)
 
 
 def load_episodes(path: str | Path) -> tuple[list[Episode], dict]:
     """Read an episode file back; returns (episodes, header dict).
 
-    Each episode's collision flags must be the ones the writer derives from
-    its terminal; anything else is a SchemaError. The file is streamed. The
-    step lines between two episode records are parsed with one `json.loads`
-    over the whole run of lines when they are step lines as `save_episodes`
-    writes them; otherwise that run is parsed line by line, which names the
-    first bad line as `path:line`.
+    Every episode's observations are a view into the file's one matrix.
+    Anything but a valid version 2 file is a SchemaError, including a version
+    1 file (line-delimited JSON; `gen` rebuilds any episode file bit for bit)
+    and a non-finite observation, which is named by episode and row.
     """
 
+    import zipfile
+    from tokenize import TokenError
+
     path = Path(path)
-    episodes: list[Episode] = []
+    with path.open("rb") as fh:
+        magic = fh.read(4)
+        if magic.startswith(b"{"):
+            raise SchemaError(f"{path}: a version 1 (JSONL) episode file; this version reads "
+                              f"version {SCHEMA_VERSION}: re-run `riskhorizon gen` to rebuild it")
+        if magic != b"PK\x03\x04":
+            raise SchemaError(f"{path}: not an episode file (version 2 is a zip archive)")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        # A cut or corrupt archive (zip structure, CRC, flags or offsets; an
+        # .npy header, or one declaring a shape too large to allocate), or
+        # a pickled member.
+        except (zipfile.BadZipFile, EOFError, ValueError, TokenError, NotImplementedError,
+                RuntimeError, OSError, MemoryError) as exc:
+            raise SchemaError(f"{path}: corrupt episode archive: {exc}") from exc
+    if arrays.keys() != MEMBERS.keys():
+        raise SchemaError(f"{path}: archive members {sorted(arrays)}, expected {sorted(MEMBERS)}")
+    head = _header(arrays["header"], path)
+    observations, steps, terminal = arrays["observations"], arrays["steps"], arrays["terminal"]
+    n = head["episodes"]
+    shapes = {"header": (arrays["header"].size,), "steps": (n,), "terminal": (n,), "seed": (n,),
+              "observations": (*observations.shape[:1], head["obs_dim"])}
+    for name, dtype in MEMBERS.items():
+        if arrays[name].dtype != dtype or arrays[name].shape != shapes[name]:
+            raise SchemaError(f"{path}: member '{name}' must be {np.dtype(dtype).name} of shape "
+                              f"{shapes[name]}, not {arrays[name].dtype} of shape "
+                              f"{arrays[name].shape}")
+    if steps.min() < 1 or steps.max() > len(observations) or steps.sum() != len(observations):
+        raise SchemaError(f"{path}: step counts must each be at least 1 and sum to the "
+                          f"{len(observations)} observation rows")
+    if terminal.min() < 0 or terminal.max() >= len(TERMINAL_CODES):
+        raise SchemaError(f"{path}: unknown terminal code (0..{len(TERMINAL_CODES) - 1} defined)")
+    ends = np.cumsum(steps)
+    row = _first_non_finite_row(observations)
+    if row is not None:
+        k = int(np.searchsorted(ends, row, side="right"))
+        raise SchemaError(f"{path}: non-finite observation value "
+                          f"(episode {k}, row {row - int(ends[k] - steps[k])})")
+    episodes = [Episode(obs, TERMINAL_CODES[code], seed)
+                for obs, code, seed in zip(np.split(observations, ends[:-1]), terminal.tolist(),
+                                           arrays["seed"].tolist())]
+    return episodes, head
+
+
+def _header(raw: np.ndarray, path: Path) -> dict:
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            head = _read_header(fh, path)
-            obs_dim = head["obs_dim"]
-            pending: dict | None = None
-            # The current episode's steps: float64 [k, obs_dim] blocks and
-            # their int64 collision flags, checked against the terminal.
-            obs_parts: list[np.ndarray] = []
-            flag_parts: list[np.ndarray] = []
-
-            def finish() -> None:
-                if not (isinstance(pending, dict) and _META_KEYS <= pending.keys()):
-                    raise SchemaError(f"{path}: episode record needs seed, terminal and steps")
-                found = sum(len(f) for f in flag_parts)
-                if found != pending["steps"]:
-                    raise SchemaError(
-                        f"{path}: episode declared {pending['steps']} steps, found {found}"
-                    )
-                try:
-                    terminal = Terminal(pending["terminal"])
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: unknown terminal {pending['terminal']!r}") from exc
-                try:
-                    ep = Episode(
-                        observations=np.concatenate(obs_parts) if obs_parts else np.empty(0),
-                        terminal=terminal,
-                        seed=int(pending["seed"]),
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"{path}: invalid episode: {exc}") from exc
-                flags = np.concatenate(flag_parts)
-                if flags[:-1].any() or flags[-1] != ep.ends_in_collision:
-                    raise SchemaError(
-                        f"{path}: episode {ep.seed} ({terminal.value}): collision flags must "
-                        f"be 0 but for a final 1 on a collision episode"
-                    )
-                episodes.append(ep)
-
-            def parse_line(line: str, lineno: int) -> None:
-                nonlocal pending
-                if not line.strip():
-                    return
-                rec = _parse_line(line, path, lineno)
-                if "e" in rec:
-                    if pending is not None:
-                        finish()
-                    pending = rec["e"]
-                    obs_parts.clear()
-                    flag_parts.clear()
-                elif "s" in rec:
-                    if pending is None:
-                        raise SchemaError(f"{path}:{lineno}: step record before any episode")
-                    obs, flag = _step_values(rec, obs_dim, path, lineno)
-                    obs_parts.append(obs)
-                    flag_parts.append(flag)
-                else:
-                    raise SchemaError(f"{path}:{lineno}: unrecognized record")
-
-            def parse_block(block: list[str], first: int) -> None:
-                steps = _parse_step_block(block, obs_dim) if pending is not None else None
-                if steps is not None:
-                    obs_parts.append(steps[0])
-                    flag_parts.append(steps[1])
-                    return
-                for k, line in enumerate(block):
-                    parse_line(line, first + k)
-
-            # Lines that do not start an episode record collect in `block`
-            # until the next one that does, or until the block is full.
-            block: list[str] = []
-            lineno = 1
-            for line in fh:
-                lineno += 1
-                if line.startswith('{"e"'):
-                    if block:
-                        parse_block(block, lineno - len(block))
-                        block = []
-                    parse_line(line, lineno)
-                else:
-                    block.append(line)
-                    if len(block) == _BLOCK_LINES:
-                        parse_block(block, lineno + 1 - len(block))
-                        block = []
-            if block:
-                parse_block(block, lineno + 1 - len(block))
-            if pending is not None:
-                finish()
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
-    if len(episodes) != head["episodes"]:
-        raise SchemaError(
-            f"{path}: header declared {head['episodes']} episodes, found {len(episodes)}"
-        )
-    return episodes, dict(head)
-
-
-def _read_header(fh, path: Path) -> dict:
-    first = fh.readline()
-    if not first:
-        raise SchemaError(f"{path}: empty file")
-    header = _parse_line(first, path, 1)
-    head = header.get("h")
-    if not isinstance(head, dict):
-        raise SchemaError(f"{path}: first record must be the header")
-    for key in ("version", "spec_hash", "obs_dim", "episodes"):
-        if key not in head:
-            raise SchemaError(f"{path}: header missing '{key}'")
-    if head["version"] != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: schema version {head['version']} not supported "
-            f"(expected {SCHEMA_VERSION})"
-        )
+        head = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise SchemaError(f"{path}: header is not UTF-8 JSON text: {exc}") from exc
+    if not isinstance(head, dict) or head.keys() != _HEADER_KEYS:
+        raise SchemaError(f"{path}: header must be an object with exactly the keys "
+                          f"{sorted(_HEADER_KEYS)}")
+    if (head["format"], head["version"]) != (FORMAT, SCHEMA_VERSION):
+        raise SchemaError(f"{path}: format {head['format']!r} version {head['version']!r} not "
+                          f"supported (expected {FORMAT!r} version {SCHEMA_VERSION})")
     # save_episodes writes no file without an episode or a feature.
     for key in ("obs_dim", "episodes"):
         if type(head[key]) is not int or head[key] < 1:
@@ -270,66 +208,6 @@ def _read_header(fh, path: Path) -> dict:
     return head
 
 
-def _is_number(v) -> bool:
-    # bool is an int subclass; JSON true/false read as 1.0/0.0, as they always have.
-    return isinstance(v, (int, float))
-
-
-def _step_values(rec: dict, obs_dim: int, path: Path, lineno: int):
-    """The checked [1, obs_dim] observation and [1] flag of one step record."""
-
-    row = rec["s"]
-    if not isinstance(row, list):
-        raise SchemaError(f"{path}:{lineno}: observation must be a list of numbers")
-    if len(row) != obs_dim:
-        raise SchemaError(
-            f"{path}:{lineno}: observation has {len(row)} values, header says {obs_dim}"
-        )
-    if not all(_is_number(v) for v in row):
-        raise SchemaError(f"{path}:{lineno}: observation values must be numbers")
-    flag = rec.get("c", 0)
-    if not _is_number(flag) or flag not in (0, 1):
-        raise SchemaError(f"{path}:{lineno}: collision flag must be 0 or 1")
-    try:
-        obs = np.array([row], dtype=np.float64)
-    except OverflowError as exc:
-        raise SchemaError(f"{path}:{lineno}: observation value out of range: {exc}") from exc
-    return obs, np.array([int(flag)], dtype=np.int64)
-
-
-def _parse_step_block(block: list[str], obs_dim: int):
-    """(observations, flags) of a run of step lines as written, else None.
-
-    Every line must carry the written frame {"s":[...],"c":0|1} and the
-    block must hold no "[" or "{" besides the frames' own. Then each record
-    closes on its own line, so one `json.loads` over the joined lines reads
-    exactly what parsing each line alone would. None sends the caller to
-    the line-by-line parser, which reports errors.
-    """
-
-    n = len(block)
-    if not all(line.startswith(_STEP_HEAD) and line.endswith(_STEP_TAILS) for line in block):
-        return None
-    text = "[" + ",".join(block) + "]"
-    if text.count("[") != n + 1 or text.count("{") != n:
-        return None
-    try:
-        records = json.loads(text)
-        obs = np.array([rec["s"] for rec in records])
-    except ValueError:  # invalid JSON, or rows of unequal length
-        return None
-    # Numbers only: strings, null and nested lists go to the line parser.
-    if obs.shape != (n, obs_dim) or obs.dtype.kind not in "bif":
-        return None
-    flags = np.array([rec["c"] for rec in records], dtype=np.int64)
-    return obs.astype(np.float64, copy=False), flags
-
-
-def _parse_line(line: str, path: Path, lineno: int) -> dict:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{path}:{lineno}: record must be an object")
-    return rec
+def _first_non_finite_row(observations: np.ndarray) -> int | None:
+    finite = np.isfinite(observations).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))

@@ -335,9 +335,6 @@ class MultiHeadEstimator:
     def n_params(self) -> int:
         return self.params.flat.size
 
-    def get_flat(self) -> np.ndarray:
-        return self.params.flat.copy()
-
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):

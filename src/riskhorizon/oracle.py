@@ -52,9 +52,6 @@ class OracleTable:
     def n_heads(self) -> int:
         return self.probabilities.shape[1] - 1
 
-    def at(self, state: int, horizon_steps: int) -> float:
-        return float(self.probabilities[state, horizon_steps])
-
 
 def dp_cumulative(spec: ChainWorldSpec, n_heads: int) -> OracleTable:
     """Cumulative collision probabilities by dynamic programming."""

@@ -1,9 +1,9 @@
 """Order-preserving work over index ranges, on every CPU this process may use.
 
-Rolling episodes and encoding them are both pure functions of one item at a
-time. `map_ranges` splits the items 0..n into consecutive ranges, computes
-`work(lo, hi)` for each, and hands the results to `sink` in range order, so
-the caller sees the same sequence whatever the worker count.
+Rolling episodes is a pure function of one seed at a time. `map_ranges`
+splits the items 0..n into consecutive ranges, computes `work(lo, hi)` for
+each, and hands the results to `sink` in range order, so the caller sees the
+same sequence whatever the worker count.
 
 Workers are forked: each inherits `work` and everything it refers to, so the
 input is never pickled; only results travel back. A pool costs milliseconds
@@ -24,13 +24,13 @@ from typing import TypeVar
 
 T = TypeVar("T")
 
-# Rows (steps rolled or encoded) below which a pool does not pay. Importing
-# multiprocessing, starting two workers and stopping them takes about 22 ms
-# in a fresh process, and results travel back pickled. A corridor step costs
-# about 21 us to roll and 8 us to encode. On a 2-CPU host a 150-episode
-# corridor corpus (45 000 rows by count x max_steps, 40 080 recorded) rolled
-# and encoded about 1.5x faster on a pool, while a 400-episode chain corpus
-# (16 000 rows by count x max_steps, 5 233 recorded) rolled no faster.
+# Rows (steps rolled, estimated as count x max_steps) below which a pool does
+# not pay. Importing multiprocessing, starting two workers and stopping them
+# takes about 22 ms in a fresh process, and the rolled episodes travel back
+# pickled. A corridor step costs about 21-24 us to roll: a 150-episode
+# corridor corpus (45 000 rows estimated, 40 080 recorded) rolls faster on a
+# 2-CPU pool, while a 400-episode chain corpus (16 000 rows estimated, 5 233
+# recorded) rolled no faster.
 POOL_MIN_ROWS = 20_000
 # Signals that workers take over from the caller: they start with these
 # blocked and unblock them in _start_worker, once their own dispositions are
@@ -40,9 +40,6 @@ POOL_MIN_ROWS = 20_000
 WORKER_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 # Ranges per worker, so that uneven episode lengths even out between workers.
 RANGES_PER_WORKER = 4
-# The serial path walks at least this many ranges, which bounds the size of
-# one result (the encoder's text) whatever the worker count.
-MIN_RANGES = 16
 
 # The task of a pool worker, set once in each worker by _start_worker.
 _work: Callable | None = None
@@ -66,7 +63,7 @@ def map_ranges(work: Callable[[int, int], T], n: int, rows: int,
     """
 
     workers = min(usable_cpus(), n)
-    count = min(n, max(MIN_RANGES, RANGES_PER_WORKER * workers))
+    count = min(n, RANGES_PER_WORKER * workers)
     bounds = [(n * k // count, n * (k + 1) // count) for k in range(count)]
     if workers > 1 and rows >= POOL_MIN_ROWS and hasattr(os, "fork") \
             and threading.active_count() == 1:

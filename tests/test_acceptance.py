@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import get_flat
 from riskhorizon.envs import (
     ChainWorld,
     ChainWorldSpec,
@@ -285,7 +286,7 @@ def test_criterion_05_gradient_correctness():
 
         _, _, grads = batch_loss_and_grad(est, features, targets, valid, collision, weights)
         analytic = np.concatenate([grads[k].ravel() for k in est.params])
-        flat = est.get_flat()
+        flat = get_flat(est)
         fd = np.empty_like(flat)
         h = 1e-6
         for j in range(flat.size):

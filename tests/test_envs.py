@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import oracle_at
 from riskhorizon.config import load_config
 from riskhorizon.envs import (
     ChainWorld,
@@ -23,6 +24,7 @@ from riskhorizon.envs import (
     world_fingerprint,
 )
 from riskhorizon.episodes import (
+    TERMINAL_CODES,
     Episode,
     SchemaError,
     Terminal,
@@ -158,7 +160,7 @@ def test_chain_cumulative_frequency_matches_oracle():
     )
     for i in range(1, n_heads + 1):
         freq = float((coll_step <= i).mean())
-        p = table.at(0, i)
+        p = oracle_at(table, 0, i)
         se = np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * se, f"i={i}: {freq} vs {p}"
 
@@ -477,8 +479,8 @@ def test_generate_deterministic_collection():
 
 
 def test_generated_episodes_satisfy_trace_invariants(tmp_path):
-    # The file's collision flags, derived from each terminal, are 1 on the
-    # final step of a collision episode and 0 everywhere else.
+    # The file records each episode's step count and its terminal as a
+    # code; a collision, when there is one, is the final recorded step.
     world = ChainWorld(FOUR_STATES, max_steps=25)
     eps, summary = generate_episodes(world, 100, 5)
     assert summary.episodes == 100
@@ -487,20 +489,11 @@ def test_generated_episodes_satisfy_trace_invariants(tmp_path):
     assert 0 < summary.collisions < 100
     path = tmp_path / "eps.jsonl"
     save_episodes(path, eps, world_fingerprint(world))
-    flags = []
-    for line in path.read_text().splitlines()[1:]:
-        if line.startswith('{"e"'):
-            flags.append([])
-        else:
-            flags[-1].append(json.loads(line)["c"])
-    assert len(flags) == len(eps)
-    for ep, ep_flags in zip(eps, flags):
-        nz = [k for k, c in enumerate(ep_flags) if c == 1]
-        assert len(ep_flags) == ep.steps
-        if ep.terminal is Terminal.COLLISION:
-            assert nz == [ep.steps - 1]
-        else:
-            assert nz == []
+    with np.load(path, allow_pickle=False) as archive:
+        steps, codes = archive["steps"].tolist(), archive["terminal"].tolist()
+    assert steps == [ep.steps for ep in eps]
+    assert [TERMINAL_CODES[k] for k in codes] == [ep.terminal for ep in eps]
+    assert sum(steps) == sum(summary.length_histogram[n] * n for n in summary.length_histogram)
 
 
 def test_world_fingerprint_distinguishes_specs():
@@ -546,11 +539,11 @@ def test_save_load_round_trip(tmp_path):
     assert len(loaded) == len(eps)
     for a, b in zip(eps, loaded):
         assert a.terminal == b.terminal and a.seed == b.seed
-        assert a.observations == pytest.approx(b.observations, rel=1e-8)
+        assert a.observations.tobytes() == b.observations.tobytes()
 
 
 def test_save_is_idempotent_after_reload(tmp_path):
-    # Text precision round-trips: save(load(save(x))) == save(x).
+    # Values are stored exactly: save(load(save(x))) == save(x).
     eps, fp = small_corpus()
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_episodes(p1, eps, fp)
@@ -559,56 +552,55 @@ def test_save_is_idempotent_after_reload(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def rewritten(path, out, **changes):
+    """`path` written to `out` with archive members replaced (None: left out)."""
+
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(changes)
+    with open(out, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+    return out
+
+
 def test_load_rejects_bad_files(tmp_path):
     eps, fp = small_corpus()
     good = tmp_path / "good.jsonl"
     save_episodes(good, eps, fp)
-    lines = good.read_text().splitlines()
+    data = good.read_bytes()
 
-    missing_header = tmp_path / "no_header.jsonl"
-    missing_header.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(SchemaError):
-        load_episodes(missing_header)
+        load_episodes(rewritten(good, tmp_path / "no_header.jsonl", header=None))
 
     truncated = tmp_path / "truncated.jsonl"
-    truncated.write_text("\n".join(lines[:-2]) + "\n")
+    truncated.write_bytes(data[:-100])
     with pytest.raises(SchemaError):
         load_episodes(truncated)
 
     garbage = tmp_path / "garbage.jsonl"
-    garbage.write_text(lines[0] + "\nnot json\n")
+    garbage.write_bytes(b"not an archive\n")
     with pytest.raises(SchemaError):
         load_episodes(garbage)
 
-    wrong_version = tmp_path / "version.jsonl"
-    header = json.loads(lines[0])
-    header["h"]["version"] = 99
-    wrong_version.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    header = load_episodes(good)[1]
+    version = np.frombuffer(json.dumps({**header, "version": 99}).encode(), dtype=np.uint8)
     with pytest.raises(SchemaError):
-        load_episodes(wrong_version)
+        load_episodes(rewritten(good, tmp_path / "version.jsonl", header=version))
 
 
-def test_load_rejects_bad_collision_flag(tmp_path):
+def test_load_rejects_a_bad_terminal_code(tmp_path):
     eps, fp = small_corpus()
     path = tmp_path / "eps.jsonl"
     save_episodes(path, eps, fp)
-    lines = path.read_text().splitlines()
-    for idx, line in enumerate(lines):
-        doc = json.loads(line)
-        if "s" in doc:
-            doc["c"] = 2
-            lines[idx] = json.dumps(doc)
-            break
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError):
-        load_episodes(bad)
+    codes = np.zeros(len(eps), dtype=np.int8)
+    codes[0] = len(TERMINAL_CODES)
+    with pytest.raises(SchemaError, match="unknown terminal code"):
+        load_episodes(rewritten(path, tmp_path / "bad.jsonl", terminal=codes))
 
 
 def test_episode_validation():
     # The terminal states the outcome, so what is left to reject is a shape
-    # without steps and a terminal that is not one. Flags that disagree
-    # with the terminal can only be met in a file (see test_episodes.py).
+    # without steps and a terminal that is not one.
     with pytest.raises(ValueError):
         Episode(observations=np.zeros((0, 2)), terminal=Terminal.TIME_LIMIT, seed=0)
     with pytest.raises(ValueError):

@@ -1,16 +1,19 @@
-"""Episode file codec: the writer's bytes and the block-parsing loader,
-checked against reference copies of the per-value writer and the per-line
-loader, plus the loader's handling of malformed step lines."""
+"""Episode file version 2: exact round trips, the documented layout checked
+against a reference writer and loader built from zipfile and the .npy header
+functions alone, stable bytes, and a SchemaError for every malformed archive."""
 
+import io
 import json
-import re
-from pathlib import Path
+import struct
+import time
+import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from riskhorizon.artifacts import canonical_json
 from riskhorizon.envs import (
     ChainWorld,
     ChainWorldSpec,
@@ -19,7 +22,9 @@ from riskhorizon.envs import (
     generate_episodes,
 )
 from riskhorizon.episodes import (
+    FORMAT,
     SCHEMA_VERSION,
+    TERMINAL_CODES,
     Episode,
     SchemaError,
     Terminal,
@@ -35,103 +40,14 @@ SPEC = ChainWorldSpec(
 )
 
 
-# --- reference codec: the per-value writer and per-line loader ---------------
+def chain_corpus(count=20, seed=5):
+    episodes, _ = generate_episodes(ChainWorld(SPEC, max_steps=30, stack_frames=2), count, seed)
+    return episodes
 
 
-def reference_save(path, episodes, spec_hash):
-    """The writer as it formatted one value at a time."""
-
-    def fmt(row):
-        return "[" + ",".join("%.9g" % v for v in row) + "]"
-
-    dump = lambda doc: json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(dump({"h": {"version": SCHEMA_VERSION, "spec_hash": spec_hash,
-                             "obs_dim": episodes[0].obs_dim, "episodes": len(episodes)}}))
-        for ep in episodes:
-            fh.write(dump({"e": {"seed": int(ep.seed), "terminal": ep.terminal.value,
-                                 "steps": ep.steps}}))
-            for t in range(ep.steps):
-                flag = int(t == ep.steps - 1 and ep.terminal is Terminal.COLLISION)
-                fh.write('{"s":%s,"c":%d}\n' % (fmt(ep.observations[t]), flag))
-
-
-def _reference_parse_line(line, path, lineno):
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    if not isinstance(rec, dict):
-        raise SchemaError(f"{path}:{lineno}: record must be an object")
-    return rec
-
-
-def reference_load(path):
-    """The loader as it parsed one line at a time."""
-
-    path = Path(path)
-    episodes = []
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise SchemaError(f"{path}: empty file")
-        header = _reference_parse_line(first, path, 1)
-        if "h" not in header:
-            raise SchemaError(f"{path}: first record must be the header")
-        head = header["h"]
-        for key in ("version", "spec_hash", "obs_dim", "episodes"):
-            if key not in head:
-                raise SchemaError(f"{path}: header missing '{key}'")
-        if head["version"] != SCHEMA_VERSION:
-            raise SchemaError(f"{path}: schema version {head['version']} not supported")
-        obs_dim = int(head["obs_dim"])
-        lineno = 1
-        pending = None
-        obs_rows, flags = [], []
-
-        def finish():
-            if len(obs_rows) != pending["steps"]:
-                raise SchemaError(f"{path}: episode declared {pending['steps']} steps")
-            try:
-                terminal = Terminal(pending["terminal"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}: unknown terminal") from exc
-            try:
-                episodes.append(Episode(
-                    observations=np.array(obs_rows, dtype=np.float64),
-                    terminal=terminal,
-                    seed=int(pending["seed"]),
-                ))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: invalid episode: {exc}") from exc
-            if flags != [0] * (len(flags) - 1) + [int(terminal is Terminal.COLLISION)]:
-                raise SchemaError(f"{path}: collision flags disagree with the terminal")
-
-        for line in fh:
-            lineno += 1
-            if not line.strip():
-                continue
-            rec = _reference_parse_line(line, path, lineno)
-            if "e" in rec:
-                if pending is not None:
-                    finish()
-                pending = rec["e"]
-                obs_rows, flags = [], []
-            elif "s" in rec:
-                if pending is None:
-                    raise SchemaError(f"{path}:{lineno}: step record before any episode")
-                row = rec["s"]
-                if len(row) != obs_dim:
-                    raise SchemaError(f"{path}:{lineno}: observation has {len(row)} values")
-                obs_rows.append([float(v) for v in row])
-                flags.append(int(rec.get("c", 0)))
-            else:
-                raise SchemaError(f"{path}:{lineno}: unrecognized record")
-        if pending is not None:
-            finish()
-    if len(episodes) != head["episodes"]:
-        raise SchemaError(f"{path}: header declared {head['episodes']} episodes")
-    return episodes, dict(head)
+def corridor_corpus(count=6, seed=5):
+    episodes, _ = generate_episodes(CorridorWorld(CorridorWorldSpec()), count, seed)
+    return episodes
 
 
 def assert_same_episodes(got, want):
@@ -143,230 +59,224 @@ def assert_same_episodes(got, want):
         assert a.observations.tobytes() == b.observations.tobytes()
 
 
-# --- corpora -----------------------------------------------------------------
+# --- reference codec: a per-value writer and a per-line loader ---------------
+
+# The documented members: .npy type string and struct format of one value.
+LAYOUT = {"header": ("|u1", "B"), "observations": ("<f8", "d"), "steps": ("<i8", "q"),
+          "terminal": ("|i1", "b"), "seed": ("<u8", "Q")}
+CODES = {"collision": 0, "time_limit": 1, "blocked": 2}
 
 
-def chain_corpus(count=20, seed=5):
-    episodes, _ = generate_episodes(ChainWorld(SPEC, max_steps=30, stack_frames=2), count, seed)
-    return episodes
+def reference_save(path, episodes, spec_hash):
+    """The documented archive, its values packed one at a time."""
+
+    header = json.dumps({"format": "riskhorizon-episodes", "version": 2,
+                         "obs_dim": episodes[0].obs_dim, "episodes": len(episodes),
+                         "spec_hash": spec_hash}, sort_keys=True, separators=(",", ":"))
+    rows = [row for ep in episodes for row in ep.observations.tolist()]
+    members = {
+        "header": ((len(header.encode()),), list(header.encode())),
+        "observations": ((len(rows), episodes[0].obs_dim), [v for row in rows for v in row]),
+        "steps": ((len(episodes),), [ep.steps for ep in episodes]),
+        "terminal": ((len(episodes),), [CODES[ep.terminal.value] for ep in episodes]),
+        "seed": ((len(episodes),), [ep.seed for ep in episodes]),
+    }
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, (shape, values) in members.items():
+            descr, fmt = LAYOUT[name]
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array_header_1_0(
+                    fid, {"descr": descr, "fortran_order": False, "shape": shape})
+                for v in values:
+                    fid.write(struct.pack("<" + fmt, v))
 
 
-def corridor_corpus(count=6, seed=5):
-    episodes, _ = generate_episodes(CorridorWorld(CorridorWorldSpec()), count, seed)
-    return episodes
+def reference_load(path):
+    """(episodes, header) of the documented archive, read one observation row
+    (one line of the matrix) at a time."""
+
+    def read(zf, name, rows=False):
+        with zf.open(name + ".npy") as fid:
+            assert np.lib.format.read_magic(fid) == (1, 0)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fid)
+            descr, fmt = LAYOUT[name]
+            assert (dtype.str, fortran) == (descr, False)
+            if rows:
+                line = "<%d%s" % (shape[1], fmt)
+                return [struct.unpack(line, fid.read(struct.calcsize(line)))
+                        for _ in range(shape[0])]
+            return list(struct.unpack("<%d%s" % (shape[0], fmt), fid.read()))
+
+    with zipfile.ZipFile(path) as zf:
+        head = json.loads(bytes(read(zf, "header")))
+        lines = read(zf, "observations", rows=True)
+        steps, codes, seeds = (read(zf, name) for name in ("steps", "terminal", "seed"))
+    terminals = {code: Terminal(value) for value, code in CODES.items()}
+    episodes, start = [], 0
+    for n, code, seed in zip(steps, codes, seeds):
+        episodes.append(Episode(np.array(lines[start:start + n]), terminals[code], seed))
+        start += n
+    return episodes, head
 
 
-EDGE_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0, -3.0, 123456789.0, 1234567890.0,
-               1e20, 0.1, 1 / 3, -2.5e-7, 1.7976931348623157e308, 4503599627370497.0]
+# --- archives edited member by member ----------------------------------------
 
 
-def edge_episode():
+def members(path):
+    with np.load(path, allow_pickle=True) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def rewrite(path, **changes):
+    """Write `path` again with members replaced; a member set to None is left out."""
+
+    arrays = {**members(path), **changes}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+
+
+def header_bytes(doc) -> np.ndarray:
+    return np.frombuffer(canonical_json(doc).encode(), dtype=np.uint8)
+
+
+def edit_header(path, **changes):
+    head = json.loads(members(path)["header"].tobytes())
+    rewrite(path, header=header_bytes({**head, **changes}))
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A saved chain corpus: 3 episodes of 2, 1 and 4 rows of 6 values."""
+
+    path = tmp_path / "eps.jsonl"
+    save_episodes(path, chain_corpus(count=3), "abc")
+    return path
+
+
+# --- round trip --------------------------------------------------------------
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-300, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1 / 3, 4503599627370497.0, 123456789.0123456789]
+
+
+def edge_corpus():
     obs = np.array(EDGE_VALUES * 2, dtype=np.float64).reshape(-1, 5)
-    return Episode(observations=obs, terminal=Terminal.COLLISION, seed=7)
+    return [Episode(obs[:4], Terminal.COLLISION, 0),
+            Episode(obs[4:5], Terminal.TIME_LIMIT, 2**63 - 2),
+            Episode(obs[5:], Terminal.BLOCKED, 12345)]
 
 
-finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_VALUES))
 
 
 @st.composite
 def episode_lists(draw):
     obs_dim = draw(st.integers(1, 6))
     episodes = []
-    for seed in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         steps = draw(st.integers(1, 12))
-        values = draw(st.lists(finite_floats, min_size=steps * obs_dim,
-                               max_size=steps * obs_dim))
-        terminal = draw(st.sampled_from(Terminal))
-        episodes.append(Episode(observations=np.array(values).reshape(steps, obs_dim),
-                                terminal=terminal, seed=seed))
+        obs = draw(st.lists(values, min_size=steps * obs_dim, max_size=steps * obs_dim))
+        episodes.append(Episode(observations=np.array(obs).reshape(steps, obs_dim),
+                                terminal=draw(st.sampled_from(Terminal)),
+                                seed=draw(st.integers(0, 2**63 - 2))))
     return episodes
-
-
-# --- writer ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("make", [chain_corpus, corridor_corpus, lambda: [edge_episode()]])
-def test_writer_bytes_match_the_per_value_writer(tmp_path, make):
-    episodes = make()
-    save_episodes(tmp_path / "new.jsonl", episodes, "abc")
-    reference_save(tmp_path / "ref.jsonl", episodes, "abc")
-    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
-
-
-def test_writer_formats_edge_values_as_nine_digit_text(tmp_path):
-    save_episodes(tmp_path / "e.jsonl", [edge_episode()], "abc")
-    step = (tmp_path / "e.jsonl").read_text().splitlines()[2]
-    assert step == '{"s":[-0,0,1e-300,-1e-300,4.94065646e-324],"c":0}'
 
 
 @settings(max_examples=60, deadline=None)
 @given(episode_lists())
+@example(edge_corpus())
 def test_writer_and_loader_match_the_reference_codec(tmp_path_factory, episodes):
+    # Loading returns what was saved bit for bit: -0.0, subnormals, +-1e308,
+    # seeds up to 2**63 - 2 and every terminal.
     root = tmp_path_factory.mktemp("codec")
-    save_episodes(root / "new.jsonl", episodes, "abc")
-    reference_save(root / "ref.jsonl", episodes, "abc")
-    assert (root / "new.jsonl").read_bytes() == (root / "ref.jsonl").read_bytes()
-    got, head = load_episodes(root / "new.jsonl")
-    want, want_head = reference_load(root / "new.jsonl")
-    assert head == want_head
+    save_episodes(root / "new", episodes, "abc")
+    reference_save(root / "ref", episodes, "abc")
+    assert (root / "new").read_bytes() == (root / "ref").read_bytes()
+    got, head = load_episodes(root / "new")
+    want, want_head = reference_load(root / "new")
+    assert head == want_head == {"format": FORMAT, "version": SCHEMA_VERSION,
+                                 "obs_dim": episodes[0].obs_dim, "episodes": len(episodes),
+                                 "spec_hash": "abc"}
     assert_same_episodes(got, want)
+    assert_same_episodes(got, episodes)
 
 
-# --- loader ------------------------------------------------------------------
+@pytest.mark.parametrize("make", [chain_corpus, corridor_corpus, lambda: edge_corpus()])
+def test_writer_bytes_match_the_per_value_writer(tmp_path, make):
+    # They are also the bytes np.savez writes for the same members.
+    episodes = make()
+    save_episodes(tmp_path / "new", episodes, "abc")
+    reference_save(tmp_path / "ref", episodes, "abc")
+    with open(tmp_path / "savez", "wb") as fh:
+        np.savez(fh, **members(tmp_path / "new"))
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "savez").read_bytes()
 
 
-@pytest.mark.parametrize("make", [chain_corpus, corridor_corpus, lambda: [edge_episode()]])
+@pytest.mark.parametrize("make", [chain_corpus, corridor_corpus, lambda: edge_corpus()])
 def test_loader_matches_the_per_line_loader(tmp_path, make):
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, make(), "abc")
-    got, head = load_episodes(path)
-    want, want_head = reference_load(path)
+    save_episodes(tmp_path / "eps", make(), "abc")
+    got, head = load_episodes(tmp_path / "eps")
+    want, want_head = reference_load(tmp_path / "eps")
     assert head == want_head
     assert_same_episodes(got, want)
 
 
-def test_loader_accepts_hand_formatted_lines_like_the_per_line_loader(tmp_path):
-    # Spaces, reordered keys, blank lines, a missing flag and no final
-    # newline all leave the written frame and take the line-by-line path.
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=3), "abc")
-    lines = path.read_text().splitlines()
-    edited = []
-    for k, line in enumerate(lines):
-        doc = json.loads(line)
-        if "s" in doc and k % 3 == 0:
-            line = json.dumps({"c": doc["c"], "s": doc["s"]})
-        elif "s" in doc and k % 3 == 1 and doc["c"] == 0:
-            line = json.dumps({"s": doc["s"]}) + "\n"
-        edited.append(line)
-    path.write_text("\n".join(edited))
-    got, _ = load_episodes(path)
-    want, _ = reference_load(path)
-    assert_same_episodes(got, want)
+def test_loaded_observations_are_views_of_one_matrix(tmp_path):
+    save_episodes(tmp_path / "eps", corridor_corpus(), "abc")
+    got, _ = load_episodes(tmp_path / "eps")
+    owner = got[0].observations.base
+    assert owner is not None and owner.size == sum(ep.observations.size for ep in got)
+    assert all(ep.observations.base is owner for ep in got)
 
 
 def test_loader_reads_episodes_longer_than_one_block(tmp_path):
-    obs = np.arange(2500 * 5, dtype=np.float64).reshape(2500, 5) / 7.0
-    ep = Episode(observations=obs, terminal=Terminal.TIME_LIMIT, seed=1)
-    path = tmp_path / "long.jsonl"
-    save_episodes(path, [ep, edge_episode()], "abc")
-    got, _ = load_episodes(path)
-    assert_same_episodes(got, reference_load(path)[0])
+    # NumPy reads an archive member in blocks of BUFFER_SIZE bytes.
+    rows = 2 * np.lib.format.BUFFER_SIZE // (5 * 8) + 3
+    obs = np.arange(rows * 5, dtype=np.float64).reshape(rows, 5) / 7.0
+    episodes = [Episode(obs, Terminal.TIME_LIMIT, 1), *edge_corpus()]
+    save_episodes(tmp_path / "long", episodes, "abc")
+    assert_same_episodes(load_episodes(tmp_path / "long")[0], episodes)
 
 
-def _line_of(exc, path):
-    match = re.match(rf"{re.escape(str(path))}:(\d+):", str(exc))
-    return int(match.group(1)) if match else None
+# --- layout and bytes --------------------------------------------------------
 
 
-GARBAGE = list('x"[]{},:9-. e') + ["", "null", "\n"]
+def test_the_file_holds_exactly_the_documented_members(saved):
+    episodes = chain_corpus(count=3)
+    got = members(saved)
+    assert {name: (a.dtype, a.ndim) for name, a in got.items()} == {
+        "header": (np.uint8, 1), "observations": (np.float64, 2), "steps": (np.int64, 1),
+        "terminal": (np.int8, 1), "seed": (np.uint64, 1)}
+    assert json.loads(got["header"].tobytes()) == {
+        "format": "riskhorizon-episodes", "version": 2, "obs_dim": 6, "episodes": 3,
+        "spec_hash": "abc"}
+    assert got["observations"].tobytes() == np.concatenate(
+        [ep.observations for ep in episodes]).tobytes()
+    assert got["steps"].tolist() == [ep.steps for ep in episodes]
+    assert got["seed"].tolist() == [ep.seed for ep in episodes]
+    assert [TERMINAL_CODES[k] for k in got["terminal"].tolist()] == [ep.terminal for ep in episodes]
+    assert TERMINAL_CODES == (Terminal.COLLISION, Terminal.TIME_LIMIT, Terminal.BLOCKED)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_garbled_step_lines_fail_on_the_same_line(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("garbled") / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=4), "abc")
-    lines = path.read_text().splitlines(keepends=True)
-    k = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith('{"s"')]))
-    line = lines[k]
-    pos = data.draw(st.integers(0, len(line) - 1))
-    kind = data.draw(st.sampled_from(["truncate", "replace", "insert"]))
-    if kind == "truncate":
-        lines[k] = line[:pos] + "\n"
-    else:
-        junk = data.draw(st.sampled_from(GARBAGE))
-        lines[k] = line[:pos] + junk + line[pos + (kind == "replace"):]
-    path.write_text("".join(lines))
-
-    try:
-        want = reference_load(path)[0]
-    except SchemaError as exc:
-        want_line = _line_of(exc, path)
-        with pytest.raises(SchemaError) as got:
-            load_episodes(path)
-        if want_line is not None:
-            assert _line_of(got.value, path) == want_line
-        return
-    except (ValueError, TypeError) as exc:
-        # The per-line loader crashed (say, on a string value); the loader
-        # now reports the line instead.
-        with pytest.raises(SchemaError) as got:
-            load_episodes(path)
-        assert _line_of(got.value, path) is not None, (exc, got.value)
-        return
-    try:
-        got = load_episodes(path)[0]
-    except SchemaError as exc:
-        # Only values the per-line loader coerced may be refused.
-        assert re.search(r"must be numbers|flag must be 0 or 1", str(exc)), exc
-        return
-    assert_same_episodes(got, want)
+def test_save_writes_exactly_the_given_path(tmp_path):
+    # np.savez given a path without `.npz` would append the suffix.
+    for name in ("episodes.jsonl", "episodes"):
+        save_episodes(tmp_path / name, chain_corpus(count=2), "abc")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["episodes", "episodes.jsonl"]
 
 
-@pytest.mark.parametrize(
-    "value", ['"abc"', '"1.5"', "null", "[1.0]", "{}"], ids=["string", "numeric-string",
-                                                           "null", "nested-list", "object"]
-)
-def test_non_numeric_observation_values_name_the_line(tmp_path, value):
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=3), "abc")
-    lines = path.read_text().splitlines(keepends=True)
-    k = [i for i, line in enumerate(lines) if line.startswith('{"s"')][4]
-    doc = json.loads(lines[k])
-    doc["s"][0] = json.loads(value)
-    lines[k] = json.dumps(doc, separators=(",", ":")) + "\n"
-    path.write_text("".join(lines))
-    with pytest.raises(SchemaError, match=rf"{re.escape(str(path))}:{k + 1}: observation"):
-        load_episodes(path)
+def test_two_saves_two_seconds_apart_write_the_same_bytes(tmp_path):
+    # Zip times have a 2-second resolution; members carry no write time.
+    episodes = chain_corpus(count=3)
+    save_episodes(tmp_path / "a", episodes, "abc")
+    time.sleep(2.1)
+    save_episodes(tmp_path / "b", episodes, "abc")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "flag", ['"1"', "null", "2", "[0]"], ids=["string", "null", "two", "list"]
-)
-def test_bad_collision_flags_name_the_line(tmp_path, flag):
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=3), "abc")
-    lines = path.read_text().splitlines(keepends=True)
-    k = [i for i, line in enumerate(lines) if line.startswith('{"s"')][2]
-    lines[k] = re.sub(r'"c":\d', '"c":' + flag, lines[k])
-    path.write_text("".join(lines))
-    with pytest.raises(SchemaError, match=rf":{k + 1}: collision flag"):
-        load_episodes(path)
-
-
-def _edit(index, change):
-    """Edit the JSON record on line `index` in place."""
-
-    def edit(lines):
-        doc = json.loads(lines[index])
-        change(doc)
-        lines[index] = json.dumps(doc, separators=(",", ":")) + "\n"
-
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _edit(0, lambda doc: doc["h"].update(obs_dim=str(doc["h"]["obs_dim"]))),
-        _edit(0, lambda doc: doc.update(h=5)),
-        _edit(1, lambda doc: doc["e"].pop("steps")),
-        _edit(1, lambda doc: doc["e"].update(seed=None)),
-        _edit(1, lambda doc: doc.update(e=[1, 2])),
-        _edit(2, lambda doc: doc["s"].__setitem__(0, 10**400)),
-    ],
-    ids=["string-obs-dim", "header-not-object", "meta-missing-steps", "null-seed",
-         "meta-not-object", "overflow"],
-)
-def test_malformed_records_raise_schema_errors(tmp_path, edit):
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=3), "abc")
-    lines = path.read_text().splitlines(keepends=True)
-    edit(lines)
-    path.write_text("".join(lines))
-    with pytest.raises(SchemaError):
-        load_episodes(path)
+# --- the writer's refusals ---------------------------------------------------
 
 
 @pytest.mark.parametrize("episodes", [[], [Episode(np.zeros((3, 0)), Terminal.COLLISION, 0)]],
@@ -377,53 +287,179 @@ def test_the_writer_refuses_a_file_without_an_episode_or_a_feature(tmp_path, epi
     assert not (tmp_path / "eps.jsonl").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_the_writer_refuses_a_non_finite_value(tmp_path, value):
+    episodes = chain_corpus(count=3)
+    episodes[2].observations[3, 4] = value
+    with pytest.raises(ValueError, match=r"non-finite observation value \(episode 2, row 3\)"):
+        save_episodes(tmp_path / "eps.jsonl", episodes, "abc")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_the_writer_refuses_a_seed_outside_uint64(tmp_path, seed):
+    episodes = chain_corpus(count=2)
+    episodes[1].seed = seed
+    with pytest.raises(OverflowError):
+        save_episodes(tmp_path / "eps.jsonl", episodes, "abc")
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- the loader's refusals ---------------------------------------------------
+
+
+def test_a_version_1_file_names_the_version_and_says_to_rerun_gen(tmp_path):
+    path = tmp_path / "eps.jsonl"
+    path.write_text('{"h":{"episodes":1,"obs_dim":2,"spec_hash":"abc","version":1}}\n'
+                    '{"e":{"seed":1,"steps":1,"terminal":"collision"}}\n{"c":1,"s":[0,1]}\n')
+    with pytest.raises(SchemaError, match=r"version 1 .*re-run `riskhorizon gen`"):
+        load_episodes(path)
+
+
+NPY = io.BytesIO()
+np.save(NPY, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("content", [b"", b"hello\n", b"PK\x05\x06" + bytes(18), NPY.getvalue()],
+                         ids=["empty", "text", "empty-zip", "npy"])
+def test_a_file_that_is_not_an_episode_archive_is_a_schema_error(tmp_path, content):
+    path = tmp_path / "eps.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError, match="not an episode file"):
+        load_episodes(path)
+
+
+def test_every_truncation_is_a_schema_error(saved):
+    data = saved.read_bytes()
+    for cut in range(0, len(data), 7):
+        saved.write_bytes(data[:cut])
+        with pytest.raises(SchemaError):
+            load_episodes(saved)
+
+
+def test_a_member_declaring_more_values_than_memory_holds_is_a_schema_error(tmp_path):
+    # Valid CRCs, but an .npy header that declares about 9 TiB; NumPy tries
+    # to allocate the shape before it reads the member.
+    with open(tmp_path / "eps", "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        with zf.open("header.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(
+                member, {"descr": "|u1", "fortran_order": False, "shape": (10**13,)})
+            member.write(b"{}")
+    with pytest.raises(SchemaError, match="corrupt episode archive"):
+        load_episodes(tmp_path / "eps")
+
+
 @pytest.mark.parametrize("key", ["episodes", "obs_dim"])
-def test_a_header_that_declares_zero_episodes_or_features_is_a_schema_error(tmp_path, key):
-    head = {"version": SCHEMA_VERSION, "spec_hash": "abc", "obs_dim": 2, "episodes": 1, key: 0}
-    path = tmp_path / "eps.jsonl"
-    path.write_text(json.dumps({"h": head}) + "\n")
+def test_a_header_that_declares_zero_episodes_or_features_is_a_schema_error(saved, key):
+    edit_header(saved, **{key: 0})
     with pytest.raises(SchemaError, match=f"'{key}' must be a positive integer"):
-        load_episodes(path)
-
-
-def test_non_utf8_file_is_a_schema_error(tmp_path):
-    path = tmp_path / "eps.jsonl"
-    save_episodes(path, chain_corpus(count=2), "abc")
-    path.write_bytes(path.read_bytes() + b'{"s":[\xff],"c":0}\n')
-    with pytest.raises(SchemaError, match="UTF-8"):
-        load_episodes(path)
-
-
-# --- collision flags against the terminal ------------------------------------
-
-
-def flag_corpus(path):
-    """A time_limit and a collision episode of three steps each, saved to path.
-
-    Returns the file's lines: lines[4] is the final step of the time_limit
-    episode, lines[6] and lines[8] the first and final steps of the
-    collision episode.
-    """
-
-    obs = np.arange(6, dtype=np.float64).reshape(3, 2)
-    save_episodes(path, [Episode(obs, Terminal.TIME_LIMIT, 1),
-                         Episode(obs + 6, Terminal.COLLISION, 2)], "abc")
-    return path.read_text().splitlines(keepends=True)
+        load_episodes(saved)
 
 
 @pytest.mark.parametrize(
-    "line, flag",
-    [(6, 1), (4, 1), (8, 0)],
-    ids=["collision-on-a-non-final-step", "final-collision-in-a-time-limit-episode",
-         "no-final-collision-in-a-collision-episode"],
+    "edit, message",
+    [
+        (lambda p: edit_header(p, obs_dim="6"), "'obs_dim' must be a positive integer"),
+        (lambda p: rewrite(p, header=header_bytes(5)), "header must be an object"),
+        (lambda p: rewrite(p, steps=None), "archive members"),
+        (lambda p: rewrite(p, seed=np.array([None] * 3, dtype=object)), "Object arrays"),
+        (lambda p: rewrite(p, terminal=np.zeros((3, 1), dtype=np.int8)), "'terminal' must be"),
+        (lambda p: rewrite(p, observations=np.full((sum(members(p)["steps"]), 6), 1e999)),
+         "non-finite"),
+    ],
+    ids=["string-obs-dim", "header-not-object", "meta-missing-steps", "null-seed",
+         "meta-not-object", "overflow"],
 )
-def test_collision_flags_that_disagree_with_the_terminal_are_schema_errors(tmp_path, line, flag):
-    path = tmp_path / "eps.jsonl"
-    lines = flag_corpus(path)
-    assert [json.loads(lines[k])["c"] for k in (2, 3, 4, 6, 7, 8)] == [0, 0, 0, 0, 0, 1]
-    assert [ep.terminal for ep in load_episodes(path)[0]] == [Terminal.TIME_LIMIT,
-                                                              Terminal.COLLISION]
-    lines[line] = re.sub(r'"c":\d', f'"c":{flag}', lines[line])
-    path.write_text("".join(lines))
-    with pytest.raises(SchemaError, match="collision flags"):
-        load_episodes(path)
+def test_malformed_records_raise_schema_errors(saved, edit, message):
+    edit(saved)
+    with pytest.raises(SchemaError, match=message):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"extra": np.zeros(3)}, "archive members"),
+        ({"observations": None}, "archive members"),
+        ({"header": None}, "archive members"),
+        ({"seed": np.arange(3, dtype=np.int64)}, "'seed' must be uint64"),
+        ({"steps": np.arange(1, 4, dtype=np.int32)}, "'steps' must be int64"),
+        ({"terminal": np.zeros(3, dtype=np.uint8)}, "'terminal' must be int8"),
+        ({"header": np.zeros((2, 2), dtype=np.uint8)}, "header is not UTF-8 JSON"),
+        ({"observations": np.zeros(6)}, r"not float64 of shape \(6,\)"),
+        ({"observations": np.zeros((4, 6), dtype=">f8")}, "'observations' must be float64"),
+        ({"observations": np.zeros((4, 6), dtype=np.float32)}, "'observations' must be float64"),
+        ({"seed": np.arange(4, dtype=np.uint64)}, r"'seed' must be uint64 of shape \(3,\)"),
+        ({"terminal": np.zeros(2, dtype=np.int8)}, r"'terminal' must be int8 of shape \(3,\)"),
+        ({"observations": np.zeros((4, 5))}, r"of shape \(4, 6\), not float64 of shape \(4, 5\)"),
+    ],
+    ids=["extra", "no-observations", "no-header", "seed-int64", "steps-int32", "terminal-uint8",
+         "header-2d", "observations-1d", "observations-big-endian", "observations-float32",
+         "seeds-too-many", "terminals-too-few", "observations-narrow"],
+)
+def test_a_missing_unknown_or_misshapen_member_is_a_schema_error(saved, change, message):
+    rewrite(saved, **change)
+    with pytest.raises(SchemaError, match=message):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize(
+    "value", [np.array(["abc"] * 4), np.array(["1.5"] * 4), np.array([None] * 4, dtype=object),
+              np.zeros((4, 6, 1)), np.array([{}] * 4, dtype=object)],
+    ids=["string", "numeric-string", "null", "nested-list", "object"],
+)
+def test_non_numeric_observation_members_are_schema_errors(saved, value):
+    rewrite(saved, observations=value)
+    with pytest.raises(SchemaError, match="'observations' must be float64|Object arrays"):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize(
+    "steps", [[0, 10, 10], [-1, 11, 10], [5, 5, 5], [20, 10, 10], [2**62, 2**62, 2**62]],
+    ids=["zero", "negative", "short", "long", "huge"])
+def test_step_counts_that_do_not_cover_the_rows_are_schema_errors(tmp_path, steps):
+    obs = np.zeros((20, 2))
+    save_episodes(tmp_path / "eps", [Episode(obs[:5], Terminal.COLLISION, 1),
+                                     Episode(obs[5:10], Terminal.BLOCKED, 2),
+                                     Episode(obs[10:], Terminal.TIME_LIMIT, 3)], "abc")
+    rewrite(tmp_path / "eps", steps=np.array(steps, dtype=np.int64))
+    with pytest.raises(SchemaError, match="step counts"):
+        load_episodes(tmp_path / "eps")
+
+
+@pytest.mark.parametrize("code", [3, -1, 127, -128])
+def test_an_unknown_terminal_code_is_a_schema_error(saved, code):
+    rewrite(saved, terminal=np.array([0, code, 1], dtype=np.int8))
+    with pytest.raises(SchemaError, match="unknown terminal code"):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_observation_names_the_episode_and_row(saved, value):
+    obs = members(saved)["observations"]
+    obs[2 + 1 + 3, 1] = value
+    rewrite(saved, observations=obs)
+    with pytest.raises(SchemaError, match=r"non-finite observation value \(episode 2, row 3\)"):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize("change", [{"version": 1}, {"version": 3}, {"format": "other"}],
+                         ids=["version-1", "version-3", "format"])
+def test_a_header_of_another_format_or_version_is_a_schema_error(saved, change):
+    edit_header(saved, **change)
+    with pytest.raises(SchemaError, match="not supported"):
+        load_episodes(saved)
+
+
+@pytest.mark.parametrize("header", [b"{", b"[1, 2]", b'{"format": 1}'],
+                         ids=["not-json", "list", "missing-keys"])
+def test_a_header_that_is_not_the_documented_object_is_a_schema_error(saved, header):
+    rewrite(saved, header=np.frombuffer(header, dtype=np.uint8))
+    with pytest.raises(SchemaError, match="header"):
+        load_episodes(saved)
+
+
+def test_non_utf8_file_is_a_schema_error(saved):
+    rewrite(saved, header=np.frombuffer(b'{"format":"\xff"}', dtype=np.uint8))
+    with pytest.raises(SchemaError, match="UTF-8"):
+        load_episodes(saved)

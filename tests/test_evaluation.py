@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import oracle_at
 from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
 from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
@@ -119,7 +120,7 @@ def test_exact_estimator_error_is_the_irreducible_variance():
             else:
                 valid_until = ep.steps - i
             for t in range(valid_until):
-                p = table.at(states[t], i)
+                p = oracle_at(table, states[t], i)
                 variance_sum += p * (1.0 - p)
                 windows += 1
         assert report.counts[i - 1] == windows
@@ -383,7 +384,7 @@ def test_characteristic_reads_final_head_along_the_realized_path():
     assert curves.per_episode.shape[0] == len(eligible)
     for row, ep in zip(curves.per_episode, eligible):
         states = np.argmax(ep.observations, axis=1)[ep.steps - n_heads :]
-        expected = [table.at(s, n_heads) for s in states]
+        expected = [oracle_at(table, s, n_heads) for s in states]
         np.testing.assert_allclose(row, expected)
     np.testing.assert_allclose(curves.mean, curves.per_episode.mean(axis=0))
 

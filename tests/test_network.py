@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import get_flat
 from riskhorizon.config import load_config
 from riskhorizon.network import (
     ADAM_BETA1,
@@ -158,7 +159,7 @@ def test_input_dim_mismatch():
 
 def test_flat_round_trip():
     est = small_estimator(seed=7)
-    flat = est.get_flat()
+    flat = get_flat(est)
     assert flat.shape == (est.n_params,)
     clone = small_estimator(seed=0)
     clone.set_flat(flat)
@@ -369,7 +370,7 @@ def finite_difference_check(est, feats, targets, valid, coll, weights, step=1e-5
         )
         return total
 
-    base = est.get_flat()
+    base = get_flat(est)
     _, _, grads = batch_loss_and_grad(est, feats, targets, valid, coll, weights)
     analytic = np.concatenate([grads[k].ravel() for k in est.params])
     numeric = np.empty_like(analytic)
@@ -569,10 +570,10 @@ def test_forward_and_gradients_match_the_reference_bitwise(
 
 def test_adam_zero_gradient_no_move():
     est = small_estimator(seed=1)
-    before = est.get_flat()
+    before = get_flat(est)
     state = AdamState.zeros(est)
     optimizer_step(est, np.zeros(est.n_params), state, 1e-3)
-    assert np.array_equal(est.get_flat(), before)
+    assert np.array_equal(get_flat(est), before)
     assert state.step == 1
 
 
@@ -591,26 +592,26 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_descends_monotonically_on_fixed_gradient():
     est = small_estimator(seed=3)
-    p0 = est.get_flat()
+    p0 = get_flat(est)
     grad = np.ones(est.n_params)
     state = AdamState.zeros(est)
     optimizer_step(est, grad, state, 1e-3)
-    p1 = est.get_flat()
+    p1 = get_flat(est)
     optimizer_step(est, grad, state, 1e-3)
-    p2 = est.get_flat()
+    p2 = get_flat(est)
     assert np.all(p1 < p0)
     assert np.all(p2 < p1)
 
 
 def test_adam_rejects_nonfinite_gradient_before_mutation():
     est = small_estimator(seed=4)
-    before = est.get_flat()
+    before = get_flat(est)
     grads = FlatArrays(np.ones(est.n_params), param_layout(est.config))
     grads["head1.l0.w"][0, 0] = np.inf
     state = AdamState.zeros(est)
     with pytest.raises(NonFiniteUpdateError):
         optimizer_step(est, grads.flat, state, 1e-3)
-    assert np.array_equal(est.get_flat(), before)
+    assert np.array_equal(get_flat(est), before)
     assert state.step == 0
 
 
@@ -667,7 +668,7 @@ def test_parameter_views_write_through_to_the_flat_vector():
     assert off == est.n_params
     est.params["head1.l0.w"][0, 0] = 7.0
     est.params["backbone1.b"] += 1.0
-    flat = est.get_flat()
+    flat = get_flat(est)
     assert flat[offsets["head1.l0.w"]] == 7.0
     b, size = offsets["backbone1.b"], est.params["backbone1.b"].size
     assert np.array_equal(flat[b : b + size], est.params["backbone1.b"])
@@ -704,7 +705,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, state)
     loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.estimator.get_flat(), state.estimator.get_flat())
+    assert np.array_equal(get_flat(loaded.estimator), get_flat(state.estimator))
     assert loaded.estimator.config == state.estimator.config
     assert loaded.horizon == horizon()
     assert loaded.loss_weights == W
@@ -782,7 +783,7 @@ def test_checkpoint_save_load_save_is_byte_identical_with_adam(tmp_path):
     grad = np.random.default_rng(24).normal(size=state.estimator.n_params)
     optimizer_step(state.estimator, grad, state.adam, 1e-3)
     optimizer_step(loaded.estimator, grad, loaded.adam, 1e-3)
-    assert np.array_equal(loaded.estimator.get_flat(), state.estimator.get_flat())
+    assert np.array_equal(get_flat(loaded.estimator), get_flat(state.estimator))
 
 
 def test_save_checkpoint_rejects_a_non_horizon_under_optimization(tmp_path):
@@ -879,7 +880,7 @@ def test_a_version_1_checkpoint_still_loads(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(v1_document(state)))
     loaded = load_checkpoint(path)
-    assert loaded.estimator.get_flat().tobytes() == state.estimator.get_flat().tobytes()
+    assert get_flat(loaded.estimator).tobytes() == get_flat(state.estimator).tobytes()
     assert loaded.adam.m.tobytes() == state.adam.m.tobytes()
     assert (loaded.adam.step, loaded.epochs_completed) == (2, 2)
     assert (loaded.sampler, loaded.metrics) == (None, [])

@@ -1,6 +1,7 @@
-"""Rolling and encoding on a worker pool: the episodes and the file bytes
-equal the serial path's, errors reach the caller, an interrupted or failed
-write leaves no partial file, and the CPU count does not show in the output."""
+"""Rolling on a worker pool: the episodes and the file bytes written from
+them equal the serial path's, errors reach the caller, an interrupted or
+failed write leaves no partial file, and the CPU count does not show in the
+output."""
 
 import os
 import signal
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from riskhorizon import episodes as episodes_mod
 from riskhorizon import envs, parallel
 from riskhorizon.envs import (
     ChainWorld,
@@ -56,9 +56,9 @@ def pool(monkeypatch):
 
 @pytest.fixture
 def ran_in_workers(monkeypatch, tmp_path_factory):
-    """Whether rolling and encoding ran only outside this process since the
-    last call. The patched functions leave one file per process they ran in;
-    they are patched before any pool forks, so workers inherit the patch."""
+    """Whether rolling ran only outside this process since the last call.
+    The patched function leaves one file per process it ran in; it is
+    patched before any pool forks, so workers inherit the patch."""
 
     seen = tmp_path_factory.mktemp("pids")
 
@@ -70,7 +70,6 @@ def ran_in_workers(monkeypatch, tmp_path_factory):
         return run
 
     monkeypatch.setattr(envs, "run_episode", tagged(envs.run_episode))
-    monkeypatch.setattr(episodes_mod, "_encode_records", tagged(episodes_mod._encode_records))
 
     def check() -> bool:
         pids = set()
@@ -110,11 +109,12 @@ def test_pool_rolls_the_serial_episodes(kind, request, ran_in_workers):
 
 @pytest.mark.parametrize("kind", sorted(WORLDS))
 def test_pool_writes_the_serial_bytes(kind, tmp_path, request, ran_in_workers):
-    (corpus, _), fp = roll(kind)
     request.getfixturevalue("serial")
+    (corpus, _), fp = roll(kind)
     save_episodes(tmp_path / "serial.jsonl", corpus, fp)
-    ran_in_workers()
+    assert not ran_in_workers()
     request.getfixturevalue("pool")
+    (corpus, _), fp = roll(kind)
     save_episodes(tmp_path / "pool.jsonl", corpus, fp)
     assert ran_in_workers()
     assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
@@ -233,7 +233,7 @@ def test_a_failed_write_keeps_the_existing_file(mode, tmp_path, request):
     path = tmp_path / "eps.jsonl"
     save_episodes(path, corpus[:5], fp)
     before = path.read_bytes()
-    corpus[-1].seed = "not a seed"  # int() fails while the last range is encoded
+    corpus[-1].seed = "not a seed"  # int() fails while the seeds are packed
     with pytest.raises(ValueError, match="not a seed"):
         save_episodes(path, corpus, fp)
     assert path.read_bytes() == before
@@ -241,9 +241,11 @@ def test_a_failed_write_keeps_the_existing_file(mode, tmp_path, request):
 
 
 # A process that interrupts itself the way Ctrl-C does: SIGINT to its whole
-# process group while pool workers are encoding.
+# process group while the observations of a corpus rolled on a pool are
+# written.
 INTERRUPTED_SAVE = """
 import os, signal, sys, time
+import numpy as np
 from riskhorizon import episodes, parallel
 from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
 
@@ -252,15 +254,15 @@ parallel.usable_cpus = lambda: 2
 spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.2), transition=((0.5, 0.5), (0.5, 0.5)),
                       start_distribution=(0.5, 0.5))
 corpus, _ = generate_episodes(ChainWorld(spec, max_steps=20), 64, 1)
-encode = episodes._encode_records
+write_header = np.lib.format.write_array_header_1_0
 
-def interrupting(eps, line):
-    if eps[0] is corpus[len(corpus) // 2]:
+def interrupting(fp, header):
+    if len(header["shape"]) == 2:
         os.killpg(os.getpgid(0), signal.SIGINT)
         time.sleep(5)
-    return encode(eps, line)
+    return write_header(fp, header)
 
-episodes._encode_records = interrupting
+np.lib.format.write_array_header_1_0 = interrupting
 try:
     episodes.save_episodes(sys.argv[1], corpus, "abc")
 except KeyboardInterrupt:

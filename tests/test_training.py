@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from helpers import get_flat
 from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.network import EstimatorConfig, LossWeights, save_checkpoint, load_checkpoint
@@ -119,7 +120,7 @@ def test_zero_epochs_returns_untouched_estimator():
     from riskhorizon.network import MultiHeadEstimator
 
     fresh = MultiHeadEstimator(estimator_cfg())
-    assert np.array_equal(result.state.estimator.get_flat(), fresh.get_flat())
+    assert np.array_equal(get_flat(result.state.estimator), get_flat(fresh))
     assert result.metrics == []
     assert result.state.epochs_completed == 0
     assert result.state.sampler is None
@@ -129,7 +130,7 @@ def test_train_is_deterministic():
     eps = corpus()
     a = train(eps, config(2), estimator_cfg=estimator_cfg())
     b = train(eps, config(2), estimator_cfg=estimator_cfg())
-    assert np.array_equal(a.state.estimator.get_flat(), b.state.estimator.get_flat())
+    assert np.array_equal(get_flat(a.state.estimator), get_flat(b.state.estimator))
     assert a.metrics == b.metrics
     assert a.held_out == b.held_out
 
@@ -138,7 +139,7 @@ def test_train_seed_changes_everything():
     eps = corpus()
     a = train(eps, config(1), estimator_cfg=estimator_cfg())
     b = train(eps, config(1, master_seed=1), estimator_cfg=estimator_cfg())
-    assert not np.array_equal(a.state.estimator.get_flat(), b.state.estimator.get_flat())
+    assert not np.array_equal(get_flat(a.state.estimator), get_flat(b.state.estimator))
 
 
 def test_metric_log_shape_and_finiteness():
@@ -230,7 +231,7 @@ def test_resume_beyond_config_epochs_is_noop(tmp_path):
     resumed = train(eps, config(2), resume=load_checkpoint(ckpt_path))
     assert resumed.metrics == first.metrics
     assert resumed.state.epochs_completed == 2
-    assert np.array_equal(resumed.state.estimator.get_flat(), first.state.estimator.get_flat())
+    assert np.array_equal(get_flat(resumed.state.estimator), get_flat(first.state.estimator))
 
 
 def test_a_resumed_run_equals_an_uninterrupted_one(tmp_path):
@@ -243,7 +244,7 @@ def test_a_resumed_run_equals_an_uninterrupted_one(tmp_path):
 
     train(eps, config(4), estimator_cfg=estimator_cfg(), on_epoch_end=save_epoch_two)
     resumed = train(eps, config(4), resume=load_checkpoint(tmp_path / "two.json")).state
-    assert resumed.estimator.get_flat().tobytes() == whole.estimator.get_flat().tobytes()
+    assert get_flat(resumed.estimator).tobytes() == get_flat(whole.estimator).tobytes()
     assert resumed.adam.m.tobytes() == whole.adam.m.tobytes()
     assert resumed.adam.v.tobytes() == whole.adam.v.tobytes()
     assert (resumed.adam.step, resumed.sampler) == (whole.adam.step, whole.sampler)
