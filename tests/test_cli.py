@@ -757,7 +757,8 @@ def test_train_resume_rejects_a_negative_counter_without_a_traceback(pipeline, t
     "value", [np.array([["abc"] * 4]), np.array([[None] * 4], dtype=object), np.zeros((1, 4, 1))],
     ids=["string", "null", "nested-list"]
 )
-def test_eval_rejects_non_numeric_observations_without_a_traceback(pipeline, tmp_path, value):
+def test_eval_rejects_non_numeric_observations_naming_the_line(pipeline, tmp_path, value):
+    # A version 2 file has no lines: the error names the file and the member.
     bad = rewritten(pipeline["root"] / "eps.jsonl", tmp_path / "eps.jsonl", observations=value)
     result = run_cli(
         "eval",

@@ -588,7 +588,8 @@ def test_load_rejects_bad_files(tmp_path):
         load_episodes(rewritten(good, tmp_path / "version.jsonl", header=version))
 
 
-def test_load_rejects_a_bad_terminal_code(tmp_path):
+def test_load_rejects_bad_collision_flag(tmp_path):
+    # Version 2 states the collision outcome as one terminal code per episode.
     eps, fp = small_corpus()
     path = tmp_path / "eps.jsonl"
     save_episodes(path, eps, fp)

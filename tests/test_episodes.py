@@ -408,7 +408,8 @@ def test_a_missing_unknown_or_misshapen_member_is_a_schema_error(saved, change, 
               np.zeros((4, 6, 1)), np.array([{}] * 4, dtype=object)],
     ids=["string", "numeric-string", "null", "nested-list", "object"],
 )
-def test_non_numeric_observation_members_are_schema_errors(saved, value):
+def test_non_numeric_observation_values_name_the_line(saved, value):
+    # A version 2 file has no lines: the error names the member instead.
     rewrite(saved, observations=value)
     with pytest.raises(SchemaError, match="'observations' must be float64|Object arrays"):
         load_episodes(saved)
