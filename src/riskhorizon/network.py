@@ -184,15 +184,13 @@ class MultiHeadEstimator:
         n_backbone, per_head = len(config.backbone_layers), len(config.head_layers)
         self._backbone_keys = keys[:n_backbone]
         self._head_keys = [keys[k : k + per_head] for k in range(n_backbone, len(keys), per_head)]
+        # A backbone layer is residual when it preserves width; the first
+        # layer projects the input and never is.
+        widths = [config.input_dim, *config.backbone_layers]
+        self._residual = tuple(l > 0 and widths[l] == widths[l + 1] for l in range(n_backbone))
         # Gradient buffer in the same layout, made by the first backward pass
         # and reused by every later one.
         self._grads: FlatArrays | None = None
-
-    # A backbone layer is residual when it preserves width; the first layer
-    # projects the input and never is.
-    def _residual(self, l: int) -> bool:
-        widths = [self.config.input_dim, *self.config.backbone_layers]
-        return l > 0 and widths[l] == widths[l + 1]
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Raw head outputs; [n_heads] for a vector, [B, n_heads] for a batch.
@@ -251,7 +249,7 @@ class MultiHeadEstimator:
             a = _act(z, act)
             if want_cache:
                 bb.append((h, a))
-            h = a + h if self._residual(l) else a
+            h = a + h if self._residual[l] else a
 
         n = x.shape[0]
         latent_dim = cfg.backbone_layers[-1]
@@ -282,7 +280,9 @@ class MultiHeadEstimator:
         """Gradients of a scalar loss given d(loss)/d(raw head outputs).
 
         The result is the estimator's gradient buffer: the next backward
-        pass overwrites it.
+        pass overwrites it. Each of its arrays is written once, by a product
+        or a sum that starts from +0.0, so it holds the bits that adding into
+        a zero-filled buffer would give, the sign of a zero included.
         """
 
         cfg = self.config
@@ -290,9 +290,8 @@ class MultiHeadEstimator:
         if self._grads is None:
             self._grads = FlatArrays(np.zeros(self.n_params), param_layout(cfg))
         grads = self._grads
-        grads.flat.fill(0.0)
         params = self.params
-        d_pred = d_preds.astype(np.float64).copy()
+        d_pred = np.array(d_preds, dtype=np.float64)
         latent_dim = cfg.backbone_layers[-1]
         # Each head's input is rebuilt in the forward's buffer from the
         # cached outputs: the latent columns never change.
@@ -307,8 +306,8 @@ class MultiHeadEstimator:
             for l in reversed(range(last + 1)):
                 wk, bk = self._head_keys[i][l]
                 d_z = d_cur * _act_grad(acts[l], act) if l < last else d_cur
-                grads[wk] += d_z.T @ (acts[l - 1] if l > 0 else u)
-                grads[bk] += d_z.sum(axis=0)
+                np.matmul(d_z.T, acts[l - 1] if l > 0 else u, out=grads[wk])
+                np.add.reduce(d_z, axis=0, out=grads[bk])
                 d_cur = d_z @ params[wk]
             d_latent += d_cur[:, :latent_dim]
             if i > 0:
@@ -320,10 +319,10 @@ class MultiHeadEstimator:
             wk, bk = self._backbone_keys[l]
             h_in, a = cache["backbone"][l]
             d_z = d_h * _act_grad(a, act)
-            grads[wk] += d_z.T @ h_in
-            grads[bk] += d_z.sum(axis=0)
+            np.matmul(d_z.T, h_in, out=grads[wk])
+            np.add.reduce(d_z, axis=0, out=grads[bk])
             d_prev = d_z @ params[wk]
-            if self._residual(l):
+            if self._residual[l]:
                 d_prev += d_h
             d_h = d_prev
         return grads

@@ -66,7 +66,10 @@ def sample(
     for name, p in (("p_collision", p_collision), ("p_noncollision", p_noncollision)):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1]")
-    related = index.collision_related
+    # Record-array attribute access and indexing cost several times what a
+    # plain structured view's do; only the batch is made a record array.
+    plain = index.view(np.ndarray)
+    related = plain["collision_related"]
     taken: list[np.ndarray] = []
     n_taken = 0
     # Chunked rejection keeps the draw count bounded while staying a pure
@@ -79,4 +82,4 @@ def sample(
         threshold = np.where(related[proposals], p_collision, p_noncollision)
         taken.append(proposals[accept < threshold][: batch_size - n_taken])
         n_taken += len(taken[-1])
-    return index[np.concatenate(taken)]
+    return plain[np.concatenate(taken)].view(np.recarray)

@@ -268,19 +268,21 @@ def lambda_targets(
     depth_weights, deepest = _weight_table(cfg)
     n_heads = cfg.n_heads
     values = np.zeros((rows.shape[0], n_heads))
+    component = np.empty_like(values)
     for n, weight in enumerate(depth_weights, start=1):
         # Depth-n component per (anchor, head): with a recorded landing state
         # it is the bootstrap for heads i > n and the zero reward sum at
         # i = n; past the end of a collision episode the window holds the
         # collision and the component is exactly 1.
         landed = rows + n <= last_rows
-        component = np.zeros((rows.shape[0], n_heads))
+        component.fill(0.0)
         if n < n_heads:
             component[landed, n:] = snapshot[rows[landed] + n, : n_heads - n]
         component[window_collides(rows, last_rows, collided, n)] = 1.0
         # Accumulating depth by depth in this order reproduces the scalar
         # blend's rounding exactly.
-        values += component * weight
+        component *= weight
+        values += component
 
     # components and weights keep the exact value in [0, 1]; the float
     # accumulation can still land one ulp outside

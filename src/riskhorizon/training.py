@@ -1,9 +1,12 @@
 """Training loop: stratified replay, bootstrap snapshots, Adam, metric log.
 
 Each epoch starts from one snapshot of the current estimator's outputs on
-every training state; each batch builds the targets of its sampled rows from
-that snapshot (semi-gradient: no gradient flows through targets, and there
-is no separate target network). The learning rate decays exponentially from
+every training state, and its targets are read from that snapshot alone
+(semi-gradient: no gradient flows through targets, and there is no separate
+target network). Replay never reads the estimator, so an epoch is planned
+before it is stepped: its batches are drawn, their targets built and their
+features gathered a block of batches at a time, and each step then runs on
+slices of its block. The learning rate decays exponentially from
 lr_start to lr_end over the configured epochs; held-out episodes are split
 off before training and evaluated after every epoch. The run's state is one
 `Checkpoint` record, which training advances epoch by epoch, so resuming
@@ -36,6 +39,11 @@ from .replay import build_index, sample
 from .returns import HorizonConfig, corpus_rows, lambda_targets
 
 log = logging.getLogger(__name__)
+
+# An epoch is planned in blocks of whole batches holding at most PLAN_ROWS
+# anchors (one batch when a batch is larger), which bounds the plan's memory
+# whatever samples_per_epoch is.
+PLAN_ROWS = 4096
 
 
 class DegenerateCorpusError(ValueError):
@@ -109,7 +117,12 @@ def train(
 
     Bootstrapped targets are rebuilt from an estimator snapshot at the start
     of every epoch and held constant across its batches (semi-gradient
-    updates against a periodically refreshed snapshot).
+    updates against a periodically refreshed snapshot). The epoch's batches
+    are drawn and targeted before the steps that use them: the sampler
+    never reads the estimator, so the batches, their targets and the
+    sampler state are those of drawing each batch just before its step.
+    Floating-point overflow, invalid operations and division by zero raise
+    `FloatingPointError` from the operation that first hits one.
 
     With `resume`, training continues that state in place: its estimator,
     optimizer state, epoch counter, replay sampler and metric history.
@@ -170,38 +183,71 @@ def train(
                     "this run will differ from an uninterrupted one")
     for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        # One forward over every training row: a row's output does not
-        # depend on the rows forwarded with it.
-        snapshot = estimator.forward(observations)
-        np.clip(snapshot, 0.0, 1.0, out=snapshot)
-        drawn = 0
-        sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
-        n_valid_total = 0
-        while drawn < cfg.samples_per_epoch:
-            size = min(cfg.batch_size, cfg.samples_per_epoch - drawn)
-            batch = sample(index, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
-            drawn += size
-            rows = batch.row
-            targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            losses = _epoch(estimator, adam, lr, observations, last_rows, collided, index,
+                            sample_rng, cfg)
+            report = evaluate(held_eps, estimator, cfg.horizon)
+        state.metrics.append(EpochMetrics(epoch, lr, *losses, tuple(float(a) for a in report.acc),
+                                          report.pes_mean))
+        state.epochs_completed = epoch + 1
+        state.sampler = sample_rng.bit_generator.state
+        if on_epoch_end is not None:
+            on_epoch_end(state)
+    return TrainResult(state, held_out)
+
+
+def _epoch(
+    estimator: MultiHeadEstimator,
+    adam: AdamState,
+    lr: float,
+    observations: np.ndarray,
+    last_rows: np.ndarray,
+    collided: np.ndarray,
+    index: np.recarray,
+    rng: np.random.Generator,
+    cfg: TrainConfig,
+) -> np.ndarray:
+    """Step one epoch; returns its loss, mse, interval and chain means over
+    valid entries."""
+
+    # One forward over every training row: a row's output does not depend
+    # on the rows forwarded with it.
+    snapshot = estimator.forward(observations)
+    np.clip(snapshot, 0.0, 1.0, out=snapshot)
+    sizes = [min(cfg.batch_size, cfg.samples_per_epoch - drawn)
+             for drawn in range(0, cfg.samples_per_epoch, cfg.batch_size)]
+    per_block = max(PLAN_ROWS // cfg.batch_size, 1)
+    sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
+    n_valid_total = 0
+    for first in range(0, len(sizes), per_block):
+        block = sizes[first : first + per_block]
+        # Targets are row-wise, so the block's rows get the bits each batch
+        # would get on its own.
+        drawn = np.concatenate([sample(index, size, rng, cfg.loss.p_collision,
+                                       cfg.loss.p_noncollision) for size in block])
+        rows, related = drawn["row"], drawn["collision_related"]
+        targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
+        if first + per_block >= len(sizes):
+            # Freed before the last block's features are gathered, and so
+            # before its steps, the held-out forward and the next snapshot.
+            del snapshot
+        features = observations[rows]
+        lo = 0
+        for size in block:
+            hi = lo + size
             _, breakdown, grads = batch_loss_and_grad(
-                estimator, observations[rows], targets.values, targets.valid,
-                batch.collision_related, cfg.loss,
+                estimator, features[lo:hi], targets.values[lo:hi], targets.valid[lo:hi],
+                related[lo:hi], cfg.loss,
             )
             optimizer_step(estimator, grads.flat, adam, lr)
             sums += np.array(
                 [breakdown.total, breakdown.mse, breakdown.interval, breakdown.chain]
             ) * breakdown.n_valid
             n_valid_total += breakdown.n_valid
-        # Freed before the held-out forward and the next epoch's snapshot.
-        del snapshot
-        report = evaluate(held_eps, estimator, cfg.horizon)
-        state.metrics.append(EpochMetrics(epoch, lr, *(sums / n_valid_total),
-                                          tuple(float(a) for a in report.acc), report.pes_mean))
-        state.epochs_completed = epoch + 1
-        state.sampler = sample_rng.bit_generator.state
-        if on_epoch_end is not None:
-            on_epoch_end(state)
-    return TrainResult(state, held_out)
+            lo = hi
+        # Freed before the next block is planned.
+        del drawn, rows, related, targets, features
+    return sums / n_valid_total
 
 
 def write_metric_log(path: str | Path, metrics: list[EpochMetrics], n_heads: int) -> None:

@@ -501,6 +501,20 @@ def test_train_numeric_blowup_exits_with_the_numeric_code(tmp_path):
     assert "numerical failure" in result.stderr
 
 
+def test_train_overflow_exits_3_with_one_line_naming_the_operation(pipeline, tmp_path):
+    # The first overflow raises where it happens: NumPy prints no warning,
+    # and the one error line names the operation.
+    cfg = write_config(tmp_path / "cfg.json", {"train": {"lr_start": 1e300}})
+    result = run_cli(
+        "train", "--config", cfg, "--episodes", pipeline["root"] / "eps.jsonl",
+        "--out", tmp_path / "run",
+    )
+    assert result.returncode == 3
+    assert "RuntimeWarning" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("riskhorizon train: numerical failure: overflow encountered in ")
+
+
 def test_train_rejects_an_unknown_activation(pipeline, tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {"estimator": {"activation": "swish"}})
     code, err = run_main(

@@ -471,7 +471,7 @@ class ReferenceEstimator(MultiHeadEstimator):
             z = h @ p[f"backbone{l}.w"].T + p[f"backbone{l}.b"]
             a = _ref_act(z, act)
             bb.append((h, z, a))
-            h = a + h if self._residual(l) else a
+            h = a + h if self._residual[l] else a
         latent = h
         n = x.shape[0]
         preds = np.empty((n, cfg.n_heads))
@@ -515,7 +515,7 @@ class ReferenceEstimator(MultiHeadEstimator):
             grads[f"backbone{l}.w"] += d_z.T @ h_in
             grads[f"backbone{l}.b"] += d_z.sum(axis=0)
             d_prev = d_z @ p[f"backbone{l}.w"]
-            if self._residual(l):
+            if self._residual[l]:
                 d_prev += d_h
             d_h = d_prev
         return grads

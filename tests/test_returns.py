@@ -363,6 +363,34 @@ def test_packed_snapshot_rows_match_per_episode_targets():
             assert np.array_equal(got.valid[k], want.valid[s])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 15), st.booleans()), min_size=1, max_size=6),
+    n_heads=st.integers(1, 6),
+    lam=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    data=st.data(),
+)
+def test_targets_are_row_wise(shapes, n_heads, lam, data):
+    # Training builds a whole epoch's targets at once and slices them per
+    # batch: the targets of a concatenation of anchors must be the
+    # concatenated targets of its parts, bit for bit.
+    horizon = cfg(n_heads=n_heads, lam=lam, trunc_n=data.draw(st.integers(1, n_heads)))
+    episodes = [trace([0] * (steps - 1) + [int(collides)]) for steps, collides in shapes]
+    last_rows, collided = corpus_rows(episodes)
+    n_rows = len(last_rows)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    snapshot = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n_rows, n_heads))
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=40)))
+    split = data.draw(st.integers(0, len(rows)))
+
+    def targets(anchors):
+        return lambda_targets(snapshot, anchors, last_rows[anchors], collided[anchors], horizon)
+
+    whole, head, tail = targets(rows), targets(rows[:split]), targets(rows[split:])
+    assert whole.values.tobytes() == np.concatenate([head.values, tail.values]).tobytes()
+    assert whole.valid.tobytes() == np.concatenate([head.valid, tail.valid]).tobytes()
+
+
 def test_targets_validity_windows():
     horizon = cfg(n_heads=3, lam=0.8)
     steps = 6

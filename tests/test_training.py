@@ -1,5 +1,6 @@
 """Training loop: schedule arithmetic, determinism, degenerate corpora,
-resume bookkeeping, and the metric log format."""
+resume bookkeeping, the planned epoch against the per-batch loop, and the
+metric log format."""
 
 import logging
 
@@ -7,10 +8,30 @@ import numpy as np
 import pytest
 
 from helpers import get_flat
-from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
+from riskhorizon import training
+from riskhorizon.envs import (
+    ChainWorld,
+    ChainWorldSpec,
+    CorridorWorld,
+    CorridorWorldSpec,
+    generate_episodes,
+)
 from riskhorizon.episodes import Episode, Terminal
-from riskhorizon.network import EstimatorConfig, LossWeights, save_checkpoint, load_checkpoint
-from riskhorizon.returns import HorizonConfig
+from riskhorizon.evaluation import evaluate
+from riskhorizon.network import (
+    AdamState,
+    Checkpoint,
+    EpochMetrics,
+    EstimatorConfig,
+    LossWeights,
+    MultiHeadEstimator,
+    batch_loss_and_grad,
+    load_checkpoint,
+    optimizer_step,
+    save_checkpoint,
+)
+from riskhorizon.replay import build_index, sample
+from riskhorizon.returns import HorizonConfig, corpus_rows, lambda_targets
 from riskhorizon.training import (
     DegenerateCorpusError,
     TrainConfig,
@@ -259,6 +280,121 @@ def test_resuming_without_sampler_state_warns_and_restarts_the_sampler(tmp_path,
         resumed = train(eps, config(3), resume=first)
     assert "replay restarts from the configured seed" in caplog.text
     assert resumed.state.epochs_completed == 3
+
+
+# --- the planned epoch against the per-batch loop ---------------------------
+
+
+def reference_train(episodes, cfg, estimator_cfg=None, resume=None):
+    """The per-batch epoch loop, which `train`'s planned epochs must match
+    bit for bit: each batch is drawn, targeted and gathered just before its
+    step. Returns the advanced state."""
+
+    seed_seq = np.random.SeedSequence(cfg.master_seed)
+    split_seq, _, sample_seq = seed_seq.spawn(3)
+    state = resume
+    if state is None:
+        estimator = MultiHeadEstimator(estimator_cfg)
+        state = Checkpoint(estimator, cfg.horizon, cfg.loss, AdamState.zeros(estimator))
+    estimator, adam = state.estimator, state.adam
+    train_ids, held_out = _split(len(episodes), cfg.eval_fraction, np.random.default_rng(split_seq))
+    train_eps = [episodes[j] for j in train_ids]
+    held_eps = [episodes[j] for j in held_out]
+    observations = np.concatenate([ep.observations for ep in train_eps])
+    last_rows, collided = corpus_rows(train_eps)
+    index = build_index(train_eps, cfg.horizon)
+    sample_rng = np.random.default_rng(sample_seq)
+    if state.sampler is not None:
+        sample_rng.bit_generator.state = state.sampler
+    for epoch in range(state.epochs_completed, cfg.epochs):
+        lr = lr_schedule(epoch, cfg)
+        snapshot = estimator.forward(observations)
+        np.clip(snapshot, 0.0, 1.0, out=snapshot)
+        drawn = 0
+        sums = np.zeros(4)
+        n_valid_total = 0
+        while drawn < cfg.samples_per_epoch:
+            size = min(cfg.batch_size, cfg.samples_per_epoch - drawn)
+            batch = sample(index, size, sample_rng, cfg.loss.p_collision, cfg.loss.p_noncollision)
+            drawn += size
+            rows = batch.row
+            targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
+            _, breakdown, grads = batch_loss_and_grad(
+                estimator, observations[rows], targets.values, targets.valid,
+                batch.collision_related, cfg.loss,
+            )
+            optimizer_step(estimator, grads.flat, adam, lr)
+            sums += np.array(
+                [breakdown.total, breakdown.mse, breakdown.interval, breakdown.chain]
+            ) * breakdown.n_valid
+            n_valid_total += breakdown.n_valid
+        del snapshot
+        report = evaluate(held_eps, estimator, cfg.horizon)
+        state.metrics.append(EpochMetrics(epoch, lr, *(sums / n_valid_total),
+                                          tuple(float(a) for a in report.acc), report.pes_mean))
+        state.epochs_completed = epoch + 1
+        state.sampler = sample_rng.bit_generator.state
+    return state
+
+
+def assert_same_state(got, want):
+    assert get_flat(got.estimator).tobytes() == get_flat(want.estimator).tobytes()
+    assert got.adam.m.tobytes() == want.adam.m.tobytes()
+    assert got.adam.v.tobytes() == want.adam.v.tobytes()
+    assert got.adam.step == want.adam.step
+    assert got.sampler == want.sampler
+    assert metric_bits(got.metrics) == metric_bits(want.metrics)
+
+
+def metric_bits(metrics):
+    """Each entry's floats as hex strings: exact, a NaN and the sign of a zero included."""
+
+    return [(m.epoch, *map(float.hex, (m.lr, m.loss, m.loss_mse, m.loss_interval, m.loss_chain,
+                                       *m.acc_per_head, m.pes_mean))) for m in metrics]
+
+
+def small_corridor():
+    world = CorridorWorld(CorridorWorldSpec(), stack_frames=2)
+    episodes, _ = generate_episodes(world, 24, master_seed=5)
+    horizon = HorizonConfig(delta_t=0.1, n_heads=6, lam=0.8, trunc_n=4)
+    cfg = TrainConfig(horizon=horizon, loss=LossWeights(p_collision=0.5, p_noncollision=0.025),
+                      epochs=3, samples_per_epoch=150, batch_size=16, lr_start=1e-3,
+                      lr_end=1e-4, master_seed=2)
+    arch = EstimatorConfig(input_dim=world.obs_dim, n_heads=6, backbone_layers=(16, 16),
+                           head_layers=(8, 1), init_seed=2)
+    return episodes, cfg, arch
+
+
+def small_chain():
+    # 150 samples in batches of 16: the last batch holds 6.
+    return corpus(), config(3, samples=150), estimator_cfg()
+
+
+# Anchors per plan block: one block for the epoch, blocks of two batches,
+# and one batch per block (a block never splits a batch).
+@pytest.mark.parametrize("plan_rows", [training.PLAN_ROWS, 40, 5])
+@pytest.mark.parametrize("world", [small_chain, small_corridor])
+def test_a_planned_epoch_steps_the_bits_of_the_per_batch_loop(world, plan_rows, monkeypatch):
+    episodes, cfg, arch = world()
+    monkeypatch.setattr(training, "PLAN_ROWS", plan_rows)
+    got = train(episodes, cfg, estimator_cfg=arch).state
+    assert_same_state(got, reference_train(episodes, cfg, arch))
+
+
+@pytest.mark.parametrize("world", [small_chain, small_corridor])
+def test_a_resumed_planned_run_steps_the_bits_of_the_per_batch_loop(world, monkeypatch, tmp_path):
+    episodes, cfg, arch = world()
+    monkeypatch.setattr(training, "PLAN_ROWS", 40)
+
+    def save_epoch_one(state):
+        if state.epochs_completed == 1:
+            save_checkpoint(tmp_path / "one.json", state)
+
+    train(episodes, cfg, estimator_cfg=arch, on_epoch_end=save_epoch_one)
+    got = train(episodes, cfg, resume=load_checkpoint(tmp_path / "one.json")).state
+    want = reference_train(episodes, cfg, resume=load_checkpoint(tmp_path / "one.json"))
+    assert_same_state(got, want)
+    assert_same_state(got, reference_train(episodes, cfg, arch))
 
 
 def test_training_reduces_loss_on_small_chain():
