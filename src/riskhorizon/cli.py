@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .artifacts import nan_to_null
 from .config import ConfigError, RunConfig, load_config
-from .envs import ChainWorld, chain_observation, generate_episodes, world_fingerprint
+from .envs import MAX_EPISODES, ChainWorld, chain_observation, generate_episodes, world_fingerprint
 from .episodes import SchemaError, load_episodes, save_episodes
 from .evaluation import (
     DEFAULT_INTERVALS,
@@ -104,8 +104,8 @@ def cmd_gen(args) -> int:
     count = args.episodes if args.episodes is not None else cfg.gen_count
     if count is None:
         raise ConfigError("gen.count: required (or pass --episodes)")
-    if count < 1:
-        raise ConfigError("episode count must be >= 1")
+    if not 1 <= count <= MAX_EPISODES:
+        raise ConfigError(f"episode count must be >= 1 and at most {MAX_EPISODES}")
     episodes, summary = generate_episodes(cfg.world, count, cfg.master_seed)
     save_episodes(args.out, episodes, world_fingerprint(cfg.world))
     lengths = sorted(summary.length_histogram)

@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .envs import ChainWorld, ChainWorldSpec, CorridorWorld, CorridorWorldSpec
+from .envs import MAX_EPISODES, ChainWorld, ChainWorldSpec, CorridorWorld, CorridorWorldSpec
 from .evaluation import DEFAULT_INTERVALS, DEFAULT_THRESHOLDS, check_detection_grid
 from .network import EstimatorConfig, LossWeights
 from .returns import HorizonConfig
@@ -189,8 +189,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     gen_count = None
     if "gen" in raw:
         gen_count = _section(raw["gen"], "gen", {"count": int}, required=("count",))["count"]
-        if gen_count < 1:
-            raise ConfigError("gen.count: must be >= 1")
+        if not 1 <= gen_count <= MAX_EPISODES:
+            raise ConfigError(f"gen.count: must be >= 1 and at most {MAX_EPISODES}")
 
     horizon = _build("horizon", HorizonConfig, **_section(
         _require(raw, "horizon", "config"), "horizon", HORIZON_KEYS, required=HORIZON_KEYS))

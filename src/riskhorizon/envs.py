@@ -31,6 +31,9 @@ CORRIDOR_FRAME_DIM = 8
 # row stays small: a huge count would otherwise fail in the first reset with
 # an OverflowError or a memory error rather than as a rejected value.
 MAX_STACK_FRAMES = 1024
+# Episodes one `gen` may roll. Their seeds are drawn up front, so a mistyped
+# huge count would otherwise fail allocating them.
+MAX_EPISODES = 1_000_000
 
 # Fixed corridor constants; the tunable surface lives in CorridorWorldSpec.
 _EGO_ACCEL = 2.5  # m/s^2 back toward target speed
@@ -360,8 +363,8 @@ def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode
     the worker count.
     """
 
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_EPISODES:
+        raise ValueError(f"count must be >= 1 and at most {MAX_EPISODES}")
     seeds = np.random.default_rng(master_seed).integers(0, 2**63 - 1, size=count).tolist()
     episodes: list[Episode] = []
     map_ranges(lambda lo, hi: [run_episode(world, s) for s in seeds[lo:hi]],

@@ -27,6 +27,11 @@ import numpy as np
 
 from .episodes import Episode
 
+# Far above the paper's 20 heads, and low enough that per-head work (one
+# sub-network each, [rows, n_heads] snapshots and targets) stays bounded: a
+# mistyped huge count would otherwise build the estimator for minutes.
+MAX_HEADS = 1024
+
 
 class InvalidTargetError(ValueError):
     """The requested window is unknowable on a truncated episode."""
@@ -50,8 +55,8 @@ class HorizonConfig:
     def __post_init__(self) -> None:
         if not self.delta_t > 0:
             raise ValueError("delta_t must be positive")
-        if self.n_heads < 1:
-            raise ValueError("need at least one head")
+        if not 1 <= self.n_heads <= MAX_HEADS:
+            raise ValueError(f"n_heads must be >= 1 and at most {MAX_HEADS}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if not 1 <= self.trunc_n <= self.n_heads:

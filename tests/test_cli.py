@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import riskhorizon
 from riskhorizon.cli import main
-from riskhorizon.envs import MAX_STACK_FRAMES
+from riskhorizon.envs import MAX_EPISODES, MAX_STACK_FRAMES
 from riskhorizon.episodes import load_episodes
-from riskhorizon.network import EstimatorConfig, MultiHeadEstimator, param_layout
+from riskhorizon.network import MAX_PARAMS, EstimatorConfig, MultiHeadEstimator, param_layout
+from riskhorizon.returns import MAX_HEADS
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -172,6 +173,18 @@ def test_gen_episode_count_override(tmp_path):
     assert episode_header(tmp_path / "e.jsonl")["episodes"] == 12
 
 
+def test_a_huge_episode_count_override_is_a_data_error(tmp_path, capsys):
+    # The seeds of 10**11 episodes would take 745 GiB.
+    cfg = write_config(tmp_path / "cfg.json")
+    for count in (10**11, MAX_EPISODES + 1):
+        code, err = run_main(capsys, "gen", "--config", cfg, "--episodes", count,
+                             "--out", tmp_path / "e.jsonl")
+        assert code == 2
+        assert err == (f"riskhorizon gen: episode count must be >= 1 and at most "
+                       f"{MAX_EPISODES}\n")
+        assert not (tmp_path / "e.jsonl").exists()
+
+
 def test_gen_on_a_hazard_free_chain_reports_zero_collisions(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", {"env": {"hazard": [0.0, 0.0, 0.0, 0.0]}}
@@ -229,6 +242,16 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
                      "env: stack_frames", id="corridor-stack-frames-huge"),
         pytest.param({"env": {"max_steps": 0}}, "env: max_steps must be >= 1",
                      id="env-max-steps-zero"),
+        # Sizes that would otherwise exhaust memory or run for minutes in
+        # the command that first builds them.
+        pytest.param({"horizon": {"n_heads": 10**9}},
+                     f"horizon: n_heads must be >= 1 and at most {MAX_HEADS}", id="n-heads-huge"),
+        pytest.param({"horizon": {"n_heads": MAX_HEADS + 1}}, "horizon: n_heads",
+                     id="n-heads-above-bound"),
+        pytest.param({"estimator": {"backbone_layers": [10**6, 10**6]}},
+                     f"parameters, more than {MAX_PARAMS}", id="backbone-huge"),
+        pytest.param({"gen": {"count": 10**11}},
+                     f"gen.count: must be >= 1 and at most {MAX_EPISODES}", id="count-huge"),
         pytest.param({"estimator": {"activation": "swish"}},
                      "estimator: unknown activation 'swish'", id="estimator-swish"),
         pytest.param({"estimator": {"init_seed": -1}}, "estimator: init_seed must be >= 0",
@@ -513,6 +536,19 @@ def test_train_overflow_exits_3_with_one_line_naming_the_operation(pipeline, tmp
     assert "RuntimeWarning" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("riskhorizon train: numerical failure: overflow encountered in ")
+
+
+def test_train_rejects_an_estimator_too_large_before_allocating_it(pipeline, tmp_path, capsys):
+    # The count comes from the layer shapes: these layers would take 8 TB.
+    cfg = write_config(tmp_path / "cfg.json", {"estimator": {"backbone_layers": [10**6, 10**6]}})
+    code, err = run_main(capsys, "train", "--config", cfg,
+                         "--episodes", pipeline["root"] / "eps.jsonl", "--out", tmp_path / "run")
+    # 4 inputs, two 10**6-wide layers, then 3 heads of [10**6 + 1 -> 4 -> 1].
+    n_params = 5 * 10**6 + (10**6 + 1) * 10**6 + 3 * ((10**6 + 2) * 4 + 5)
+    assert code == 2
+    assert err == (f"riskhorizon train: estimator: the layers hold {n_params} parameters, "
+                   f"more than {MAX_PARAMS}\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_an_unknown_activation(pipeline, tmp_path, capsys):

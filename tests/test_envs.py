@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import oracle_at
 from riskhorizon.config import load_config
 from riskhorizon.envs import (
+    MAX_EPISODES,
     ChainWorld,
     ChainWorldSpec,
     CorridorWorld,
@@ -466,6 +467,14 @@ def test_generate_requires_positive_count():
     world = ChainWorld(FOUR_STATES)
     with pytest.raises(ValueError):
         generate_episodes(world, 0, 1)
+
+
+def test_generate_bounds_the_count_before_drawing_seeds():
+    # 10**11 seeds would take 745 GiB.
+    world = ChainWorld(FOUR_STATES)
+    for count in (MAX_EPISODES + 1, 10**11):
+        with pytest.raises(ValueError, match=f"at most {MAX_EPISODES}"):
+            generate_episodes(world, count, 1)
 
 
 def test_generate_deterministic_collection():

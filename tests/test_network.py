@@ -25,6 +25,7 @@ from riskhorizon.network import (
     EstimatorConfig,
     FlatArrays,
     LossWeights,
+    MAX_PARAMS,
     ROW_CHUNK,
     ROW_FLOOR,
     MultiHeadEstimator,
@@ -35,7 +36,7 @@ from riskhorizon.network import (
     param_layout,
     save_checkpoint,
 )
-from riskhorizon.returns import HorizonConfig
+from riskhorizon.returns import MAX_HEADS, HorizonConfig
 
 W = LossWeights(c_interval=1.0, c_chain=1.0, p_collision=0.25, p_noncollision=0.025)
 
@@ -65,6 +66,35 @@ def test_config_validation():
         EstimatorConfig(input_dim=3, n_heads=2, head_layers=(4, 2))
     with pytest.raises(ValueError):
         EstimatorConfig(input_dim=3, n_heads=2, activation="selu")
+
+
+def test_sizes_are_bounded_before_anything_is_allocated():
+    # One input of width k, a 1-wide layer and one output-only head hold
+    # (k + 1) + (1 + 1 + 1) parameters.
+    EstimatorConfig(input_dim=MAX_PARAMS - 4, n_heads=1, backbone_layers=(1,), head_layers=(1,))
+    with pytest.raises(ValueError, match=f"{MAX_PARAMS + 1} parameters, more than {MAX_PARAMS}"):
+        EstimatorConfig(input_dim=MAX_PARAMS - 3, n_heads=1, backbone_layers=(1,),
+                        head_layers=(1,))
+    with pytest.raises(ValueError, match="parameters"):
+        EstimatorConfig(input_dim=3, n_heads=2, backbone_layers=(10**9, 10**9))
+    EstimatorConfig(input_dim=3, n_heads=MAX_HEADS, backbone_layers=(4,), head_layers=(1,))
+    for n_heads in (MAX_HEADS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"at most {MAX_HEADS}"):
+            EstimatorConfig(input_dim=3, n_heads=n_heads, backbone_layers=(4,), head_layers=(1,))
+        with pytest.raises(ValueError, match=f"at most {MAX_HEADS}"):
+            HorizonConfig(delta_t=0.1, n_heads=n_heads, lam=0.8, trunc_n=1)
+
+
+def test_a_checkpoint_of_an_estimator_too_large_is_rejected_before_allocating_it(tmp_path):
+    import json
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, trained_state(23))
+    doc = json.loads(path.read_text())
+    doc["estimator"]["backbone_layers"] = [10**6, 10**6]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"more than {MAX_PARAMS}"):
+        load_checkpoint(path)
 
 
 def test_zero_parameters_zero_outputs():
@@ -155,6 +185,36 @@ def test_input_dim_mismatch():
     est = small_estimator()
     with pytest.raises(ValueError):
         est.forward(np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("x", [np.ones(5), np.ones(2), np.ones(0), np.float64(1.0)],
+                         ids=["long", "short", "empty", "scalar"])
+def test_an_observation_of_the_wrong_shape_is_named_by_the_input_width(x):
+    # The message names the vector shape, not a padded [1, k] matrix.
+    with pytest.raises(ValueError, match=r"\[3\], got shape \(\d*,?\)"):
+        small_estimator().forward(x)
+
+
+def one_row(est, x):
+    """The training step's unpadded forward of the single row x."""
+
+    return est._forward_cached(x[None], want_cache=False)[0][0]
+
+
+def test_an_observation_is_scored_with_the_parameters_of_the_moment():
+    # Scoring reads the weights on every call: an Adam step or set_flat,
+    # both in place, shows in the next score.
+    est = small_estimator(seed=3)
+    x = np.random.default_rng(5).normal(size=3)
+    before = est.forward(x)
+    optimizer_step(est, np.full(est.n_params, 0.5), AdamState.zeros(est), 0.01)
+    stepped = est.forward(x)
+    assert not np.array_equal(stepped, before)
+    assert stepped.tobytes() == one_row(est, x).tobytes()
+    est.set_flat(np.linspace(-0.5, 0.5, est.n_params))
+    fresh = small_estimator(seed=9)
+    fresh.set_flat(np.linspace(-0.5, 0.5, est.n_params))
+    assert est.forward(x).tobytes() == one_row(fresh, x).tobytes()
 
 
 def test_flat_round_trip():
@@ -525,7 +585,7 @@ class ReferenceEstimator(MultiHeadEstimator):
 @given(
     activation=st.sampled_from(["tanh", "relu"]),
     backbone=st.sampled_from([(12,), (12, 12), (16, 12, 12)]),
-    head_layers=st.sampled_from([(16, 1), (16, 8, 1)]),
+    head_layers=st.sampled_from([(1,), (16, 1), (16, 8, 1)]),
     n_heads=st.integers(1, 6),
     rows=st.sampled_from([1, 32, 300]),
     seed=st.integers(0, 2**16),
@@ -545,7 +605,10 @@ def test_forward_and_gradients_match_the_reference_bitwise(
     assert est._forward_cached(x, want_cache=False)[0].tobytes() == want.tobytes()
     out = est.forward(x)
     assert out == pytest.approx(want, abs=1e-14)
-    assert est.forward(x[0]).tobytes() == ref.forward(x[0]).tobytes()
+    # The reference's 1-row forward, not ref.forward: a vector runs the
+    # estimator's own matrix-vector loop whichever class calls it.
+    one_row = ref._forward_cached(x[:1], want_cache=False)[0][0]
+    assert est.forward(x[0]).tobytes() == one_row.tobytes()
 
     targets = rng.uniform(size=(rows, n_heads))
     valid = rng.uniform(size=(rows, n_heads)) < 0.7
@@ -560,9 +623,12 @@ def test_forward_and_gradients_match_the_reference_bitwise(
         want_flat = np.concatenate([want[k].ravel() for k in est.params])
         assert grads.flat.tobytes() == want_flat.tobytes()
     # The returned outputs are the caller's: a later call does not touch them.
-    kept = out.copy()
+    scored = est.forward(x[0])
+    kept, kept_scored = out.copy(), scored.copy()
     est.forward(x + 1.0)
+    est.forward(x[0] + 1.0)
     assert out.tobytes() == kept.tobytes()
+    assert scored.tobytes() == kept_scored.tobytes()
 
 
 # --- optimizer --------------------------------------------------------------
