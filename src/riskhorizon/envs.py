@@ -7,12 +7,16 @@ bed. The corridor world is a one-dimensional ring road with stochastic
 slower traffic and a braking ego policy with delayed reactions; it produces
 the rare-ish, temporally extended collisions the estimator is meant for.
 
-A step returns the next observation and, on the step that ends the
-episode, the end reason (collision, time limit or deadlock); the end reason
-is the only record of whether, and so on which step, the episode collided.
-The policy is internal to each world: the learner only observes. Frame
-stacking happens here too, so an observation is always the concatenation of
-the most recent `stack_frames` feature frames (the reset frame repeated).
+A world rolls a batch of episodes in lockstep (`rollout`): the state of
+every episode still running is held in arrays, one row per episode, each
+step advances them all, and an episode leaves the arrays on the step that
+ends it. The end reason (collision, time limit or deadlock) is the only
+record of whether, and so on which step, an episode collided. Each episode
+reads its own `PCG64(seed)` stream (`Draws`), so it is a function of its
+seed alone, whatever batch it is rolled in. The policy is internal to each
+world: the learner only observes. Frame stacking happens here too, so an
+observation is always the concatenation of the most recent `stack_frames`
+feature frames (the first frame repeated).
 """
 
 from __future__ import annotations
@@ -24,16 +28,24 @@ import numpy as np
 
 from .artifacts import canonical_json
 from .episodes import Episode, Terminal
-from .parallel import map_ranges
 
 CORRIDOR_FRAME_DIM = 8
 # Far above the presets' 1 and 3 frames, and low enough that an observation
-# row stays small: a huge count would otherwise fail in the first reset with
+# row stays small: a huge count would otherwise fail in the first rollout with
 # an OverflowError or a memory error rather than as a rejected value.
 MAX_STACK_FRAMES = 1024
 # Episodes one `gen` may roll. Their seeds are drawn up front, so a mistyped
 # huge count would otherwise fail allocating them.
 MAX_EPISODES = 1_000_000
+# Episodes rolled in lockstep at a time. It bounds a rollout's arrays (per
+# episode a word block, the state and the frames so far) whatever the count.
+ROLLOUT_BATCH = 512
+# Raw words read ahead per episode; a corridor step takes at most
+# _CORRIDOR_STEP_WORDS of them.
+WORD_BLOCK = 256
+# Reaction delays are drawn as integers(0, delay + 1) by 32-bit Lemire
+# rejection (Draws.bounded), which covers ranges up to 2**32 - 1 values.
+MAX_REACTION_DELAY = 2**32 - 2
 
 # Fixed corridor constants; the tunable surface lives in CorridorWorldSpec.
 _EGO_ACCEL = 2.5  # m/s^2 back toward target speed
@@ -44,18 +56,149 @@ _SPEED_CHANGE_PROB = 0.02  # per obstacle per step
 _MAX_OBSTACLES = 12
 _INITIAL_OBSTACLES = 3
 _STOPPED_EPS = 1e-9
+# A spawn check and speed, then a check and speed per obstacle.
+_CORRIDOR_STEP_WORDS = 2 + 2 * _MAX_OBSTACLES
+_SLOTS = np.arange(_MAX_OBSTACLES)
+
+_UINT32_MAX = 0xFFFFFFFF
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
-class EnvStateError(RuntimeError):
-    """step() was called before reset() or after the episode ended."""
+class Draws:
+    """One `PCG64(seed)` stream per row, read as raw 64-bit words in blocks.
+
+    Values come from the words by the rules numpy's `Generator` applies to
+    the same stream, so row r gives what `np.random.default_rng(seeds[r])`
+    gives when called the same way:
+
+    - `double` is `random()`: (w >> 11) * 2**-53 for the next word w;
+    - `uniform(low, high)` is low + (high - low) * double;
+    - `bounded(rng)` is `integers(0, rng + 1)` for rng <= 2**32 - 2: 32-bit
+      Lemire rejection on 32-bit halves. A fresh word gives its lower half
+      and keeps its upper half for the next 32-bit draw (PCG64's cached
+      half, which `double` leaves alone); rng == 0 takes no draw.
+
+    `ahead`, `double` and `uniform` read words that `reserve` made ready;
+    `bounded` reserves its own, since a rejection takes another. The rules rely only
+    on PCG64's word stream, which NumPy keeps stable (NEP 19), while
+    `Generator`'s distributions may change; the tests compare them with the
+    installed `Generator`. Every `rows` argument holds distinct rows.
+    """
+
+    def __init__(self, seeds):
+        self.seeds = list(seeds)
+        self.sources = [np.random.PCG64(seed) for seed in self.seeds]
+        n = len(self.seeds)
+        self.words = np.empty((n, WORD_BLOCK), np.uint64)
+        self._flat = self.words.reshape(-1)
+        self.pos = np.full(n, WORD_BLOCK)  # each row's next unread word
+        self.fetched = np.zeros(n, np.int64)  # words taken from each source
+        self.has_half = np.zeros(n, bool)
+        self.half = np.zeros(n, np.uint64)
+
+    @property
+    def consumed(self) -> np.ndarray:
+        """Words each row's values have used."""
+
+        return self.fetched - (WORD_BLOCK - self.pos)
+
+    def reserve(self, rows: np.ndarray, need: int) -> None:
+        """Make at least `need` (at most WORD_BLOCK) unread words ready in each row."""
+
+        for r in rows[self.pos[rows] > WORD_BLOCK - need].tolist():
+            left = WORD_BLOCK - self.pos[r]
+            self.words[r, :left] = self.words[r, self.pos[r]:]
+            self.words[r, left:] = self.sources[r].random_raw(WORD_BLOCK - left)
+            self.fetched[r] += WORD_BLOCK - left
+            self.pos[r] = 0
+
+    def ahead(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """As doubles, each row's next n words (reserved), left unread."""
+
+        at = (rows * WORD_BLOCK + self.pos[rows])[:, None] + np.arange(n)
+        return (self._flat[at] >> np.uint64(11)) * _DOUBLE_UNIT
+
+    def skip(self, rows: np.ndarray, used: np.ndarray) -> None:
+        """Mark the next used[i] words of rows[i] read."""
+
+        self.pos[rows] += used
+
+    def double(self, rows: np.ndarray) -> np.ndarray:
+        """random() for each row."""
+
+        u = self.ahead(rows, 1)[:, 0]
+        self.pos[rows] += 1
+        return u
+
+    def uniform(self, rows: np.ndarray, low: float, high: float) -> np.ndarray:
+        """uniform(low, high) for each row."""
+
+        return _uniform(self.double(rows), low, high)
+
+    def bounded(self, rows: np.ndarray, rng: int) -> np.ndarray:
+        """integers(0, rng + 1) for each row."""
+
+        out = np.zeros(len(rows), np.uint64)
+        if rng and len(rows):
+            excl = np.uint64(rng + 1)
+            threshold = (_UINT32_MAX - rng) % (rng + 1)
+            todo = np.arange(len(rows))
+            while todo.size:
+                m = self._uint32(rows[todo]) * excl
+                out[todo] = m >> np.uint64(32)
+                todo = todo[(m & np.uint64(_UINT32_MAX)) < threshold]
+        return out.astype(np.int64)
+
+    def _uint32(self, rows: np.ndarray) -> np.ndarray:
+        cached = self.has_half[rows]
+        out = self.half[rows]
+        fresh = rows[~cached]
+        self.reserve(fresh, 1)
+        words = self._flat[fresh * WORD_BLOCK + self.pos[fresh]]
+        self.pos[fresh] += 1
+        out[~cached] = words & np.uint64(_UINT32_MAX)
+        self.half[fresh] = words >> np.uint64(32)
+        self.has_half[rows] = ~cached
+        return out
 
 
-@dataclass(frozen=True)
-class EnvStep:
-    """What one reset or step returns; done_reason is set once the episode ends."""
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    # Generator.uniform's rule for a double u.
+    return low + (high - low) * u
 
-    observation: np.ndarray
-    done_reason: Terminal | None = None
+
+class _Recorder:
+    """The frames of a batch of episodes, and each episode once it ends.
+
+    Row t of an episode stacks its frames t - stack_frames + 1 .. t, the
+    first frame standing in for those before it. The frame buffer grows with
+    the longest episode so far, never past max_steps frames.
+    """
+
+    def __init__(self, seeds: list[int], width: int, stack_frames: int, max_steps: int):
+        self.seeds = seeds
+        self.stack_frames = stack_frames
+        self.max_steps = max_steps
+        self.frames = np.empty((len(seeds), min(max_steps, 64), width))
+        self.episodes: list[Episode] = [None] * len(seeds)  # type: ignore[list-item]
+
+    def record(self, slot: np.ndarray, t: int, frame: np.ndarray) -> None:
+        """Frame t of the episodes in `slot`."""
+
+        if t == self.frames.shape[1]:
+            grown = np.empty((len(self.seeds), min(2 * t, self.max_steps), self.frames.shape[2]))
+            grown[:, :t] = self.frames
+            self.frames = grown
+        self.frames[slot, t] = frame
+
+    def end(self, slot: np.ndarray, steps: int, terminal: Terminal) -> None:
+        """The episodes in `slot` ended on step `steps`: they hold that many rows."""
+
+        if slot.size:
+            window = np.maximum(np.arange(steps)[:, None] + np.arange(1 - self.stack_frames, 1), 0)
+            for s in slot.tolist():
+                rows = self.frames[s][window].reshape(steps, -1)
+                self.episodes[s] = Episode(observations=rows, terminal=terminal, seed=self.seeds[s])
 
 
 @dataclass(frozen=True)
@@ -117,40 +260,42 @@ class ChainWorld:
         # random() searched in the normalized cumulative sum, so the random
         # stream is choice's; the sums are built once here.
         self._start_cdf = _cdf(spec.start_distribution)
-        self._next_cdf = [_cdf(row) for row in spec.transition]
-        self._state_frames = [chain_observation(spec, s).tolist() for s in range(spec.n_states)]
-        self._rng: np.random.Generator | None = None
-        self._active = False
+        self._next_cdf = np.array([_cdf(row) for row in spec.transition])
+        self._hazard = np.array(spec.hazard)
+        self._one_hot = np.eye(spec.n_states)
 
     @property
     def obs_dim(self) -> int:
         return self.spec.n_states * self.stack_frames
 
-    def reset(self, seed: int) -> EnvStep:
-        self._rng = np.random.default_rng(seed)
-        self._state = int(self._start_cdf.searchsorted(self._rng.random(), side="right"))
-        # The last stack_frames frames, oldest first, as one flat list.
-        self._window = self._state_frames[self._state] * self.stack_frames
-        self._steps = 0
-        self._active = True
-        return EnvStep(np.array(self._window))
+    def rollout(self, draws: Draws) -> list[Episode]:
+        """One episode per row of `draws`, rolled in lockstep, in row order."""
 
-    def step(self) -> EnvStep:
-        if not self._active or self._rng is None:
-            raise EnvStateError("chain world: step before reset or after done")
-        self._steps += 1
-        if self._rng.random() < self.spec.hazard[self._state]:
+        out = _Recorder(draws.seeds, self.spec.n_states, self.stack_frames, self.max_steps)
+        slot = np.arange(len(draws.seeds))  # each live episode's row of draws and out
+        draws.reserve(slot, 1)
+        state = _search(self._start_cdf, draws.double(slot))
+        out.record(slot, 0, self._one_hot[state])
+        for k in range(1, self.max_steps + 1):
+            draws.reserve(slot, 2)
             # The collision state is never observed: frames stay as they were.
-            self._active = False
-            return EnvStep(np.array(self._window), Terminal.COLLISION)
-        cdf = self._next_cdf[self._state]
-        self._state = int(cdf.searchsorted(self._rng.random(), side="right"))
-        self._window = self._window[self.spec.n_states:] + self._state_frames[self._state]
-        observation = np.array(self._window)
-        if self._steps >= self.max_steps:
-            self._active = False
-            return EnvStep(observation, Terminal.TIME_LIMIT)
-        return EnvStep(observation)
+            hit = draws.double(slot) < self._hazard[state]
+            out.end(slot[hit], k, Terminal.COLLISION)
+            slot, state = slot[~hit], state[~hit]
+            state = _search(self._next_cdf[state], draws.double(slot))
+            if k == self.max_steps:
+                out.end(slot, k, Terminal.TIME_LIMIT)
+            elif slot.size:
+                out.record(slot, k, self._one_hot[state])
+            else:
+                break
+        return out.episodes
+
+
+def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for each u, against cdf or its rows."""
+
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def _cdf(p: tuple[float, ...]) -> np.ndarray:
@@ -187,8 +332,8 @@ class CorridorWorldSpec:
             raise ValueError("lane_length must exceed twice the sensing range")
         if self.target_speed <= 0 or self.brake_decel <= 0:
             raise ValueError("target_speed and brake_decel must be positive")
-        if self.reaction_delay_steps < 0:
-            raise ValueError("reaction_delay_steps must be >= 0")
+        if not 0 <= self.reaction_delay_steps <= MAX_REACTION_DELAY:
+            raise ValueError(f"reaction_delay_steps must be >= 0 and at most {MAX_REACTION_DELAY}")
         if self.check_horizon_s <= 0:
             raise ValueError("check_horizon_s must be positive")
         if self.spawn_rate < 0:
@@ -211,122 +356,140 @@ class CorridorWorld:
             raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
         self.spec = spec
         self.stack_frames = stack_frames
-        self._rng: np.random.Generator | None = None
-        self._active = False
 
     @property
     def obs_dim(self) -> int:
         return CORRIDOR_FRAME_DIM * self.stack_frames
 
-    def reset(self, seed: int) -> EnvStep:
-        spec = self.spec
-        self._rng = np.random.default_rng(seed)
-        self._ego_x = 0.0
-        self._ego_v = spec.target_speed
-        self._obstacle_x: list[float] = []
-        self._obstacle_v: list[float] = []
-        # spawn_rate 0 means an empty road, initial traffic included.
-        initial = _INITIAL_OBSTACLES if spec.spawn_rate > 0 else 0
-        for _ in range(initial):
-            ahead = self._rng.uniform(0.5 * _SENSING_RANGE, spec.lane_length - _CAR_GAP)
-            self._obstacle_x.append((self._ego_x + ahead) % spec.lane_length)
-            self._obstacle_v.append(self._rng.uniform(spec.speed_min, spec.speed_max))
-        self._steps = 0
-        self._stopped_steps = 0
-        self._react_countdown: int | None = None
-        # The last stack_frames frames, oldest first, as one flat list.
-        self._window = self._frame(self._gaps()) * self.stack_frames
-        self._active = True
-        return EnvStep(np.array(self._window))
-
-    def step(self) -> EnvStep:
-        if not self._active or self._rng is None:
-            raise EnvStateError("corridor world: step before reset or after done")
-        spec = self.spec
-        rng = self._rng
-        self._steps += 1
-
-        if len(self._obstacle_x) < _MAX_OBSTACLES and rng.random() < spec.spawn_rate * spec.delta_t:
-            self._obstacle_x.append((self._ego_x + _SENSING_RANGE) % spec.lane_length)
-            self._obstacle_v.append(rng.uniform(spec.speed_min, spec.speed_max))
-        for j in range(len(self._obstacle_v)):
-            if rng.random() < _SPEED_CHANGE_PROB:
-                self._obstacle_v[j] = rng.uniform(spec.speed_min, spec.speed_max)
-
-        if self._danger_ahead():
-            if self._react_countdown is None:
-                self._react_countdown = int(rng.integers(0, spec.reaction_delay_steps + 1))
-            if self._react_countdown > 0:
-                self._react_countdown -= 1
-                braking = False
-            else:
-                braking = True
-        else:
-            self._react_countdown = None
-            braking = False
-
-        if braking:
-            self._ego_v = max(0.0, self._ego_v - spec.brake_decel * spec.delta_t)
-        else:
-            self._ego_v = min(spec.target_speed, self._ego_v + _EGO_ACCEL * spec.delta_t)
-
-        self._ego_x = (self._ego_x + self._ego_v * spec.delta_t) % spec.lane_length
-        for j in range(len(self._obstacle_x)):
-            self._obstacle_x[j] = (self._obstacle_x[j] + self._obstacle_v[j] * spec.delta_t) % spec.lane_length
-
-        # The post-move gaps serve both the collision check and the new frame.
-        gaps = self._gaps()
-        if any(gap < _CAR_GAP for gap in gaps):
-            self._active = False
-            return EnvStep(np.array(self._window), Terminal.COLLISION)
-
-        if self._ego_v < _STOPPED_EPS:
-            self._stopped_steps += 1
-        else:
-            self._stopped_steps = 0
-        self._window = self._window[CORRIDOR_FRAME_DIM:] + self._frame(gaps)
-        observation = np.array(self._window)
-        if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
-            self._active = False
-            return EnvStep(observation, Terminal.BLOCKED)
-        if self._steps >= spec.max_steps:
-            self._active = False
-            return EnvStep(observation, Terminal.TIME_LIMIT)
-        return EnvStep(observation)
-
     @property
     def max_steps(self) -> int:
         return self.spec.max_steps
 
-    def _gaps(self) -> list[float]:
-        # Forward (ring) distance from the ego to each obstacle.
-        return [(x - self._ego_x) % self.spec.lane_length for x in self._obstacle_x]
+    def rollout(self, draws: Draws) -> list[Episode]:
+        """One episode per row of `draws`, rolled in lockstep, in row order."""
 
-    def _danger_ahead(self) -> bool:
         spec = self.spec
-        for gap, v_obs in zip(self._gaps(), self._obstacle_v):
-            if gap > _SENSING_RANGE:
-                continue
-            closing = self._ego_v - v_obs
-            clearance = gap - _CAR_GAP - _SAFETY_MARGIN
-            if clearance <= 0.0:
-                if closing > 0.0:
-                    return True
-            elif closing > 0.0 and clearance / closing <= spec.check_horizon_s:
-                return True
-        return False
+        lane, dt = spec.lane_length, spec.delta_t
+        n = len(draws.seeds)
+        out = _Recorder(draws.seeds, CORRIDOR_FRAME_DIM, self.stack_frames, spec.max_steps)
+        slot = np.arange(n)  # each live episode's row of draws and out
+        ego_x = np.zeros(n)
+        ego_v = np.full(n, spec.target_speed)
+        # Obstacles in spawn order: columns from count on are unused zeros.
+        obs_x = np.zeros((n, _MAX_OBSTACLES))
+        obs_v = np.zeros((n, _MAX_OBSTACLES))
+        count = np.zeros(n, np.int64)
+        # spawn_rate 0 means an empty road, initial traffic included.
+        if spec.spawn_rate > 0:
+            draws.reserve(slot, 2 * _INITIAL_OBSTACLES)
+            for j in range(_INITIAL_OBSTACLES):
+                ahead = draws.uniform(slot, 0.5 * _SENSING_RANGE, lane - _CAR_GAP)
+                obs_x[:, j] = (ego_x + ahead) % lane
+                obs_v[:, j] = draws.uniform(slot, spec.speed_min, spec.speed_max)
+            count[:] = _INITIAL_OBSTACLES
+        countdown = np.full(n, -1)  # reaction steps left; -1: no danger on the last step
+        stopped = np.zeros(n, np.int64)  # steps in a row at a standstill
+        gaps = _gaps(obs_x, ego_x, lane)
+        out.record(slot, 0, self._frame(ego_x, ego_v, obs_v, gaps, count))
+        for k in range(1, spec.max_steps + 1):
+            # The step's draws in order: a spawn check while there is room
+            # and a spawned obstacle's speed, then per obstacle a speed-change
+            # check and, on a change, the new speed.
+            draws.reserve(slot, _CORRIDOR_STEP_WORDS)
+            u = draws.ahead(slot, _CORRIDOR_STEP_WORDS)
+            room = count < _MAX_OBSTACLES
+            born = np.flatnonzero(room & (u[:, 0] < spec.spawn_rate * dt))
+            spawn_x = (ego_x[born] + _SENSING_RANGE) % lane
+            obs_x[born, count[born]] = spawn_x
+            obs_v[born, count[born]] = _uniform(u[born, 1], spec.speed_min, spec.speed_max)
+            gaps[born, count[born]] = (spawn_x - ego_x[born]) % lane
+            count[born] += 1
+            used = room.astype(np.int64)
+            used[born] += 1
+            # Obstacle j's check is word used + j + (changes before j): found
+            # by iterating from no changes, each pass fixing at least the
+            # next change, until the changes no longer move.
+            present = _SLOTS < count[:, None]
+            first = (np.arange(len(slot)) * _CORRIDOR_STEP_WORDS + used)[:, None] + _SLOTS
+            at = first
+            while True:
+                changed = present & (np.take(u, at) < _SPEED_CHANGE_PROB)
+                shifted = first + np.cumsum(changed, axis=1) - changed
+                if np.array_equal(shifted, at):
+                    break
+                at = shifted
+            new_v = _uniform(np.take(u, at + 1), spec.speed_min, spec.speed_max)
+            obs_v = np.where(changed, new_v, obs_v)
+            draws.skip(slot, used + count + np.count_nonzero(changed, axis=1))
 
-    def _frame(self, gaps: list[float]) -> list[float]:
+            danger = self._danger(gaps, ego_v, obs_v, present)
+            react = np.flatnonzero(danger & (countdown < 0))
+            countdown[react] = draws.bounded(slot[react], spec.reaction_delay_steps)
+            braking = danger & (countdown == 0)
+            countdown = np.where(danger, countdown - (countdown > 0), -1)
+            # max(0, v) and min(target, v) as Python's max and min pick them.
+            slower = ego_v - spec.brake_decel * dt
+            faster = ego_v + _EGO_ACCEL * dt
+            ego_v = np.where(braking, np.where(slower > 0.0, slower, 0.0),
+                             np.where(faster < spec.target_speed, faster, spec.target_speed))
+            ego_x = (ego_x + ego_v * dt) % lane
+            obs_x = (obs_x + obs_v * dt) % lane
+
+            # The post-move gaps serve both the collision check and the new frame.
+            gaps = _gaps(obs_x, ego_x, lane)
+            collided = (present & (gaps < _CAR_GAP)).any(axis=1)
+            stopped = np.where(ego_v < _STOPPED_EPS, stopped + 1, 0)
+            blocked = ~collided & (stopped * dt >= spec.blocked_timeout_s)
+            out.end(slot[collided], k, Terminal.COLLISION)
+            out.end(slot[blocked], k, Terminal.BLOCKED)
+            going = ~(collided | blocked)
+            if k == spec.max_steps:
+                out.end(slot[going], k, Terminal.TIME_LIMIT)
+                break
+            if not going.all():
+                if not going.any():
+                    break
+                slot, ego_x, ego_v, obs_x, obs_v, count, countdown, stopped, gaps = (
+                    a[going] for a in (slot, ego_x, ego_v, obs_x, obs_v, count, countdown,
+                                       stopped, gaps))
+            out.record(slot, k, self._frame(ego_x, ego_v, obs_v, gaps, count))
+        return out.episodes
+
+    def _danger(self, gaps, ego_v, obs_v, present) -> np.ndarray:
+        """Whether a linear prediction closes the gap to a sensed obstacle, per row."""
+
+        closing = ego_v[:, None] - obs_v
+        clearance = gaps - _CAR_GAP - _SAFETY_MARGIN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            soon = clearance / closing <= self.spec.check_horizon_s
+        closing_in = present & (gaps <= _SENSING_RANGE) & (closing > 0.0)
+        return (closing_in & ((clearance <= 0.0) | soon)).any(axis=1)
+
+    def _frame(self, ego_x, ego_v, obs_v, gaps, count) -> np.ndarray:
+        """Each row's frame: ego speed, the three nearest sensed obstacles
+        (gap, relative speed) ordered by gap then speed, ego position."""
+
         spec = self.spec
-        ego_v = self._ego_v
-        frame = [ego_v / spec.target_speed]
-        visible = sorted((gap, v) for gap, v in zip(gaps, self._obstacle_v) if gap <= _SENSING_RANGE)
-        for gap, v_obs in visible[:3]:
-            frame += (gap / _SENSING_RANGE, (v_obs - ego_v) / spec.target_speed)
+        visible = (_SLOTS < count[:, None]) & (gaps <= _SENSING_RANGE)
+        # NumPy orders complex values by real part, then imaginary part: the
+        # (gap, speed) order, with unseen columns last.
+        pairs = np.empty(gaps.shape, complex)
+        pairs.real = np.where(visible, gaps, np.inf)
+        pairs.imag = obs_v
+        nearest = np.sort(pairs, axis=1)[:, :3]
         # Sentinel: an imaginary obstacle at max range moving with us.
-        frame += (1.0, 0.0) * (3 - min(len(visible), 3))
-        frame.append(self._ego_x / spec.lane_length)
+        seen = _SLOTS[:3] < np.count_nonzero(visible, axis=1)[:, None]
+        frame = np.empty((len(ego_x), CORRIDOR_FRAME_DIM))
+        frame[:, 0] = ego_v / spec.target_speed
+        frame[:, 1:7:2] = np.where(seen, nearest.real / _SENSING_RANGE, 1.0)
+        frame[:, 2:7:2] = np.where(seen, (nearest.imag - ego_v[:, None]) / spec.target_speed, 0.0)
+        frame[:, 7] = ego_x / spec.lane_length
         return frame
+
+
+def _gaps(obs_x: np.ndarray, ego_x: np.ndarray, lane: float) -> np.ndarray:
+    # Forward (ring) distance from the ego to each obstacle column.
+    return (obs_x - ego_x[:, None]) % lane
 
 
 @dataclass
@@ -338,37 +501,31 @@ class GenerationSummary:
 
 
 def run_episode(world, seed: int) -> Episode:
-    """Roll one episode to termination and record it.
+    """Roll the one episode of `seed`.
 
     Row t of the record is the observation the step t+1 started from; the
-    state reached by the final step is not recorded, and the step's
-    done_reason becomes the episode's terminal.
+    state reached by the final step is not recorded, and the step's end
+    reason becomes the episode's terminal.
     """
 
-    result = world.reset(seed)
-    observations: list[np.ndarray] = []
-    while result.done_reason is None:
-        observations.append(result.observation)
-        result = world.step()
-    return Episode(observations=np.array(observations), terminal=result.done_reason, seed=seed)
+    return world.rollout(Draws([seed]))[0]
 
 
 def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode], GenerationSummary]:
     """Roll `count` independently seeded episodes from one world.
 
     All seeds are drawn from `master_seed` up front and each episode is a
-    function of its own seed alone, so the episodes are rolled on every CPU
-    this process may use (see `parallel.map_ranges`) when count x max_steps
-    makes that pay, and come back in seed order: the list does not depend on
-    the worker count.
+    function of its own seed alone; batches of ROLLOUT_BATCH seeds are
+    rolled in lockstep, one after another, and the episodes come back in
+    seed order.
     """
 
     if not 1 <= count <= MAX_EPISODES:
         raise ValueError(f"count must be >= 1 and at most {MAX_EPISODES}")
     seeds = np.random.default_rng(master_seed).integers(0, 2**63 - 1, size=count).tolist()
     episodes: list[Episode] = []
-    map_ranges(lambda lo, hi: [run_episode(world, s) for s in seeds[lo:hi]],
-               count, count * world.max_steps, episodes.extend)
+    for lo in range(0, count, ROLLOUT_BATCH):
+        episodes += world.rollout(Draws(seeds[lo:lo + ROLLOUT_BATCH]))
     collisions = sum(ep.ends_in_collision for ep in episodes)
     hist: dict[int, int] = {}
     for ep in episodes:

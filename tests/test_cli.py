@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import riskhorizon
 from riskhorizon.cli import main
-from riskhorizon.envs import MAX_EPISODES, MAX_STACK_FRAMES
+from riskhorizon.envs import MAX_EPISODES, MAX_REACTION_DELAY, MAX_STACK_FRAMES
 from riskhorizon.episodes import load_episodes
 from riskhorizon.network import MAX_PARAMS, EstimatorConfig, MultiHeadEstimator, param_layout
 from riskhorizon.returns import MAX_HEADS
@@ -242,6 +242,14 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
                      "env: stack_frames", id="corridor-stack-frames-huge"),
         pytest.param({"env": {"max_steps": 0}}, "env: max_steps must be >= 1",
                      id="env-max-steps-zero"),
+        # Delays past the 32-bit bounded draw, which failed mid-rollout once
+        # danger first arose.
+        pytest.param({"env": Whole({"kind": "corridor", "reaction_delay_steps": 10**19})},
+                     f"env: reaction_delay_steps must be >= 0 and at most {MAX_REACTION_DELAY}",
+                     id="reaction-delay-huge"),
+        pytest.param({"env": Whole({"kind": "corridor",
+                                    "reaction_delay_steps": MAX_REACTION_DELAY + 1})},
+                     "env: reaction_delay_steps", id="reaction-delay-above-bound"),
         # Sizes that would otherwise exhaust memory or run for minutes in
         # the command that first builds them.
         pytest.param({"horizon": {"n_heads": 10**9}},
@@ -290,6 +298,7 @@ def test_gen_maps_malformed_config_values_to_the_data_code(tmp_path, capsys, ove
     assert code == 2
     assert "Traceback" not in err
     assert key in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "e.jsonl").exists()
 
 

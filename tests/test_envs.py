@@ -3,6 +3,8 @@ the exact tables, corridor behaviours, and the file schema."""
 
 import json
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_at
+from riskhorizon import envs
 from riskhorizon.config import load_config
 from riskhorizon.envs import (
     MAX_EPISODES,
+    MAX_REACTION_DELAY,
     ChainWorld,
     ChainWorldSpec,
     CorridorWorld,
     CorridorWorldSpec,
-    EnvStateError,
-    EnvStep,
+    Draws,
     chain_observation,
     generate_episodes,
     run_episode,
@@ -81,8 +84,8 @@ def test_chain_spec_validation():
 
 def test_chain_reset_deterministic():
     world = ChainWorld(FOUR_STATES)
-    a = world.reset(123).observation
-    b = world.reset(123).observation
+    a = run_episode(world, 123).observations[0]
+    b = run_episode(world, 123).observations[0]
     assert np.array_equal(a, b)
 
 
@@ -93,11 +96,11 @@ def test_chain_observation_is_tiled_one_hot():
 
 
 def test_chain_reset_matches_start_distribution():
-    world = ChainWorld(FOUR_STATES)
+    world = ChainWorld(FOUR_STATES, max_steps=1)
     counts = np.zeros(4)
     n = 10_000
     for seed in range(n):
-        obs = world.reset(seed).observation
+        obs = run_episode(world, seed).observations[0]
         counts[int(np.argmax(obs))] += 1
     expected = np.asarray(FOUR_STATES.start_distribution) * n
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -166,31 +169,56 @@ def test_chain_cumulative_frequency_matches_oracle():
         assert abs(freq - p) <= 3 * se, f"i={i}: {freq} vs {p}"
 
 
-def test_chain_step_after_done_rejected():
-    spec = ChainWorldSpec(
-        n_states=1, hazard=(1.0,), transition=((1.0,),), start_distribution=(1.0,)
-    )
-    world = ChainWorld(spec)
-    world.reset(0)
-    result = world.step()
-    assert result.done_reason is Terminal.COLLISION
-    with pytest.raises(EnvStateError):
-        world.step()
-    with pytest.raises(EnvStateError):
-        ChainWorld(spec).step()
-
-
 def test_chain_frame_stacking():
     world = ChainWorld(FOUR_STATES, stack_frames=2)
-    first = world.reset(5).observation
+    first = run_episode(world, 5).observations[0]
     assert first.shape == (8,)
     assert np.array_equal(first[:4], first[4:])  # stack starts repeated
     assert world.obs_dim == 8
 
 
+class Step(NamedTuple):
+    """What a reference world's reset or step returns; done_reason is set
+    once the episode ends."""
+
+    observation: np.ndarray
+    done_reason: Terminal | None = None
+
+
+def reference_episode(world, seed):
+    """One episode of a reference world, rolled one reset and step at a time."""
+
+    result = world.reset(seed)
+    observations = []
+    while result.done_reason is None:
+        observations.append(result.observation)
+        result = world.step()
+    return Episode(observations=np.array(observations), terminal=result.done_reason, seed=seed)
+
+
+def assert_stream_ends_where(draws, row, rng):
+    """Row `row` of `draws` used the words `rng` used, and holds the same
+    cached 32-bit half."""
+
+    state = rng.bit_generator.state
+    source = np.random.PCG64(draws.seeds[row])
+    source.random_raw(int(draws.consumed[row]))
+    assert source.state["state"] == state["state"]
+    assert bool(draws.has_half[row]) == bool(state["has_uint32"])
+    if state["has_uint32"]:
+        assert int(draws.half[row]) == state["uinteger"]
+
+
+def assert_same_episode(got, want):
+    assert got.observations.shape == want.observations.shape
+    assert got.observations.tobytes() == want.observations.tobytes()
+    assert got.terminal is want.terminal
+    assert got.seed == want.seed
+
+
 class ReferenceChainWorld:
     """The chain world as it drew states with `rng.choice` and stacked frame
-    arrays: the bit-level reference for ChainWorld."""
+    arrays, one episode at a time: the bit-level reference for ChainWorld."""
 
     def __init__(self, spec, max_steps=100, stack_frames=1):
         self.spec = spec
@@ -204,16 +232,16 @@ class ReferenceChainWorld:
         self._state = int(self._rng.choice(self.spec.n_states, p=self._start))
         self._frames = [self._frame()] * self.stack_frames
         self._steps = 0
-        return EnvStep(np.concatenate(self._frames))
+        return Step(np.concatenate(self._frames))
 
     def step(self):
         self._steps += 1
         if self._rng.random() < self.spec.hazard[self._state]:
-            return EnvStep(np.concatenate(self._frames), Terminal.COLLISION)
+            return Step(np.concatenate(self._frames), Terminal.COLLISION)
         self._state = int(self._rng.choice(self.spec.n_states, p=self._transition[self._state]))
         self._frames = self._frames[1:] + [self._frame()]
         done = self._steps >= self.max_steps
-        return EnvStep(np.concatenate(self._frames), Terminal.TIME_LIMIT if done else None)
+        return Step(np.concatenate(self._frames), Terminal.TIME_LIMIT if done else None)
 
     def _frame(self):
         frame = np.zeros(self.spec.n_states)
@@ -246,12 +274,10 @@ def chain_specs(draw):
 def test_chain_episodes_match_the_reference_world_bit_for_bit(spec, max_steps, stack_frames, seed):
     world = ChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
     reference = ReferenceChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
-    got = run_episode(world, seed)
-    want = run_episode(reference, seed)
-    assert got.observations.shape == want.observations.shape
-    assert got.observations.tobytes() == want.observations.tobytes()
-    assert got.terminal is want.terminal
-    assert world._rng.bit_generator.state == reference._rng.bit_generator.state
+    draws = Draws([seed])
+    [got] = world.rollout(draws)
+    assert_same_episode(got, reference_episode(reference, seed))
+    assert_stream_ends_where(draws, 0, reference._rng)
 
 
 # --- corridor world ---------------------------------------------------------
@@ -300,23 +326,13 @@ def test_corridor_default_collision_fraction_band():
     assert 0.15 <= summary.collision_fraction <= 0.45, summary.collision_fraction
 
 
-def test_corridor_step_after_done_rejected():
-    spec = CorridorWorldSpec(spawn_rate=0.0, max_steps=3)
-    world = CorridorWorld(spec)
-    world.reset(0)
-    for _ in range(3):
-        result = world.step()
-    assert result.done_reason is Terminal.TIME_LIMIT
-    with pytest.raises(EnvStateError):
-        world.step()
-
-
 # --- corridor world against its reference copy ------------------------------
 
 
 class ReferenceCorridorWorld:
     """The corridor world as it computed each step before the gaps were shared
-    and frames became lists: the bit-level reference for CorridorWorld."""
+    and frames became lists, one episode at a time: the bit-level reference
+    for CorridorWorld."""
 
     _EGO_ACCEL = 2.5
     _CAR_GAP = 2.0
@@ -346,7 +362,7 @@ class ReferenceCorridorWorld:
         self._stopped_steps = 0
         self._react_countdown = None
         self._frames = [self._frame()] * self.stack_frames
-        return EnvStep(self._stacked())
+        return Step(self._stacked())
 
     def step(self):
         spec, rng = self.spec, self._rng
@@ -376,17 +392,17 @@ class ReferenceCorridorWorld:
         for j in range(len(self._obstacle_x)):
             self._obstacle_x[j] = (self._obstacle_x[j] + self._obstacle_v[j] * spec.delta_t) % spec.lane_length
         if any(gap < self._CAR_GAP for gap in self._gaps()):
-            return EnvStep(self._stacked(), Terminal.COLLISION)
+            return Step(self._stacked(), Terminal.COLLISION)
         if self._ego_v < self._STOPPED_EPS:
             self._stopped_steps += 1
         else:
             self._stopped_steps = 0
         self._frames = self._frames[1:] + [self._frame()]
         if self._stopped_steps * spec.delta_t >= spec.blocked_timeout_s:
-            return EnvStep(self._stacked(), Terminal.BLOCKED)
+            return Step(self._stacked(), Terminal.BLOCKED)
         if self._steps >= spec.max_steps:
-            return EnvStep(self._stacked(), Terminal.TIME_LIMIT)
-        return EnvStep(self._stacked())
+            return Step(self._stacked(), Terminal.TIME_LIMIT)
+        return Step(self._stacked())
 
     def _gaps(self):
         return [(x - self._ego_x) % self.spec.lane_length for x in self._obstacle_x]
@@ -428,8 +444,11 @@ class ReferenceCorridorWorld:
 
 corridor_variants = st.fixed_dictionaries({
     "spawn_rate": st.sampled_from([0.0, 0.5, 3.0, 10.0]) | st.floats(0.0, 10.0),
-    "reaction_delay_steps": st.integers(0, 4),
+    # Large delays take the rejection branch of the bounded draw often.
+    "reaction_delay_steps": st.integers(0, 4) | st.sampled_from([3 * 2**30 - 1,
+                                                                 MAX_REACTION_DELAY]),
     "speed_min": st.sampled_from([0.0, 2.0]),
+    "speed_max": st.sampled_from([2.0, 8.0]),
     "check_horizon_s": st.sampled_from([0.3, 1.3, 3.0]),
     "max_steps": st.integers(1, 150),
     "blocked_timeout_s": st.sampled_from([0.5, 5.0]),
@@ -440,11 +459,11 @@ corridor_variants = st.fixed_dictionaries({
 @given(corridor_variants, st.integers(1, 3), st.integers(0, 2**63 - 2))
 def test_corridor_episodes_match_the_reference_world_bit_for_bit(fields, stack_frames, seed):
     spec = CorridorWorldSpec(**fields)
-    got = run_episode(CorridorWorld(spec, stack_frames=stack_frames), seed)
-    want = run_episode(ReferenceCorridorWorld(spec, stack_frames=stack_frames), seed)
-    assert got.observations.shape == want.observations.shape
-    assert got.observations.tobytes() == want.observations.tobytes()
-    assert got.terminal is want.terminal
+    reference = ReferenceCorridorWorld(spec, stack_frames=stack_frames)
+    draws = Draws([seed])
+    [got] = CorridorWorld(spec, stack_frames=stack_frames).rollout(draws)
+    assert_same_episode(got, reference_episode(reference, seed))
+    assert_stream_ends_where(draws, 0, reference._rng)
 
 
 def test_corridor_default_corpus_matches_the_reference_world():
@@ -453,11 +472,96 @@ def test_corridor_default_corpus_matches_the_reference_world():
     terminals = set()
     for seed in range(10):
         got = run_episode(CorridorWorld(spec, stack_frames=3), seed)
-        want = run_episode(ReferenceCorridorWorld(spec, stack_frames=3), seed)
-        assert got.observations.tobytes() == want.observations.tobytes()
-        assert got.terminal is want.terminal
+        assert_same_episode(got, reference_episode(ReferenceCorridorWorld(spec, stack_frames=3), seed))
         terminals.add(got.terminal)
     assert terminals == {Terminal.COLLISION, Terminal.TIME_LIMIT}
+
+
+BATCHED = {
+    "chain": (ChainWorld(FOUR_STATES, max_steps=30, stack_frames=2),
+              ReferenceChainWorld(FOUR_STATES, max_steps=30, stack_frames=2)),
+    "corridor": (CorridorWorld(CorridorWorldSpec(spawn_rate=3.0), stack_frames=3),
+                 ReferenceCorridorWorld(CorridorWorldSpec(spawn_rate=3.0), stack_frames=3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCHED))
+def test_generated_batches_match_the_reference_worlds(kind, monkeypatch):
+    # Batches of 3 seeds, the last one short: episodes leave a batch on
+    # different steps, and a batch boundary falls inside the corpus. Blocks
+    # of the fewest words a corridor step may take refill every few steps.
+    monkeypatch.setattr(envs, "ROLLOUT_BATCH", 3)
+    monkeypatch.setattr(envs, "WORD_BLOCK", 26)
+    world, reference = BATCHED[kind]
+    got, _ = generate_episodes(world, 8, 3)
+    assert all(len({ep.steps for ep in got[lo:lo + 3]}) > 1 for lo in (0, 3, 6))
+    for ep in got:
+        assert_same_episode(ep, reference_episode(reference, ep.seed))
+    draws = Draws([ep.seed for ep in got[:3]])
+    world.rollout(draws)
+    for row, ep in enumerate(got[:3]):
+        reference_episode(reference, ep.seed)
+        assert_stream_ends_where(draws, row, reference._rng)
+
+
+# --- the draw rules against Generator ---------------------------------------
+
+# A range whose Lemire draw rejects a quarter of its 32-bit values: for
+# 3 * 2**30 values, the threshold 2**32 mod 3 * 2**30 is 2**30.
+REJECTING_RANGE = 3 * 2**30 - 1
+
+draw_calls = st.lists(
+    st.tuples(st.just("random"))
+    | st.tuples(st.just("uniform"), st.sampled_from([0.0, 2.0, 30.0]),
+                st.sampled_from([0.0, 2.0, 8.0, 398.0]))
+    | st.tuples(st.just("integers"), st.sampled_from([0, 1, 2, 4, 2**16, REJECTING_RANGE,
+                                                      MAX_REACTION_DELAY])),
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 2), draw_calls, st.sampled_from([1, 2, envs.WORD_BLOCK]))
+def test_draws_give_what_generator_gives(seed, calls, block):
+    # Runs of integers use PCG64's cached half, integers(0, 1) takes no word,
+    # and uniform(2.0, 2.0) takes one; small blocks refill between draws.
+    rng = np.random.default_rng(seed)
+    row = np.array([0])
+    with mock.patch.object(envs, "WORD_BLOCK", block):
+        draws = Draws([seed])
+        for name, *args in calls:
+            draws.reserve(row, 1)
+            if name == "random":
+                got, want = draws.double(row)[0], rng.random()
+            elif name == "uniform":
+                low, high = min(args), max(args)
+                got, want = draws.uniform(row, low, high)[0], rng.uniform(low, high)
+            else:
+                got, want = draws.bounded(row, args[0])[0], rng.integers(0, args[0] + 1)
+            assert got == want and np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert_stream_ends_where(draws, 0, rng)
+
+
+def test_a_rejected_bounded_draw_takes_the_next_half():
+    class Words:
+        """A word source whose first word has the lower half 0."""
+
+        def random_raw(self, size):
+            words = np.arange(size, dtype=np.uint64)
+            words[0] = np.uint64(7 << 32)
+            return words
+
+    draws = Draws([0])
+    draws.sources[0] = Words()
+    row = np.array([0])
+    # The lower half 0 leaves 0 < 2**30, so it is rejected; the cached upper
+    # half 7 gives (7 * 3 * 2**30) >> 32 = 5 with leftover 2**30, accepted.
+    assert draws.bounded(row, REJECTING_RANGE).tolist() == [5]
+    assert draws.consumed.tolist() == [1] and not draws.has_half[0]
+    # The next draw takes word 1: its lower half 1 gives (1 * 3) >> 32 = 0,
+    # and its upper half 0 is cached.
+    assert draws.bounded(row, 2).tolist() == [0]
+    assert draws.consumed.tolist() == [2] and draws.has_half[0] and draws.half[0] == 0
 
 
 # --- generation plumbing ----------------------------------------------------
