@@ -44,11 +44,11 @@ def write_json(path: str | Path, doc) -> None:
         fh.write(canonical_json(doc) + "\n")
 
 
-def write_table(path: str | Path, kind: str, columns: list[str], rows) -> None:
-    """Tab-delimited rows under a `# riskhorizon-<kind> v1` line and a column
-    line; integers are written in decimal, floats as `%.12g`."""
+def write_table(path: str | Path, kind: str, columns: list[str], rows, version: int = 1) -> None:
+    """Tab-delimited rows under a `# riskhorizon-<kind> v<version>` line and
+    a column line; integers are written in decimal, floats as `%.12g`."""
 
-    lines = [f"# riskhorizon-{kind} v1", "\t".join(columns)]
+    lines = [f"# riskhorizon-{kind} v{version}", "\t".join(columns)]
     lines.extend("\t".join(_cell(v) for v in row) for row in rows)
     with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")

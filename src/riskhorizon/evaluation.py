@@ -35,6 +35,11 @@ DEFAULT_INTERVALS = ((0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
 # calls, and memory that does not grow with the corpus.
 GROUP_ROWS = 1024
 
+# Interval bounds are converted to whole steps to collision by flooring,
+# after scaling up by this relative tolerance: 0.3 s at 0.1 s per step is
+# 2.9999999999999996 steps, which is step 3.
+STEP_TOLERANCE = 1e-9
+
 
 @dataclass
 class EvalReport:
@@ -147,7 +152,9 @@ class DetectionTable:
 
     rates[a, b] is the fraction of collision episodes whose final-head
     estimate exceeds thresholds[a] at some timestep with time-to-collision
-    inside intervals[b] (left-open, right-closed, in seconds).
+    inside intervals[b] (left-open, right-closed, in seconds, each bound
+    taken as a whole number of steps); it is NaN when no timestep of a
+    collision episode lies inside intervals[b].
     """
 
     thresholds: tuple[float, ...]
@@ -185,16 +192,16 @@ def detection_rate(
     rows = np.flatnonzero(collided)
     last = last_rows[rows]
     starts = np.flatnonzero(np.diff(last, prepend=-1))
-    lo, hi = np.array(intervals).T
-    # Time to collision of every row, against every interval.
-    ttc = ((last + 1 - rows) * cfg.delta_t)[:, None]
-    inside = (ttc > lo) & (ttc <= hi)
+    lo, hi = np.floor(np.array(intervals).T / cfg.delta_t * (1 + STEP_TOLERANCE))
+    # Steps to collision of every row, against every interval.
+    steps = (last + 1 - rows)[:, None]
+    inside = (steps > lo) & (steps <= hi)
     # Max final-head estimate per (episode, interval); thresholds then just
     # compare against it, which also forces monotonicity in the threshold.
     peak = np.maximum.reduceat(np.where(inside, final_head[rows, None], -np.inf),
                                starts, axis=0)
-    # Without a collision episode every rate is 0.
     rates = (peak > np.array(thresholds)[:, None, None]).sum(axis=1) / max(len(starts), 1)
+    rates[:, ~inside.any(axis=0)] = np.nan
     return DetectionTable(tuple(thresholds), tuple(intervals), rates, len(starts))
 
 
@@ -228,7 +235,7 @@ def write_detection(path: str | Path, table: DetectionTable) -> None:
             for a, theta in enumerate(table.thresholds)
             for b, (lo, hi) in enumerate(table.intervals)]
     write_table(path, "detection-rate",
-                ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows)
+                ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows, version=2)
 
 
 def write_oracle_errors(path: str | Path, errors: np.ndarray) -> None:

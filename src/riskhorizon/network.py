@@ -18,7 +18,6 @@ import base64
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -46,9 +45,6 @@ CHECKPOINT_FORMAT = "riskhorizon-checkpoint"
 CHECKPOINT_VERSION = 2
 CHECKPOINT_KEYS = {"format", "version", "estimator", "horizon", "loss", "epochs_completed",
                    "params", "adam", "sampler", "metrics"}
-# Version 1 files have no sampler state or metric history, and list the
-# parameter layout.
-V1_CHECKPOINT_KEYS = CHECKPOINT_KEYS - {"sampler", "metrics"} | {"layout"}
 
 
 class EmptyBatchError(ValueError):
@@ -567,8 +563,7 @@ class Checkpoint:
     """A training run's whole state: what `train` resumes from, hands to
     `on_epoch_end` and returns, and what a checkpoint file holds. `sampler`
     is the replay generator's `bit_generator.state` after the last completed
-    epoch; without one (untrained, or read from a version 1 file) replay
-    starts from the configured seed."""
+    epoch, and None only before the first."""
 
     estimator: MultiHeadEstimator
     horizon: HorizonConfig
@@ -636,8 +631,7 @@ def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a version 2 or version 1 checkpoint; anything malformed raises
-    CheckpointError."""
+    """Read a version 2 checkpoint; anything else raises CheckpointError."""
 
     from .config import saved_sections  # config imports this module
 
@@ -648,37 +642,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} document")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    if set(doc) != (CHECKPOINT_KEYS if version > 1 else V1_CHECKPOINT_KEYS):
-        raise CheckpointError(f"{path}: missing or unknown fields for version {version}")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: a version {version!r} checkpoint; this version reads "
+                              f"version {CHECKPOINT_VERSION}: re-run `riskhorizon train` to "
+                              "rebuild it")
+    if set(doc) != CHECKPOINT_KEYS:
+        raise CheckpointError(f"{path}: missing or unknown fields")
     try:
         est_cfg, horizon, weights = saved_sections(doc)
         if est_cfg.n_heads != horizon.n_heads:
             raise ValueError("estimator and horizon disagree on n_heads")
-        layout = param_layout(est_cfg)
-        sizes = [math.prod(shape) for _, shape in layout]
-        if version == 1 and doc["layout"] != [
-            {"name": name, "shape": list(shape), "offset": offset, "size": size}
-            for (name, shape), offset, size in zip(layout, accumulate([0, *sizes]), sizes)
-        ]:
-            raise ValueError("parameter layout does not match the estimator section")
-        params = _decode(doc["params"], sum(sizes))  # before a huge layer is allocated
+        size = sum(math.prod(shape) for _, shape in param_layout(est_cfg))
+        params = _decode(doc["params"], size)  # before a huge layer is allocated
         estimator = MultiHeadEstimator(est_cfg)
         estimator.set_flat(params)
         adam = AdamState.zeros(estimator)
-        if doc["adam"] is not None or version > 1:
-            adam.step = _count(doc["adam"]["step"], "adam.step")
-            adam.m[:] = _decode(doc["adam"]["m"], params.size)
-            adam.v[:] = _decode(doc["adam"]["v"], params.size)
+        adam.step = _count(doc["adam"]["step"], "adam.step")
+        adam.m[:] = _decode(doc["adam"]["m"], size)
+        adam.v[:] = _decode(doc["adam"]["v"], size)
         state = Checkpoint(estimator, horizon, weights, adam,
                            _count(doc["epochs_completed"], "epochs_completed"))
-        if version > 1:
-            if doc["sampler"] is not None:
-                bit_generator = np.random.PCG64(0)
-                bit_generator.state = doc["sampler"]  # raises for a state PCG64 rejects
-                state.sampler = bit_generator.state
-            state.metrics = [_epoch_metrics(entry, horizon.n_heads) for entry in doc["metrics"]]
+        if doc["sampler"] is not None:
+            bit_generator = np.random.PCG64(0)
+            bit_generator.state = doc["sampler"]  # raises for a state PCG64 rejects
+            state.sampler = bit_generator.state
+        elif state.epochs_completed > 0:
+            raise ValueError("a checkpoint after a completed epoch needs its sampler state")
+        state.metrics = [_epoch_metrics(entry, horizon.n_heads) for entry in doc["metrics"]]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

@@ -15,7 +15,6 @@ from a saved one continues the run exactly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -38,12 +37,12 @@ from .network import (
 from .replay import build_index, sample
 from .returns import HorizonConfig, corpus_rows, lambda_targets
 
-log = logging.getLogger(__name__)
-
 # An epoch is planned in blocks of whole batches holding at most PLAN_ROWS
 # anchors (one batch when a batch is larger), which bounds the plan's memory
-# whatever samples_per_epoch is.
+# whatever samples_per_epoch is. Both sizes are at most MAX_SAMPLES, so one
+# batch's plan stays allocatable and an epoch's count of batches small.
 PLAN_ROWS = 4096
+MAX_SAMPLES = 1_000_000
 
 
 class DegenerateCorpusError(ValueError):
@@ -66,10 +65,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.samples_per_epoch < 1:
-            raise ValueError("samples_per_epoch must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.samples_per_epoch <= MAX_SAMPLES:
+            raise ValueError(f"samples_per_epoch must be >= 1 and at most {MAX_SAMPLES}")
+        if not 1 <= self.batch_size <= MAX_SAMPLES:
+            raise ValueError(f"batch_size must be >= 1 and at most {MAX_SAMPLES}")
         if not (0 < self.lr_end <= self.lr_start):
             raise ValueError("need 0 < lr_end <= lr_start")
         if not 0.0 < self.eval_fraction < 1.0:
@@ -125,7 +124,8 @@ def train(
     `FloatingPointError` from the operation that first hits one.
 
     With `resume`, training continues that state in place: its estimator,
-    optimizer state, epoch counter, replay sampler and metric history.
+    optimizer state, epoch counter, replay sampler and metric history; a
+    state with completed epochs but no sampler state raises ValueError.
     Otherwise a fresh estimator is built from `estimator_cfg`, and one of the
     two is required. The state takes the horizon and loss weights of `cfg`,
     and is handed to `on_epoch_end` after every epoch. With no epochs left,
@@ -150,6 +150,8 @@ def train(
     split_seq, _, sample_seq = seed_seq.spawn(3)
 
     state = resume
+    if state is not None and state.epochs_completed and state.sampler is None:
+        raise ValueError("a state with completed epochs needs its replay sampler state to resume")
     if state is None:
         if estimator_cfg is None:
             raise ValueError("train needs an estimator_cfg or a checkpoint to resume")
@@ -177,10 +179,6 @@ def train(
     sample_rng = np.random.default_rng(sample_seq)
     if state.sampler is not None:
         sample_rng.bit_generator.state = state.sampler
-    elif 0 < state.epochs_completed < cfg.epochs:
-        log.warning("resuming from a state without replay sampler state or metric history "
-                    "(a version 1 checkpoint): replay restarts from the configured seed, so "
-                    "this run will differ from an uninterrupted one")
     for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -214,27 +212,26 @@ def _epoch(
     # on the rows forwarded with it.
     snapshot = estimator.forward(observations)
     np.clip(snapshot, 0.0, 1.0, out=snapshot)
-    sizes = [min(cfg.batch_size, cfg.samples_per_epoch - drawn)
-             for drawn in range(0, cfg.samples_per_epoch, cfg.batch_size)]
-    per_block = max(PLAN_ROWS // cfg.batch_size, 1)
+    batch, total = cfg.batch_size, cfg.samples_per_epoch
+    block_rows = max(PLAN_ROWS // batch, 1) * batch
     sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
     n_valid_total = 0
-    for first in range(0, len(sizes), per_block):
-        block = sizes[first : first + per_block]
+    for first in range(0, total, block_rows):
+        n_rows = min(block_rows, total - first)  # the epoch's last batch may be short
+        starts = range(0, n_rows, batch)
         # Targets are row-wise, so the block's rows get the bits each batch
         # would get on its own.
-        drawn = np.concatenate([sample(index, size, rng, cfg.loss.p_collision,
-                                       cfg.loss.p_noncollision) for size in block])
+        drawn = np.concatenate([sample(index, min(batch, n_rows - lo), rng, cfg.loss.p_collision,
+                                       cfg.loss.p_noncollision) for lo in starts])
         rows, related = drawn["row"], drawn["collision_related"]
         targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
-        if first + per_block >= len(sizes):
+        if first + block_rows >= total:
             # Freed before the last block's features are gathered, and so
             # before its steps, the held-out forward and the next snapshot.
             del snapshot
         features = observations[rows]
-        lo = 0
-        for size in block:
-            hi = lo + size
+        for lo in starts:
+            hi = min(lo + batch, n_rows)
             _, breakdown, grads = batch_loss_and_grad(
                 estimator, features[lo:hi], targets.values[lo:hi], targets.valid[lo:hi],
                 related[lo:hi], cfg.loss,
@@ -244,7 +241,6 @@ def _epoch(
                 [breakdown.total, breakdown.mse, breakdown.interval, breakdown.chain]
             ) * breakdown.n_valid
             n_valid_total += breakdown.n_valid
-            lo = hi
         # Freed before the next block is planned.
         del drawn, rows, related, targets, features
     return sums / n_valid_total

@@ -19,8 +19,9 @@ import riskhorizon
 from riskhorizon.cli import main
 from riskhorizon.envs import MAX_EPISODES, MAX_REACTION_DELAY, MAX_STACK_FRAMES
 from riskhorizon.episodes import load_episodes
-from riskhorizon.network import MAX_PARAMS, EstimatorConfig, MultiHeadEstimator, param_layout
+from riskhorizon.network import MAX_PARAMS, MultiHeadEstimator
 from riskhorizon.returns import MAX_HEADS
+from riskhorizon.training import MAX_SAMPLES
 
 CHAIN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "chain_small.json"
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
@@ -260,6 +261,15 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
                      f"parameters, more than {MAX_PARAMS}", id="backbone-huge"),
         pytest.param({"gen": {"count": 10**11}},
                      f"gen.count: must be >= 1 and at most {MAX_EPISODES}", id="count-huge"),
+        pytest.param({"train": {"samples_per_epoch": 10**11}},
+                     f"train: samples_per_epoch must be >= 1 and at most {MAX_SAMPLES}",
+                     id="samples-per-epoch-huge"),
+        pytest.param({"train": {"samples_per_epoch": 10**9, "batch_size": 10**9}},
+                     f"train: samples_per_epoch must be >= 1 and at most {MAX_SAMPLES}",
+                     id="samples-and-batch-huge"),
+        pytest.param({"train": {"batch_size": 10**9}},
+                     f"train: batch_size must be >= 1 and at most {MAX_SAMPLES}",
+                     id="batch-size-huge"),
         pytest.param({"estimator": {"activation": "swish"}},
                      "estimator: unknown activation 'swish'", id="estimator-swish"),
         pytest.param({"estimator": {"init_seed": -1}}, "estimator: init_seed must be >= 0",
@@ -468,32 +478,19 @@ def test_undefined_held_out_errors_are_written_as_null_and_resume_exactly(tmp_pa
     assert summary["acc_per_head"] == [None] * 3
 
 
-def as_version_1(doc):
-    """A version 2 checkpoint document as the version 1 writer wrote the same
-    state: no sampler state or metric history, and the parameter layout listed."""
-
-    doc = {k: v for k, v in doc.items() if k not in ("sampler", "metrics")}
-    layout, offset = [], 0
-    for name, shape in param_layout(EstimatorConfig(**doc["estimator"])):
-        size = int(np.prod(shape))
-        layout.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
-        offset += size
-    return {**doc, "version": 1, "layout": layout}
-
-
-def test_a_version_1_checkpoint_still_resumes_with_a_warning(pipeline, tmp_path):
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_version_1_checkpoint_exits_2_with_one_line(pipeline, tmp_path, capsys, command):
     doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
+    del doc["sampler"], doc["metrics"]
     v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(as_version_1(doc)))
-    cfg = write_config(tmp_path / "cfg.json", {"train": {"epochs": 3}})
-    result = run_cli("train", "--config", cfg, "--episodes", pipeline["root"] / "eps.jsonl",
-                     "--out", tmp_path / "run", "--checkpoint", v1)
-    assert result.returncode == 0, result.stderr
-    assert "trained 1 epochs (3 total)" in result.stdout
-    assert "replay restarts from the configured seed" in result.stderr
-    # Without a metric history, the log lists only the epoch this run trained.
-    rows = (tmp_path / "run" / "metrics.tsv").read_text().splitlines()[2:]
-    assert [row.split("\t")[0] for row in rows] == ["2"]
+    v1.write_text(json.dumps({**doc, "version": 1, "layout": []}))
+    args = ["--config", pipeline["cfg"], "--episodes", pipeline["root"] / "eps.jsonl",
+            "--checkpoint", v1, "--out", tmp_path / "out"]
+    code, err = run_main(capsys, command, *args)
+    assert code == 2
+    assert err == (f"riskhorizon {command}: {v1}: a version 1 checkpoint; this version reads "
+                   "version 2: re-run `riskhorizon train` to rebuild it\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_rejects_mismatched_observation_width(pipeline, tmp_path):
@@ -619,19 +616,6 @@ def test_eval_without_config_skips_the_oracle_table(pipeline, tmp_path):
     assert "oracle_max_abs_error" not in summary
 
 
-def test_a_version_1_checkpoint_evaluates_to_the_same_reports(pipeline, tmp_path):
-    doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(as_version_1(doc)))
-    result = run_cli("eval", "--checkpoint", v1, "--episodes", pipeline["root"] / "eps.jsonl",
-                     "--out", tmp_path / "reports", "--config", pipeline["cfg"])
-    assert result.returncode == 0, result.stderr
-    reports = pipeline["root"] / "reports"
-    assert listing(tmp_path / "reports") == listing(reports)
-    for name in listing(reports):
-        assert (tmp_path / "reports" / name).read_bytes() == (reports / name).read_bytes()
-
-
 def test_eval_rejects_mismatched_episode_width(pipeline, tmp_path):
     stacked = write_config(tmp_path / "stacked.json", {"env": {"stack_frames": 2}})
     run_cli("gen", "--config", stacked, "--out", tmp_path / "wide.jsonl")
@@ -711,6 +695,7 @@ def _set_n_heads_to_a_word(doc):
 
 
 def _set_layout_to_a_number(doc):
+    # A version 1 field, unknown to version 2.
     doc["layout"] = 5
 
 
@@ -742,6 +727,10 @@ def _drop_the_sampler_increment(doc):
     del doc["sampler"]["state"]["inc"]
 
 
+def _drop_the_sampler_state_after_two_epochs(doc):
+    doc["sampler"] = None
+
+
 def _set_a_metric_to_a_string(doc):
     doc["metrics"][1]["loss"] = "0.5"
 
@@ -767,13 +756,14 @@ def _set_the_loss_section_to_a_list(doc):
     [_set_params_to_bad_base64, _set_n_heads_to_a_word, _set_layout_to_a_number,
      _set_epochs_completed_negative, _set_epochs_completed_to_a_float, _set_adam_step_negative,
      _set_adam_step_to_a_string, _set_sampler_to_another_generator,
-     _set_sampler_state_beyond_128_bits, _drop_the_sampler_increment, _set_a_metric_to_a_string,
+     _set_sampler_state_beyond_128_bits, _drop_the_sampler_increment,
+     _drop_the_sampler_state_after_two_epochs, _set_a_metric_to_a_string,
      _drop_a_head_from_the_metrics, _set_the_metrics_to_an_object, _drop_the_metrics,
      _set_the_loss_section_to_a_list],
     ids=["bad-base64", "n-heads-word", "layout-number", "epochs-negative", "epochs-float",
          "step-negative", "step-string", "sampler-generator", "sampler-state-wide",
-         "sampler-inc-missing", "metric-string", "metric-heads-short", "metrics-object",
-         "metrics-missing", "loss-list"],
+         "sampler-inc-missing", "sampler-null", "metric-string", "metric-heads-short",
+         "metrics-object", "metrics-missing", "loss-list"],
 )
 def test_eval_maps_malformed_checkpoint_fields_to_the_data_code(pipeline, tmp_path, tamper):
     doc = json.loads((pipeline["root"] / "run" / "checkpoint.json").read_text())

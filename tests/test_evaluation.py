@@ -2,6 +2,7 @@
 characteristic curves, detection tables, and the report files."""
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
 from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.evaluation import (
+    DEFAULT_INTERVALS,
     CharacteristicCurves,
     DetectionTable,
     EvalReport,
@@ -250,15 +252,30 @@ def reference_characteristic(episodes, estimator, horizon):
 
 
 def reference_peaks(episodes, estimator, horizon, intervals):
+    """Each collision episode's peak final-head estimate per interval, -inf
+    where no step of it lies inside. Times are the decimals they are written
+    as, so three steps of 0.1 s are 0.3 s."""
+
+    delta_t = Decimal(repr(horizon.delta_t))
+    bounds = [(Decimal(repr(lo)), Decimal(repr(hi))) for lo, hi in intervals]
     peaks = []
     for ep in episodes:
         if not ep.ends_in_collision:
             continue
         final = estimator.forward(ep.observations)[:, horizon.n_heads - 1]
-        ttc = (ep.steps - np.arange(ep.steps)) * horizon.delta_t
-        inside = [(ttc > lo) & (ttc <= hi) for lo, hi in intervals]
+        ttc = [(ep.steps - t) * delta_t for t in range(ep.steps)]
+        inside = [np.array([lo < time <= hi for time in ttc]) for lo, hi in bounds]
         peaks.append([final[m].max() if m.any() else -np.inf for m in inside])
     return np.array(peaks).reshape(-1, len(intervals))
+
+
+def reference_rates(peaks, thresholds):
+    """Detection rates from `reference_peaks`: NaN for an interval that no
+    step of any collision episode lies in."""
+
+    reached = np.isfinite(peaks).any(axis=0)
+    return np.stack([np.where(reached, (peaks > theta).sum(axis=0) / max(len(peaks), 1), np.nan)
+                     for theta in thresholds])
 
 
 def final_head_of(episodes, estimator):
@@ -302,8 +319,7 @@ def test_grouped_reports_equal_per_episode_loops(real_case, monkeypatch, group_r
     # Thresholds inside the spread of the peaks, so every rate is informative.
     thresholds = tuple(np.quantile(peaks[np.isfinite(peaks)], [0.1, 0.4, 0.7, 0.95]))
     table = detection_rate(episodes, report.final_head, horizon, thresholds, intervals)
-    want = np.stack([(peaks > theta).mean(axis=0) for theta in thresholds])
-    assert table.rates.tobytes() == want.tobytes()
+    assert table.rates.tobytes() == reference_rates(peaks, thresholds).tobytes()
     assert 0.0 < table.rates.mean() < 1.0
 
 
@@ -349,9 +365,7 @@ def test_reports_at_the_edges_equal_per_episode_loops(shape, n_heads):
     table = detection_rate(episodes, final_head, horizon, thresholds, intervals)
     peaks = reference_peaks(episodes, est, horizon, intervals)
     assert table.episode_count == len(collisions)
-    want = np.stack([(peaks > theta).mean(axis=0) if collisions else np.zeros(len(intervals))
-                     for theta in thresholds])
-    assert table.rates.tobytes() == want.tobytes()
+    assert table.rates.tobytes() == reference_rates(peaks, thresholds).tobytes()
 
 
 # --- characteristic curves --------------------------------------------------
@@ -483,7 +497,8 @@ def test_detection_interval_beyond_episode_span_never_fires():
         [episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
         thresholds=(0.0,), intervals=((0.0, 1.0), (5.0, 6.0)),
     )
-    np.testing.assert_array_equal(table.rates, [[1.0, 0.0]])
+    # No step lies in (5, 6], so it has no rate.
+    np.testing.assert_array_equal(table.rates, [[1.0, np.nan]])
 
 
 def test_detection_without_collisions_is_an_empty_table():
@@ -492,7 +507,34 @@ def test_detection_without_collisions_is_an_empty_table():
         thresholds=(0.1, 0.2), intervals=((0.0, 1.0),),
     )
     assert table.episode_count == 0
-    assert np.all(table.rates == 0.0)
+    assert np.all(np.isnan(table.rates))
+
+
+def steps_per_interval(delta_t, intervals, n_steps):
+    """How many of the steps 1..n_steps before a collision each interval
+    holds, read from the detection rates of n_steps collision episodes, the
+    k-th of which exceeds the threshold only k steps before its collision."""
+
+    spikes = np.eye(n_steps)[:, ::-1]  # episode k - 1 peaks at row n_steps - k
+    table = detection_rate([episode(n_steps, True) for _ in range(n_steps)], spikes.ravel(),
+                           cfg(1, delta_t=delta_t), thresholds=(0.5,), intervals=intervals)
+    return (table.rates[0] * n_steps).tolist()
+
+
+def test_step_three_of_a_tenth_second_episode_lands_in_the_interval_ending_at_0_3():
+    # 3 * 0.1 is 0.30000000000000004 s in floating point; in steps it is 3.
+    final_head = np.zeros(5)
+    final_head[5 - 3] = 1.0
+    table = detection_rate([episode(5, True)], final_head, cfg(1, delta_t=0.1),
+                           thresholds=(0.5,),
+                           intervals=((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5)))
+    assert table.rates.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]]
+
+
+def test_the_default_intervals_hold_four_tenth_second_steps_each():
+    assert steps_per_interval(0.1, DEFAULT_INTERVALS, 20) == [4.0] * 5
+    assert steps_per_interval(0.1, ((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5)),
+                              5) == [1.0] * 5
 
 
 def test_detection_validates_inputs():
@@ -536,9 +578,9 @@ def test_oracle_errors_reject_mismatched_head_counts():
 # --- report files -----------------------------------------------------------
 
 
-def parse_table(path, name):
+def parse_table(path, name, version=1):
     lines = path.read_text().splitlines()
-    assert lines[0] == f"# riskhorizon-{name} v1"
+    assert lines[0] == f"# riskhorizon-{name} v{version}"
     columns = lines[1].split("\t")
     rows = [line.split("\t") for line in lines[2:]]
     assert all(len(row) == len(columns) for row in rows)
@@ -579,13 +621,26 @@ def test_detection_file_lists_every_cell(tmp_path):
     )
     path = tmp_path / "detection.tsv"
     write_detection(path, table)
-    columns, rows = parse_table(path, "detection-rate")
+    columns, rows = parse_table(path, "detection-rate", version=2)
     assert columns == ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"]
     assert len(rows) == 4
     cells = {(float(r[0]), float(r[1])): float(r[3]) for r in rows}
     assert cells[(0.3, 0.0)] == 1.0  # peak 0.6 in (0, 0.5]
     assert cells[(0.8, 0.0)] == 0.0
     assert cells[(0.8, 0.5)] == 1.0  # peak 0.9 in (0.5, 1.0]
+
+
+def test_an_interval_that_holds_no_row_is_written_as_a_head_without_windows_is(tmp_path):
+    table = detection_rate([episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
+                           thresholds=(0.5,), intervals=((0.0, 1.0), (5.0, 6.0)))
+    write_detection(tmp_path / "detection.tsv", table)
+    _, rows = parse_table(tmp_path / "detection.tsv", "detection-rate", version=2)
+    no_windows = EvalReport(acc=np.array([np.nan]), pes=np.array([np.nan]), counts=np.array([0]),
+                            final_head=np.zeros(1))
+    write_head_metrics(tmp_path / "head_metrics.tsv", no_windows)
+    _, heads = parse_table(tmp_path / "head_metrics.tsv", "head-metrics")
+    assert heads[0][1] == "nan"
+    assert [row[3] for row in rows] == ["1", heads[0][1]]
 
 
 def test_oracle_error_file_covers_every_state_head_pair(tmp_path):

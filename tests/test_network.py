@@ -904,68 +904,17 @@ def test_checkpoint_rejects_tampered_payload(tmp_path):
         load_checkpoint(path)
 
 
-def v1_document(state):
-    """`state` as the version 1 writer wrote it: no sampler state or metric
-    history, and the parameter layout listed."""
-
-    import base64
-
-    layout, offset = [], 0
-    for name, shape in param_layout(state.estimator.config):
-        size = int(np.prod(shape))
-        layout.append({"name": name, "shape": list(shape), "offset": offset, "size": size})
-        offset += size
-
-    def encode(arr):
-        return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
-
-    cfg, h, w = state.estimator.config, state.horizon, state.loss_weights
-    return {
-        "format": "riskhorizon-checkpoint",
-        "version": 1,
-        "estimator": {"input_dim": cfg.input_dim, "n_heads": cfg.n_heads,
-                      "backbone_layers": list(cfg.backbone_layers),
-                      "head_layers": list(cfg.head_layers), "activation": cfg.activation,
-                      "init_seed": cfg.init_seed},
-        "horizon": {"delta_t": h.delta_t, "n_heads": h.n_heads, "lambda": h.lam,
-                    "trunc_n": h.trunc_n},
-        "loss": {"c_interval": w.c_interval, "c_chain": w.c_chain,
-                 "p_collision": w.p_collision, "p_noncollision": w.p_noncollision},
-        "epochs_completed": state.epochs_completed,
-        "layout": layout,
-        "params": encode(state.estimator.params.flat),
-        "adam": {"step": state.adam.step, "m": encode(state.adam.m),
-                 "v": encode(state.adam.v)},
-    }
-
-
-def test_a_version_1_checkpoint_still_loads(tmp_path):
+def test_a_version_1_checkpoint_names_its_version_and_says_to_retrain(tmp_path):
     import json
 
-    state = trained_state(25, steps=2, epochs_completed=2)
     path = tmp_path / "v1.json"
-    path.write_text(json.dumps(v1_document(state)))
-    loaded = load_checkpoint(path)
-    assert get_flat(loaded.estimator).tobytes() == get_flat(state.estimator).tobytes()
-    assert loaded.adam.m.tobytes() == state.adam.m.tobytes()
-    assert (loaded.adam.step, loaded.epochs_completed) == (2, 2)
-    assert (loaded.sampler, loaded.metrics) == (None, [])
-    # A version 1 file without optimizer state starts Adam from zero.
-    doc = v1_document(state)
-    doc["adam"] = None
-    path.write_text(json.dumps(doc))
-    assert load_checkpoint(path).adam.step == 0
-    assert not load_checkpoint(path).adam.m.any()
-
-
-@pytest.mark.parametrize("entry, value", [(0, {"size": 1}), (1, {"offset": 0}),
-                                          (2, {"name": "head0.l0.w"}), (3, {"shape": [6, 1]})])
-def test_a_version_1_layout_must_equal_the_derived_one(tmp_path, entry, value):
-    import json
-
-    doc = v1_document(trained_state(26))
-    doc["layout"][entry].update(value)
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="layout"):
+    save_checkpoint(path, trained_state(25, steps=2, epochs_completed=2))
+    doc = json.loads(path.read_text())
+    # What the version 1 writer wrote: no sampler state or metric history,
+    # and a parameter layout.
+    del doc["sampler"], doc["metrics"]
+    path.write_text(json.dumps({**doc, "version": 1, "layout": []}))
+    with pytest.raises(CheckpointError, match=r"a version 1 checkpoint; this version reads "
+                                              r"version 2: re-run `riskhorizon train`"):
         load_checkpoint(path)
+

@@ -1,21 +1,31 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package functions by
 name. Every name it lists must resolve to a callable, so a rename or a
-removal fails here rather than only in a benchmark run."""
+removal fails here rather than only in a benchmark run; and a traced
+training run must pass the benchmark's exact-count checks."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from riskhorizon.config import load_config
+from riskhorizon.envs import generate_episodes
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def traced_names():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    names = [(layer, name) for layer, names in spans.TRACED.items() for name in names]
+    return spans
+
+
+def traced_names():
+    names = [(layer, name) for layer, names in load_spans().TRACED.items() for name in names]
     return names + [("network", "MultiHeadEstimator.forward")]
 
 
@@ -25,3 +35,21 @@ def test_every_traced_name_resolves_to_a_callable(layer, name):
     for attr in name.split("."):
         target = getattr(target, attr)
     assert callable(target)
+
+
+def test_a_traced_training_run_passes_the_benchmark_invariants():
+    spans = load_spans()
+    training = importlib.import_module("riskhorizon.training")
+    cfg = load_config(ROOT / "configs" / "chain_small.json")
+    episodes, _ = generate_episodes(cfg.world, 40, cfg.master_seed)
+    # 100 samples in batches of 16 end the epoch with a short batch.
+    sizes = {"epochs": 2, "samples_per_epoch": 100, "batch_size": 16}
+    tracer = spans.Tracer()
+    with tracer.installed():
+        # Through the module attribute, which the tracer rebinds.
+        training.train(episodes, dataclasses.replace(cfg.train, **sizes),
+                       estimator_cfg=dataclasses.replace(cfg.estimator, backbone_layers=(8,),
+                                                         head_layers=(4, 1)))
+    checks = spans.invariants(tracer.spans, spans.layer_metrics(tracer.spans), sizes, 0)
+    assert len(checks) >= 5
+    assert [(name, detail) for name, passed, detail in checks if not passed] == []

@@ -2,8 +2,6 @@
 resume bookkeeping, the planned epoch against the per-batch loop, and the
 metric log format."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -272,14 +270,14 @@ def test_a_resumed_run_equals_an_uninterrupted_one(tmp_path):
     assert resumed.metrics == whole.metrics
 
 
-def test_resuming_without_sampler_state_warns_and_restarts_the_sampler(tmp_path, caplog):
+def test_resuming_without_sampler_state_is_an_error():
+    # Replay restarted from the configured seed would not continue the run.
     eps = corpus()
     first = train(eps, config(2), estimator_cfg=estimator_cfg()).state
     first.sampler = None
-    with caplog.at_level(logging.WARNING, logger="riskhorizon"):
-        resumed = train(eps, config(3), resume=first)
-    assert "replay restarts from the configured seed" in caplog.text
-    assert resumed.state.epochs_completed == 3
+    with pytest.raises(ValueError, match="replay sampler state"):
+        train(eps, config(3), resume=first)
+    assert first.epochs_completed == 2
 
 
 # --- the planned epoch against the per-batch loop ---------------------------
