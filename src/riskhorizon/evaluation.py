@@ -31,8 +31,9 @@ REPORT_VERSION = 1
 DEFAULT_THRESHOLDS = (0.0125, 0.025, 0.05, 0.1, 0.2)
 DEFAULT_INTERVALS = ((0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
 
-# `evaluate` forwards whole episodes in groups of about this many rows: few
-# calls, and memory that does not grow with the corpus.
+# `evaluate` and the training snapshot forward whole episodes in groups of
+# about this many rows: few calls, and memory that does not grow with the
+# corpus.
 GROUP_ROWS = 1024
 
 # Interval bounds are converted to whole steps to collision by flooring,
@@ -71,7 +72,7 @@ class EvalReport:
         return float(per_head[present].mean()) if present.any() else float("nan")
 
 
-def _groups(sizes):
+def episode_groups(sizes):
     """Slices of consecutive items, each holding the items whose first row
     falls into one block of GROUP_ROWS rows, when items of the given row
     counts are laid end to end."""
@@ -92,7 +93,7 @@ def evaluate(episodes: list[Episode], estimator, cfg: HorizonConfig) -> EvalRepo
     signed = np.zeros(cfg.n_heads)
     counts = np.zeros(cfg.n_heads, dtype=np.int64)
     final_head = []
-    for group in _groups([ep.steps for ep in episodes]):
+    for group in episode_groups([ep.steps for ep in episodes]):
         members = episodes[group]
         preds = estimator.forward(np.concatenate([ep.observations for ep in members]))
         # [rows, n_heads] over the group's episodes laid end to end; a copy

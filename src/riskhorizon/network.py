@@ -188,6 +188,10 @@ class MultiHeadEstimator:
         n_backbone, per_head = len(config.backbone_layers), len(config.head_layers)
         self._backbone_keys = keys[:n_backbone]
         self._head_keys = [keys[k : k + per_head] for k in range(n_backbone, len(keys), per_head)]
+        # [n_heads, width]: where each head's output-layer weight lies in
+        # params.flat, for `forward` to gather them all at once.
+        positions = FlatArrays(np.arange(len(self.params.flat)), param_layout(config))
+        self._out_weights = np.stack([positions[layers[-1][0]][0] for layers in self._head_keys])
         # A backbone layer is residual when it preserves width; the first
         # layer projects the input and never is.
         widths = [config.input_dim, *config.backbone_layers]
@@ -220,8 +224,8 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
-        weights = [self.params[layers[-1][0]] for layers in self._head_keys]
-        padded_out = [np.vstack([w, np.zeros_like(w)]) for w in weights]
+        padded_out = np.zeros((cfg.n_heads, 2, self._out_weights.shape[1]))
+        padded_out[:, 0] = self.params.flat[self._out_weights]
         n = x.shape[0]
         if n < ROW_FLOOR:
             x = np.concatenate([x, np.zeros((ROW_FLOOR - n, cfg.input_dim))])
@@ -266,15 +270,15 @@ class MultiHeadEstimator:
         return preds
 
     def _forward_cached(self, x: np.ndarray, want_cache: bool = True,
-                        padded_out: list[np.ndarray] | None = None):
+                        padded_out: np.ndarray | None = None):
         """Raw head outputs [B, n_heads], and the cache `_backward` needs.
 
         Every head reads one [B, latent + 1] input buffer: the latent
         columns are filled once, and the last column is overwritten with
         the previous head's output before each head runs. The buffer and
-        every temporary belong to this call alone. With `padded_out` (per
-        head, the output layer's weight with one zero row appended), each
-        output layer runs as a 2-output product.
+        every temporary belong to this call alone. With `padded_out`
+        ([n_heads, 2, width]: per head, the output layer's weight with one
+        zero row appended), each output layer runs as a 2-output product.
         """
 
         cfg = self.config

@@ -3,10 +3,13 @@
 Each epoch starts from one snapshot of the current estimator's outputs on
 every training state, and its targets are read from that snapshot alone
 (semi-gradient: no gradient flows through targets, and there is no separate
-target network). Replay never reads the estimator, so an epoch is planned
-before it is stepped: its batches are drawn, their targets built and their
-features gathered a block of batches at a time, and each step then runs on
-slices of its block. The learning rate decays exponentially from
+target network). Replay never reads the estimator, so an epoch is drawn
+before its snapshot is taken: one pass over groups of whole episodes then
+fills the snapshot and copies the drawn rows into a table of the epoch's
+anchors, so the training observations are never packed whole. The epoch is
+planned before it is stepped: its targets are built and its features
+gathered a block of batches at a time, and each step then runs on slices of
+its block. The learning rate decays exponentially from
 lr_start to lr_end over the configured epochs; held-out episodes are split
 off before training and evaluated after every epoch. The run's state is one
 `Checkpoint` record, which training advances epoch by epoch, so resuming
@@ -23,7 +26,7 @@ import numpy as np
 
 from .artifacts import write_table
 from .episodes import Episode
-from .evaluation import evaluate
+from .evaluation import episode_groups, evaluate
 from .network import (
     AdamState,
     Checkpoint,
@@ -117,9 +120,10 @@ def train(
     Bootstrapped targets are rebuilt from an estimator snapshot at the start
     of every epoch and held constant across its batches (semi-gradient
     updates against a periodically refreshed snapshot). The epoch's batches
-    are drawn and targeted before the steps that use them: the sampler
-    never reads the estimator, so the batches, their targets and the
-    sampler state are those of drawing each batch just before its step.
+    are drawn before its snapshot and targeted before the steps that use
+    them: the sampler never reads the estimator, so the batches, their
+    targets and the sampler state are those of drawing each batch just
+    before its step.
     Floating-point overflow, invalid operations and division by zero raise
     `FloatingPointError` from the operation that first hits one.
 
@@ -167,9 +171,8 @@ def train(
     train_ids, held_out = _split(len(episodes), cfg.eval_fraction, np.random.default_rng(split_seq))
     train_eps = [episodes[j] for j in train_ids]
     held_eps = [episodes[j] for j in held_out]
-    # The training split packed once, each episode's states in consecutive
-    # rows: the row space of the replay index and of the snapshot.
-    observations = np.concatenate([ep.observations for ep in train_eps])
+    # The training episodes laid end to end, each one's states in consecutive
+    # rows, are the row space of the replay index and of the snapshot.
     last_rows, collided = corpus_rows(train_eps)
     index = build_index(train_eps, cfg.horizon)
     if not len(index):
@@ -182,7 +185,7 @@ def train(
     for epoch in range(state.epochs_completed, cfg.epochs):
         lr = lr_schedule(epoch, cfg)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            losses = _epoch(estimator, adam, lr, observations, last_rows, collided, index,
+            losses = _epoch(estimator, adam, lr, train_eps, last_rows, collided, index,
                             sample_rng, cfg)
             report = evaluate(held_eps, estimator, cfg.horizon)
         state.metrics.append(EpochMetrics(epoch, lr, *losses, tuple(float(a) for a in report.acc),
@@ -198,7 +201,7 @@ def _epoch(
     estimator: MultiHeadEstimator,
     adam: AdamState,
     lr: float,
-    observations: np.ndarray,
+    train_eps: list[Episode],
     last_rows: np.ndarray,
     collided: np.ndarray,
     index: np.recarray,
@@ -208,33 +211,62 @@ def _epoch(
     """Step one epoch; returns its loss, mse, interval and chain means over
     valid entries."""
 
-    # One forward over every training row: a row's output does not depend
-    # on the rows forwarded with it.
-    snapshot = estimator.forward(observations)
-    np.clip(snapshot, 0.0, 1.0, out=snapshot)
     batch, total = cfg.batch_size, cfg.samples_per_epoch
+    # The epoch's draws first, batch by batch with the calls of drawing each
+    # batch just before its step: the sampler never reads the estimator.
+    rows = np.empty(total, dtype=np.int64)
+    related = np.empty(total, dtype=bool)
+    for lo in range(0, total, batch):
+        drawn = sample(index, min(batch, total - lo), rng, cfg.loss.p_collision,
+                       cfg.loss.p_noncollision)
+        rows[lo : lo + batch] = drawn.row
+        related[lo : lo + batch] = drawn.collision_related
+    needed = np.zeros(len(last_rows), dtype=bool)
+    needed[rows] = True
+
+    # One pass over groups of whole episodes forwards every training row into
+    # the snapshot (a row's output does not depend on the rows forwarded with
+    # it) and copies the drawn rows, in row order, into a table of the
+    # epoch's distinct anchors. The episodes are never packed whole.
+    steps = [ep.steps for ep in train_eps]
+    starts = np.cumsum([0, *steps])
+    snapshot = np.empty((len(last_rows), cfg.horizon.n_heads))
+    table = np.empty((np.count_nonzero(needed), train_eps[0].obs_dim))
+    filled = 0
+    for group in episode_groups(steps):
+        lo, hi = starts[group.start], starts[group.stop]
+        x = np.concatenate([ep.observations for ep in train_eps[group]])
+        snapshot[lo:hi] = estimator.forward(x)
+        picked = needed[lo:hi]
+        n_picked = np.count_nonzero(picked)
+        table[filled : filled + n_picked] = x[picked]
+        filled += n_picked
+        del x  # before the next group is gathered
+    np.clip(snapshot, 0.0, 1.0, out=snapshot)
+    slots = np.cumsum(needed)[rows] - 1  # each draw's row of the table
+    del needed
+
     block_rows = max(PLAN_ROWS // batch, 1) * batch
     sums = np.zeros(4)  # loss, mse, interval, chain, weighted by n_valid
     n_valid_total = 0
     for first in range(0, total, block_rows):
-        n_rows = min(block_rows, total - first)  # the epoch's last batch may be short
-        starts = range(0, n_rows, batch)
+        # A block of whole batches; the epoch's last batch may be short.
+        block = slice(first, min(first + block_rows, total))
+        anchors = rows[block]
         # Targets are row-wise, so the block's rows get the bits each batch
         # would get on its own.
-        drawn = np.concatenate([sample(index, min(batch, n_rows - lo), rng, cfg.loss.p_collision,
-                                       cfg.loss.p_noncollision) for lo in starts])
-        rows, related = drawn["row"], drawn["collision_related"]
-        targets = lambda_targets(snapshot, rows, last_rows[rows], collided[rows], cfg.horizon)
-        if first + block_rows >= total:
-            # Freed before the last block's features are gathered, and so
-            # before its steps, the held-out forward and the next snapshot.
+        targets = lambda_targets(snapshot, anchors, last_rows[anchors], collided[anchors],
+                                 cfg.horizon)
+        if block.stop == total:
+            # Freed before the last block's steps, the held-out forward and
+            # the next snapshot.
             del snapshot
-        features = observations[rows]
-        for lo in starts:
-            hi = min(lo + batch, n_rows)
+        features, flags = table[slots[block]], related[block]
+        for lo in range(0, len(anchors), batch):
+            hi = lo + batch
             _, breakdown, grads = batch_loss_and_grad(
                 estimator, features[lo:hi], targets.values[lo:hi], targets.valid[lo:hi],
-                related[lo:hi], cfg.loss,
+                flags[lo:hi], cfg.loss,
             )
             optimizer_step(estimator, grads.flat, adam, lr)
             sums += np.array(
@@ -242,7 +274,7 @@ def _epoch(
             ) * breakdown.n_valid
             n_valid_total += breakdown.n_valid
         # Freed before the next block is planned.
-        del drawn, rows, related, targets, features
+        del targets, features
     return sums / n_valid_total
 
 

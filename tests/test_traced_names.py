@@ -41,15 +41,19 @@ def test_a_traced_training_run_passes_the_benchmark_invariants():
     spans = load_spans()
     training = importlib.import_module("riskhorizon.training")
     cfg = load_config(ROOT / "configs" / "chain_small.json")
-    episodes, _ = generate_episodes(cfg.world, 40, cfg.master_seed)
     # 100 samples in batches of 16 end the epoch with a short batch.
     sizes = {"epochs": 2, "samples_per_epoch": 100, "batch_size": 16}
-    tracer = spans.Tracer()
-    with tracer.installed():
-        # Through the module attribute, which the tracer rebinds.
-        training.train(episodes, dataclasses.replace(cfg.train, **sizes),
-                       estimator_cfg=dataclasses.replace(cfg.estimator, backbone_layers=(8,),
-                                                         head_layers=(4, 1)))
-    checks = spans.invariants(tracer.spans, spans.layer_metrics(tracer.spans), sizes, 0)
-    assert len(checks) >= 5
-    assert [(name, detail) for name, passed, detail in checks if not passed] == []
+    arch = dataclasses.replace(cfg.estimator, backbone_layers=(8,), head_layers=(4, 1))
+    # The training rows of 40 episodes fit in one snapshot group; those of
+    # 400 span five, so each epoch's snapshot takes five forwards.
+    for count, snapshot_calls in ((40, 1), (400, 5)):
+        episodes, _ = generate_episodes(cfg.world, count, cfg.master_seed)
+        tracer = spans.Tracer()
+        with tracer.installed():
+            # Through the module attribute, which the tracer rebinds.
+            training.train(episodes, dataclasses.replace(cfg.train, **sizes), estimator_cfg=arch)
+        metrics = spans.layer_metrics(tracer.spans)
+        assert metrics["network.forward.snapshot.calls"] == sizes["epochs"] * snapshot_calls
+        checks = spans.invariants(tracer.spans, metrics, sizes, 0)
+        assert len(checks) >= 5
+        assert [(name, detail) for name, passed, detail in checks if not passed] == []

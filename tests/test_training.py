@@ -2,11 +2,14 @@
 resume bookkeeping, the planned epoch against the per-batch loop, and the
 metric log format."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import get_flat
-from riskhorizon import training
+from riskhorizon import evaluation, training
 from riskhorizon.envs import (
     ChainWorld,
     ChainWorldSpec,
@@ -14,7 +17,7 @@ from riskhorizon.envs import (
     CorridorWorldSpec,
     generate_episodes,
 )
-from riskhorizon.episodes import Episode, Terminal
+from riskhorizon.episodes import Episode, Terminal, load_episodes, save_episodes
 from riskhorizon.evaluation import evaluate
 from riskhorizon.network import (
     AdamState,
@@ -369,12 +372,21 @@ def small_chain():
 
 
 # Anchors per plan block: one block for the epoch, blocks of two batches,
-# and one batch per block (a block never splits a batch).
-@pytest.mark.parametrize("plan_rows", [training.PLAN_ROWS, 40, 5])
+# and one batch per block (a block never splits a batch). The snapshot is
+# forwarded in groups of whole episodes; with groups of a few rows, episodes,
+# drawn rows and repeated draws of one row fall on both sides of group edges.
+@pytest.mark.parametrize("plan_rows, group_rows", [
+    pytest.param(training.PLAN_ROWS, evaluation.GROUP_ROWS, id=str(training.PLAN_ROWS)),
+    pytest.param(40, evaluation.GROUP_ROWS, id="40"),
+    pytest.param(5, evaluation.GROUP_ROWS, id="5"),
+    pytest.param(40, 7, id="40-groups-of-7"),
+])
 @pytest.mark.parametrize("world", [small_chain, small_corridor])
-def test_a_planned_epoch_steps_the_bits_of_the_per_batch_loop(world, plan_rows, monkeypatch):
+def test_a_planned_epoch_steps_the_bits_of_the_per_batch_loop(world, plan_rows, group_rows,
+                                                              monkeypatch):
     episodes, cfg, arch = world()
     monkeypatch.setattr(training, "PLAN_ROWS", plan_rows)
+    monkeypatch.setattr(evaluation, "GROUP_ROWS", group_rows)
     got = train(episodes, cfg, estimator_cfg=arch).state
     assert_same_state(got, reference_train(episodes, cfg, arch))
 
@@ -393,6 +405,29 @@ def test_a_resumed_planned_run_steps_the_bits_of_the_per_batch_loop(world, monke
     want = reference_train(episodes, cfg, resume=load_checkpoint(tmp_path / "one.json"))
     assert_same_state(got, want)
     assert_same_state(got, reference_train(episodes, cfg, arch))
+
+
+def test_training_holds_the_observations_only_where_they_were_loaded(tmp_path):
+    # Episodes read back from a file are views into its one matrix. Training
+    # forwards them a group at a time and copies only the drawn rows, so its
+    # peak stays under the snapshot plus half the training observations; a
+    # packed copy of the training rows alone would exceed that.
+    world = CorridorWorld(CorridorWorldSpec(), stack_frames=3)
+    save_episodes(tmp_path / "episodes.npz", generate_episodes(world, 100, master_seed=5)[0], "x")
+    episodes, _ = load_episodes(tmp_path / "episodes.npz")
+    _, cfg, arch = small_corridor()
+    cfg = dataclasses.replace(cfg, epochs=1)
+    arch = dataclasses.replace(arch, input_dim=world.obs_dim)
+    tracemalloc.start()
+    try:
+        held_out = set(train(episodes, cfg, estimator_cfg=arch).held_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sum(ep.steps for j, ep in enumerate(episodes) if j not in held_out)
+    snapshot_bytes = rows * cfg.horizon.n_heads * 8
+    observation_bytes = rows * world.obs_dim * 8
+    assert peak < snapshot_bytes + observation_bytes / 2
 
 
 def test_training_reduces_loss_on_small_chain():
