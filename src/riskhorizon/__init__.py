@@ -36,12 +36,8 @@ from .oracle import OracleTable, brute_force_cumulative, dp_cumulative
 from .replay import build_index, sample
 from .returns import (
     HorizonConfig,
-    InvalidTargetError,
     TargetMatrix,
-    lambda_return,
     lambda_weights,
-    mc_return,
-    n_step_return,
     targets_from_estimates,
 )
 from .training import DegenerateCorpusError, TrainConfig, lr_schedule, train
@@ -61,7 +57,6 @@ __all__ = [
     "Episode",
     "EstimatorConfig",
     "HorizonConfig",
-    "InvalidTargetError",
     "LossWeights",
     "MultiHeadEstimator",
     "NonFiniteUpdateError",
@@ -80,14 +75,11 @@ __all__ = [
     "dp_cumulative",
     "evaluate",
     "generate_episodes",
-    "lambda_return",
     "lambda_weights",
     "load_checkpoint",
     "load_config",
     "load_episodes",
     "lr_schedule",
-    "mc_return",
-    "n_step_return",
     "optimizer_step",
     "oracle_errors",
     "run_episode",

@@ -96,12 +96,6 @@ class Draws:
         self.has_half = np.zeros(n, bool)
         self.half = np.zeros(n, np.uint64)
 
-    @property
-    def consumed(self) -> np.ndarray:
-        """Words each row's values have used."""
-
-        return self.fetched - (WORD_BLOCK - self.pos)
-
     def reserve(self, rows: np.ndarray, need: int) -> None:
         """Make at least `need` (at most WORD_BLOCK) unread words ready in each row."""
 

@@ -467,18 +467,12 @@ def batch_loss_and_grad(
 
     d_preds = vmask * (2.0 * mse_w * err)
     d_preds += vmask * weights.c_interval * (np.where(preds > 1.0, 1.0, 0.0) - np.where(preds < 0.0, 1.0, 0.0))
-    active = gaps > 0.0
-    # Hinge of a valid entry at idx against its predecessor (idx >= 1).
-    left = vmask[:, 1:] * active
-    d_left = weights.c_chain * left
+    # An active hinge between heads j and j+1 counts once for each of its
+    # valid ends: its weight is 0, c or 2c, so every sum below is exact.
+    w = weights.c_chain * ((gaps > 0.0) * (vmask[:, :-1] + vmask[:, 1:]))
     d_preds_chain = np.zeros_like(preds)
-    d_preds_chain[:, :-1] += d_left
-    d_preds_chain[:, 1:] -= d_left
-    # Hinge of a valid entry at idx against its successor (idx <= n-2).
-    right = vmask[:, :-1] * active
-    d_right = weights.c_chain * right
-    d_preds_chain[:, :-1] += d_right
-    d_preds_chain[:, 1:] -= d_right
+    d_preds_chain[:, :-1] += w
+    d_preds_chain[:, 1:] -= w
     d_preds += d_preds_chain
     d_preds /= n_valid
     grads = estimator._backward(cache, d_preds)

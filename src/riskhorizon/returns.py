@@ -3,10 +3,12 @@
 Head i of the estimator predicts the probability of a collision within the
 next i steps. Its targets are built from an episode's binary collision
 reward, which is 1 on the final step of a collision episode and 0 elsewhere,
-so the scalar returns read only the episode's length and whether it ends in
-a collision: fixed-window Monte Carlo returns, bootstrapped n-step returns,
-and truncated-lambda blends of the two. Because the event is terminal and
-rewards are binary, every return lies in [0, 1] once bootstraps are clamped.
+so a target reads only the episode's length, whether it ends in a collision
+and the clamped bootstrap snapshot: a truncated-lambda blend of fixed-window
+Monte Carlo and bootstrapped n-step returns. Because the event is terminal
+and rewards are binary, every target lies in [0, 1]. The scalar per-window
+definitions in `tests/returns_reference.py` are the spec these vectorized
+functions are tested against.
 
 Windows on truncated (non-collision) episodes have unknown outcomes past the
 recorded steps. The rule used throughout: a depth-n component at time t is
@@ -31,10 +33,6 @@ from .episodes import Episode
 # sub-network each, [rows, n_heads] snapshots and targets) stays bounded: a
 # mistyped huge count would otherwise build the estimator for minutes.
 MAX_HEADS = 1024
-
-
-class InvalidTargetError(ValueError):
-    """The requested window is unknowable on a truncated episode."""
 
 
 @dataclass(frozen=True)
@@ -80,38 +78,6 @@ class TargetMatrix:
             raise ValueError("values and valid must have matching shapes")
 
 
-def _check_anchor(episode: Episode, t: int) -> None:
-    if not 0 <= t < episode.steps:
-        raise ValueError(f"t={t} does not index a recorded state (steps={episode.steps})")
-
-
-def _collision_step(episode: Episode) -> int | None:
-    # 1-based step index of the collision, None for truncated episodes.
-    return episode.steps if episode.ends_in_collision else None
-
-
-def mc_return(episode: Episode, t: int, i: int) -> float:
-    """Fixed-window Monte Carlo return: did a collision occur in (t, t+i]?
-
-    Returns 1.0 if the episode's collision falls within the window, 0.0 if
-    the window closes on a recorded state without one. Raises
-    InvalidTargetError when the window reaches past the recorded states of a
-    truncated episode, where the outcome is unknown.
-    """
-
-    _check_anchor(episode, t)
-    if i < 1:
-        raise ValueError("window length i must be >= 1")
-    coll = _collision_step(episode)
-    if coll is not None and coll <= t + i:
-        return 1.0
-    if t + i <= episode.steps - 1:
-        return 0.0
-    raise InvalidTargetError(
-        f"window t={t}, i={i} reaches the truncated end of a {episode.steps}-step episode"
-    )
-
-
 def lambda_weights(i: int, lam: float, trunc_n: int) -> np.ndarray:
     """Weights over depths 1..min(i, trunc_n) for the truncated lambda blend.
 
@@ -133,78 +99,6 @@ def lambda_weights(i: int, lam: float, trunc_n: int) -> np.ndarray:
     return w
 
 
-def _depth_value(episode: Episode, t: int, n: int, i: int, bootstrap: float | None) -> float:
-    """Value of the depth-n component of a window of length i anchored at t."""
-
-    coll = _collision_step(episode)
-    if coll is not None and coll <= t + n:
-        return 1.0
-    if t + n > episode.steps - 1:
-        raise InvalidTargetError(
-            f"state s_{{t+n}} (t={t}, n={n}) is past the truncated end "
-            f"of a {episode.steps}-step episode"
-        )
-    if n == i:
-        # Pure Monte Carlo depth: the reward sum, zero without a collision.
-        return 0.0
-    if bootstrap is None:
-        raise ValueError(f"depth n={n} < i={i} requires a bootstrap estimate")
-    return float(np.clip(bootstrap, 0.0, 1.0))
-
-
-def n_step_return(
-    episode: Episode, t: int, n: int, i: int, bootstrap: float | None = None
-) -> float:
-    """n-step return for head i: realized rewards r_{t+1}..r_{t+n} plus the
-    remaining-window estimate at the landing state.
-
-    The bootstrap stands for the probability of a collision in the i-n steps
-    after t+n (head i-n evaluated at s_{t+n}) and is clamped to [0, 1]. A
-    collision at or before t+n makes the return exactly 1; n = i needs no
-    bootstrap and reduces to mc_return.
-    """
-
-    _check_anchor(episode, t)
-    if not 1 <= n <= i:
-        raise ValueError("depth n must satisfy 1 <= n <= i")
-    return _depth_value(episode, t, n, i, bootstrap)
-
-
-def lambda_return(
-    episode: Episode,
-    t: int,
-    i: int,
-    bootstraps: Sequence[float | None],
-    cfg: HorizonConfig,
-) -> float:
-    """Truncated lambda blend of n-step returns for head i anchored at t.
-
-    bootstraps[n-1] supplies the landing-state estimate for depth n (ignored
-    wherever a collision short-circuits the window or n = i). Head 1 never
-    bootstraps: its target is the raw next-step outcome. Depths whose weight
-    is exactly zero impose no validity requirement, so at lam=1 the blend
-    degenerates to mc_return and at lam=0 to the 1-step return, on exactly
-    the windows where those are defined.
-    """
-
-    _check_anchor(episode, t)
-    if not 1 <= i <= cfg.n_heads:
-        raise ValueError(f"head index i={i} outside 1..{cfg.n_heads}")
-    if i == 1:
-        return _depth_value(episode, t, 1, 1, None)
-    weights = lambda_weights(i, cfg.lam, cfg.trunc_n)
-    total = 0.0
-    for n_minus_1, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        n = n_minus_1 + 1
-        boot = bootstraps[n_minus_1] if n < i else None
-        total += w * _depth_value(episode, t, n, i, boot)
-    # components and weights keep the exact value in [0, 1]; the float
-    # accumulation can still land one ulp outside
-    return min(max(total, 0.0), 1.0)
-
-
 def corpus_rows(episodes: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the episodes laid end to end: the row of its episode's
     final recorded state, and whether that episode ends in a collision."""
@@ -217,14 +111,16 @@ def corpus_rows(episodes: Sequence[Episode]) -> tuple[np.ndarray, np.ndarray]:
 def window_known(rows, last_rows, collided, length):
     """Whether the window of `length` steps after each anchor row has a known
     outcome: it holds its episode's collision, or it closes on a recorded
-    state. Arguments broadcast; equal to `mc_return` not raising."""
+    state. Arguments broadcast; equal to the reference `mc_return`
+    (tests/returns_reference.py) not raising."""
 
     return collided | (rows + length <= last_rows)
 
 
 def window_collides(rows, last_rows, collided, length):
     """Whether the window of `length` steps after each anchor row holds its
-    episode's collision: `mc_return` is 1 there. Arguments broadcast."""
+    episode's collision: the reference `mc_return`
+    (tests/returns_reference.py) is 1 there. Arguments broadcast."""
 
     return collided & (rows + length > last_rows)
 
@@ -264,7 +160,8 @@ def lambda_targets(
     every anchor k, rows[k] is its row, last_rows[k] the row of its
     episode's final recorded state, and collided[k] whether that episode
     ends in a collision. Returns the [len(rows), n_heads] target matrix of
-    those anchors; equal, entry for entry, to the scalar lambda_return.
+    those anchors; equal, entry for entry, to the reference `lambda_return`
+    (tests/returns_reference.py).
     """
 
     rows = np.asarray(rows, dtype=np.int64)
@@ -298,6 +195,7 @@ def lambda_targets(
     return TargetMatrix(values=values, valid=valid)
 
 
+# No program path calls this; it stays until perfbench traces `lambda_targets`.
 def targets_from_estimates(
     episode: Episode, estimates: np.ndarray, cfg: HorizonConfig
 ) -> TargetMatrix:

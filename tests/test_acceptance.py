@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import get_flat
+from returns_reference import InvalidTargetError, lambda_return, mc_return, n_step_return
 from riskhorizon.envs import (
     ChainWorld,
     ChainWorldSpec,
@@ -38,15 +39,7 @@ from riskhorizon.network import (
 from riskhorizon.oracle import brute_force_cumulative, dp_cumulative
 from riskhorizon.replay import build_index, sample
 from riskhorizon.episodes import Episode, Terminal
-from riskhorizon.returns import (
-    HorizonConfig,
-    InvalidTargetError,
-    lambda_return,
-    lambda_weights,
-    mc_return,
-    n_step_return,
-    targets_from_estimates,
-)
+from riskhorizon.returns import HorizonConfig, lambda_weights, targets_from_estimates
 from riskhorizon.training import TrainConfig, train
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_at
+from returns_reference import mc_return
 from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
 from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
@@ -28,7 +29,7 @@ from riskhorizon.evaluation import (
 )
 from riskhorizon.network import EstimatorConfig, MultiHeadEstimator
 from riskhorizon.oracle import dp_cumulative
-from riskhorizon.returns import HorizonConfig, mc_return
+from riskhorizon.returns import HorizonConfig
 
 # Hazards high enough that survival past 40 steps is ~1e-9: effectively every
 # episode collides, so no window is conditioned away and the mean squared

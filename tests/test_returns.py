@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_at
-from riskhorizon.envs import ChainWorldSpec, chain_observation
+from returns_reference import InvalidTargetError, lambda_return, mc_return, n_step_return
+from riskhorizon.envs import ChainWorldSpec
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.oracle import dp_cumulative
 from riskhorizon.returns import (
     HorizonConfig,
-    InvalidTargetError,
     corpus_rows,
-    lambda_return,
     lambda_targets,
     lambda_weights,
-    mc_return,
-    n_step_return,
     targets_from_estimates,
     window_collides,
     window_known,
