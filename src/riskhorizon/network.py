@@ -433,27 +433,28 @@ def batch_loss_and_grad(
         raise ValueError("valid targets must be finite and lie in [0, 1]")
 
     preds, cache = estimator._forward_cached(features)
+    vmask = valid.astype(np.float64)
+    # Each term array, `vmask * (c * penalty)`, is summed before the next overwrites it.
     err = preds - np.where(valid, targets, 0.0)
     mse_w = np.where(collision_mask, weights.collision_mse_factor, 1.0)[:, None]
-    mse_terms = mse_w * err**2
-
-    below = np.maximum(-preds, 0.0)
-    above = np.maximum(preds - 1.0, 0.0)
-    interval_terms = weights.c_interval * (below + above)
-
+    terms = mse_w * err**2
+    terms *= vmask
+    mse_sum = float(terms.sum())
+    np.maximum(np.negative(preds, out=terms), 0.0, out=terms)
+    terms += np.maximum(preds - 1.0, 0.0)
+    terms *= weights.c_interval
+    terms *= vmask
+    interval_sum = float(terms.sum())
     # gaps[:, j] > 0 means head j+1 exceeds head j+2 (0-based j): a violation.
     # With one head the slices are empty and every chain term stays 0.
     gaps = preds[:, :-1] - preds[:, 1:]
     pos = np.maximum(gaps, 0.0)
-    chain_terms = np.zeros_like(preds)
-    chain_terms[:, 1:] += pos
-    chain_terms[:, :-1] += pos
-    chain_terms *= weights.c_chain
-
-    vmask = valid.astype(np.float64)
-    mse_sum = float((mse_terms * vmask).sum())
-    interval_sum = float((interval_terms * vmask).sum())
-    chain_sum = float((chain_terms * vmask).sum())
+    terms.fill(0.0)
+    terms[:, 1:] += pos
+    terms[:, :-1] += pos
+    terms *= weights.c_chain
+    terms *= vmask
+    chain_sum = float(terms.sum())
     total = (mse_sum + interval_sum + chain_sum) / n_valid
     breakdown = LossBreakdown(
         total=total,
@@ -466,14 +467,18 @@ def batch_loss_and_grad(
         raise NonFiniteUpdateError("loss is not finite")
 
     d_preds = vmask * (2.0 * mse_w * err)
-    d_preds += vmask * weights.c_interval * (np.where(preds > 1.0, 1.0, 0.0) - np.where(preds < 0.0, 1.0, 0.0))
+    # The interval slope is in {-1, 0, 1}: scaling it by c and the mask is exact in any order.
+    np.subtract(np.greater(preds, 1.0, out=terms), np.less(preds, 0.0), out=terms)
+    terms *= weights.c_interval
+    terms *= vmask
+    d_preds += terms
     # An active hinge between heads j and j+1 counts once for each of its
     # valid ends: its weight is 0, c or 2c, so every sum below is exact.
     w = weights.c_chain * ((gaps > 0.0) * (vmask[:, :-1] + vmask[:, 1:]))
-    d_preds_chain = np.zeros_like(preds)
-    d_preds_chain[:, :-1] += w
-    d_preds_chain[:, 1:] -= w
-    d_preds += d_preds_chain
+    terms.fill(0.0)
+    terms[:, :-1] += w
+    terms[:, 1:] -= w
+    d_preds += terms
     d_preds /= n_valid
     grads = estimator._backward(cache, d_preds)
     return total, breakdown, grads

@@ -360,6 +360,31 @@ def reference_d_preds(preds, targets, valid, collision_mask, weights):
     return d_preds
 
 
+def reference_breakdown(preds, targets, valid, collision_mask, weights):
+    """(total, mse, interval, chain, n_valid) summed term array by term
+    array, each masked by a product with the float valid mask. The loss
+    columns of metrics.tsv carry these bits."""
+
+    n_valid = int(valid.sum())
+    err = preds - np.where(valid, targets, 0.0)
+    mse_w = np.where(collision_mask, weights.collision_mse_factor, 1.0)[:, None]
+    mse_terms = mse_w * err**2
+    below = np.maximum(-preds, 0.0)
+    above = np.maximum(preds - 1.0, 0.0)
+    interval_terms = weights.c_interval * (below + above)
+    pos = np.maximum(preds[:, :-1] - preds[:, 1:], 0.0)
+    chain_terms = np.zeros_like(preds)
+    chain_terms[:, 1:] += pos
+    chain_terms[:, :-1] += pos
+    chain_terms *= weights.c_chain
+    vmask = valid.astype(np.float64)
+    mse_sum = float((mse_terms * vmask).sum())
+    interval_sum = float((interval_terms * vmask).sum())
+    chain_sum = float((chain_terms * vmask).sum())
+    total = (mse_sum + interval_sum + chain_sum) / n_valid
+    return total, mse_sum / n_valid, interval_sum / n_valid, chain_sum / n_valid, n_valid
+
+
 class TiedEstimator(MultiHeadEstimator):
     """Head outputs rounded to multiples of 1/8, so that neighbouring heads
     often tie; the cache stays the unrounded forward's."""
@@ -367,6 +392,47 @@ class TiedEstimator(MultiHeadEstimator):
     def _forward_cached(self, x, want_cache=True):
         preds, cache = super()._forward_cached(x, want_cache)
         return np.round(preds * 8.0) / 8.0, cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 40),
+    n_heads=st.integers(1, 6),
+    ties=st.booleans(),
+    p_valid=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+    scale=st.floats(0.1, 10.0),
+    c_interval=st.one_of(st.sampled_from([0.0, 1e-7, 1.0, 7.77, 1e300]), st.floats(0.0, 5.0)),
+    c_chain=st.one_of(st.sampled_from([0.0, 1e-7, 1.0, 7.77, 1e300]), st.floats(0.0, 5.0)),
+    p_collision=st.floats(0.05, 1.0),
+    ratio=st.floats(0.01, 1.0),
+)
+def test_loss_breakdown_and_gradient_match_the_reference_bitwise(
+        seed, b, n_heads, ties, p_valid, scale, c_interval, c_chain, p_collision, ratio):
+    rng = np.random.default_rng(seed)
+    cls = TiedEstimator if ties else MultiHeadEstimator
+    est = cls(EstimatorConfig(input_dim=3, n_heads=n_heads, backbone_layers=(6, 6),
+                              head_layers=(4, 1), init_seed=seed % 1000))
+    weights = LossWeights(c_interval=c_interval, c_chain=c_chain, p_collision=p_collision,
+                          p_noncollision=p_collision * ratio)
+    feats = scale * rng.normal(size=(b, 3))
+    targets = rng.uniform(0.0, 1.0, size=(b, n_heads))
+    valid = rng.random((b, n_heads)) < p_valid
+    valid[rng.integers(b), rng.integers(n_heads)] = True
+    coll = rng.random(b) < 0.5
+    preds, cache = est._forward_cached(feats)
+    want = reference_breakdown(preds, targets, valid, coll, weights)
+    if not np.isfinite(want[0]):
+        with pytest.raises(NonFiniteUpdateError):
+            batch_loss_and_grad(est, feats, targets, valid, coll, weights)
+        return
+    total, got, grads = batch_loss_and_grad(est, feats, targets, valid, coll, weights)
+    got_grad = grads.flat.tobytes()
+    fields = (total, got.mse, got.interval, got.chain)
+    assert np.array(fields).tobytes() == np.array(want[:4]).tobytes()
+    assert got.total == total and got.n_valid == want[4]
+    d_preds = reference_d_preds(preds, targets, valid, coll, weights)
+    assert got_grad == est._backward(cache, d_preds).flat.tobytes()
 
 
 @pytest.mark.parametrize("c_chain", [0.0, 0.3, 2.0])
