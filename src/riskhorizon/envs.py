@@ -494,17 +494,6 @@ class GenerationSummary:
     length_histogram: dict[int, int] = field(default_factory=dict)
 
 
-def run_episode(world, seed: int) -> Episode:
-    """Roll the one episode of `seed`.
-
-    Row t of the record is the observation the step t+1 started from; the
-    state reached by the final step is not recorded, and the step's end
-    reason becomes the episode's terminal.
-    """
-
-    return world.rollout(Draws([seed]))[0]
-
-
 def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode], GenerationSummary]:
     """Roll `count` independently seeded episodes from one world.
 

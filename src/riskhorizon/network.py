@@ -135,20 +135,21 @@ def param_layout(cfg: EstimatorConfig) -> list[tuple[str, tuple[int, ...]]]:
             for part, shape in (("w", (out_dim, in_dim)), ("b", (out_dim,)))]
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    """The activation of z, written over z."""
-
-    if kind == "relu":
-        return np.maximum(z, 0.0, out=z)
-    return np.tanh(z, out=z)
+def _relu(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative, from its output a (a > 0 exactly where z > 0)."""
+def _relu_grad(a: np.ndarray) -> np.ndarray:
+    return (a > 0.0).astype(np.float64)  # a > 0 exactly where z > 0
 
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
+
+def _tanh_grad(a: np.ndarray) -> np.ndarray:
     return 1.0 - a * a
+
+
+# Per activation: the function, called as `act(z, z)` to write over z, and
+# its derivative computed from the activation's output.
+_ACTIVATIONS = {"relu": (_relu, _relu_grad), "tanh": (np.tanh, _tanh_grad)}
 
 
 class FlatArrays(dict):
@@ -183,22 +184,38 @@ class MultiHeadEstimator:
             init.append(rng.uniform(-bound, bound, size=(out_dim, in_dim)).ravel())
             init.append(rng.uniform(-bound, bound, size=out_dim))
         self.params = FlatArrays(np.concatenate(init), param_layout(config))
-        # (weight, bias) parameter names per layer, in evaluation order.
-        keys = [(f"{name}.w", f"{name}.b") for name, _, _ in _dense_layers(config)]
-        n_backbone, per_head = len(config.backbone_layers), len(config.head_layers)
-        self._backbone_keys = keys[:n_backbone]
-        self._head_keys = [keys[k : k + per_head] for k in range(n_backbone, len(keys), per_head)]
-        # [n_heads, width]: where each head's output-layer weight lies in
-        # params.flat, for `forward` to gather them all at once.
-        positions = FlatArrays(np.arange(len(self.params.flat)), param_layout(config))
-        self._out_weights = np.stack([positions[layers[-1][0]][0] for layers in self._head_keys])
         # A backbone layer is residual when it preserves width; the first
         # layer projects the input and never is.
         widths = [config.input_dim, *config.backbone_layers]
-        self._residual = tuple(l > 0 and widths[l] == widths[l + 1] for l in range(n_backbone))
-        # Gradient buffer in the same layout, made by the first backward pass
-        # and reused by every later one.
+        self._residual = tuple(l > 0 and widths[l] == widths[l + 1]
+                               for l in range(len(config.backbone_layers)))
+        self._act, self._act_grad = _ACTIVATIONS[config.activation]
+        # Every layer's (weight, bias) views of params.flat, bound once; the
+        # passes walk these. params.flat is only ever written in place, so
+        # the views always hold the current values.
+        backbone, self._heads = self._layer_views(self.params)
+        self._backbone = [(w, b, res) for (w, b), res in zip(backbone, self._residual)]
+        # [n_heads, width]: where each head's output-layer weight lies in
+        # params.flat, for `forward` to gather them all at once.
+        positions = FlatArrays(np.arange(len(self.params.flat)), param_layout(config))
+        self._out_weights = np.stack([w for _, w, _ in self._layer_views(positions)[1]])
+        # Gradient buffer in the same layout, and its layer views, made by
+        # the first backward pass and reused by every later one.
         self._grads: FlatArrays | None = None
+
+    def _layer_views(self, arrays: FlatArrays) -> tuple[list, list]:
+        """The (weight, bias) views of `arrays` per backbone layer, and per
+        head its hidden layers' views, its output layer's weight row
+        [width] and its output bias [1]."""
+
+        cfg = self.config
+        layers = [(arrays[f"{name}.w"], arrays[f"{name}.b"]) for name, _, _ in _dense_layers(cfg)]
+        n_backbone, per_head = len(cfg.backbone_layers), len(cfg.head_layers)
+        heads = []
+        for k in range(n_backbone, len(layers), per_head):
+            w_out, b_out = layers[k + per_head - 1]
+            heads.append((layers[k : k + per_head - 1], w_out[0], b_out))
+        return layers[:n_backbone], heads
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Raw head outputs; [n_heads] for a vector, [B, n_heads] for a batch.
@@ -245,28 +262,29 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.shape != (cfg.input_dim,):
             raise ValueError(f"an observation must be [{cfg.input_dim}], got shape {x.shape}")
-        act = cfg.activation
-        params = self.params
+        act = self._act
         h = x
-        for l, (wk, bk) in enumerate(self._backbone_keys):
-            z = params[wk].dot(h)
-            z += params[bk]
-            a = _act(z, act)
-            h = a + h if self._residual[l] else a
+        for w, b, residual in self._backbone:
+            a = w.dot(h)
+            a += b
+            act(a, a)
+            if residual:
+                a += h
+            h = a
 
         latent_dim = cfg.backbone_layers[-1]
         u = np.empty(latent_dim + 1)
         u[:latent_dim] = h
         u[latent_dim] = 0.0
         preds = np.empty(cfg.n_heads)
-        for i, layers in enumerate(self._head_keys):
+        for i, (hidden, w_out, b_out) in enumerate(self._heads):
             cur = u
-            for wk, bk in layers[:-1]:
-                cur = params[wk].dot(cur)
-                cur += params[bk]
-                _act(cur, act)
-            wk, bk = layers[-1]  # the scalar output layer stays linear
-            preds[i] = u[latent_dim] = params[wk].dot(cur)[0] + params[bk][0]
+            for w, b in hidden:
+                cur = w.dot(cur)
+                cur += b
+                act(cur, cur)
+            # The scalar output layer stays linear.
+            preds[i] = u[latent_dim] = w_out.dot(cur) + b_out[0]
         return preds
 
     def _forward_cached(self, x: np.ndarray, want_cache: bool = True,
@@ -284,17 +302,16 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
-        act = cfg.activation
-        params = self.params
+        act = self._act
         h = x
         bb = []
-        for l, (wk, bk) in enumerate(self._backbone_keys):
-            z = h @ params[wk].T
-            z += params[bk]
-            a = _act(z, act)
+        for w, b, residual in self._backbone:
+            a = h.dot(w.T)
+            a += b
+            act(a, a)
             if want_cache:
                 bb.append((h, a))
-            h = a + h if self._residual[l] else a
+            h = a + h if residual else a  # the cache holds a
 
         n = x.shape[0]
         latent_dim = cfg.backbone_layers[-1]
@@ -302,24 +319,24 @@ class MultiHeadEstimator:
         u[:, :latent_dim] = h
         u[:, latent_dim] = 0.0
         preds = np.empty((n, cfg.n_heads))
-        hidden = []
-        last = len(cfg.head_layers) - 1
-        for i, layers in enumerate(self._head_keys):
+        hidden_acts = []
+        for i, (hidden, w_out, b_out) in enumerate(self._heads):
             cur = u
             acts = []
-            for l, (wk, bk) in enumerate(layers):
-                w = padded_out[i] if l == last and padded_out is not None else params[wk]
-                cur = cur @ w.T
-                cur += params[bk]
-                if l < last:  # the scalar output layer stays linear
-                    acts.append(_act(cur, act))
+            for w, b in hidden:
+                cur = cur.dot(w.T)
+                cur += b
+                acts.append(act(cur, cur))
             if want_cache:
-                hidden.append(acts)
-            preds[:, i] = cur[:, 0]
-            u[:, latent_dim] = cur[:, 0]
+                hidden_acts.append(acts)
+            # The scalar output layer stays linear.
+            out = cur.dot(w_out) if padded_out is None else cur.dot(padded_out[i].T)[:, 0]
+            out += b_out
+            preds[:, i] = out
+            u[:, latent_dim] = out
         if not want_cache:
             return preds, None
-        return preds, {"backbone": bb, "head_input": u, "hidden": hidden, "preds": preds}
+        return preds, {"backbone": bb, "head_input": u, "hidden": hidden_acts, "preds": preds}
 
     def _backward(self, cache: dict, d_preds: np.ndarray) -> FlatArrays:
         """Gradients of a scalar loss given d(loss)/d(raw head outputs).
@@ -331,46 +348,53 @@ class MultiHeadEstimator:
         """
 
         cfg = self.config
-        act = cfg.activation
         if self._grads is None:
             self._grads = FlatArrays(np.zeros(self.n_params), param_layout(cfg))
-        grads = self._grads
-        params = self.params
+            self._grad_backbone, self._grad_heads = self._layer_views(self._grads)
+        act_grad = self._act_grad
         d_pred = np.array(d_preds, dtype=np.float64)
         latent_dim = cfg.backbone_layers[-1]
         # Each head's input is rebuilt in the forward's buffer from the
         # cached outputs: the latent columns never change.
         u, preds = cache["head_input"], cache["preds"]
         d_latent = np.zeros((u.shape[0], latent_dim))
-        last = len(cfg.head_layers) - 1
+        # For a one-row batch np.dot takes an outer-product path, which keeps
+        # the sign of a product that underflows to zero; matmul's gemm adds
+        # it to +0.0, as the sum into a zero-filled buffer would.
+        weight_grad = np.dot if u.shape[0] > 1 else np.matmul
 
         for i in reversed(range(cfg.n_heads)):
             u[:, latent_dim] = preds[:, i - 1] if i > 0 else 0.0
-            acts = cache["hidden"][i]
-            d_cur = d_pred[:, i][:, None]
-            for l in reversed(range(last + 1)):
-                wk, bk = self._head_keys[i][l]
-                d_z = d_cur * _act_grad(acts[l], act) if l < last else d_cur
-                np.matmul(d_z.T, acts[l - 1] if l > 0 else u, out=grads[wk])
-                np.add.reduce(d_z, axis=0, out=grads[bk])
-                d_cur = d_z @ params[wk]
+            hidden, w_out, _ = self._heads[i]
+            grad_hidden, grad_w_out, grad_b_out = self._grad_heads[i]
+            inputs = [u, *cache["hidden"][i]]  # each layer's input, the output layer's last
+            d_z = d_pred[:, i][:, None]  # the output layer is linear
+            weight_grad(d_z.T, inputs[-1], out=grad_w_out[None])
+            np.add.reduce(d_z, axis=0, out=grad_b_out)
+            d_cur = d_z * w_out  # [B, 1] times the weight row: [B, width]
+            for l in reversed(range(len(hidden))):
+                (w, _), (grad_w, grad_b) = hidden[l], grad_hidden[l]
+                d_z = d_cur * act_grad(inputs[l + 1])
+                weight_grad(d_z.T, inputs[l], out=grad_w)
+                np.add.reduce(d_z, axis=0, out=grad_b)
+                d_cur = d_z.dot(w)
             d_latent += d_cur[:, :latent_dim]
             if i > 0:
                 # The predecessor's output is the chained scalar input.
                 d_pred[:, i - 1] += d_cur[:, latent_dim]
 
         d_h = d_latent
-        for l in reversed(range(len(cfg.backbone_layers))):
-            wk, bk = self._backbone_keys[l]
-            h_in, a = cache["backbone"][l]
-            d_z = d_h * _act_grad(a, act)
-            np.matmul(d_z.T, h_in, out=grads[wk])
-            np.add.reduce(d_z, axis=0, out=grads[bk])
-            d_prev = d_z @ params[wk]
-            if self._residual[l]:
+        for (w, _, residual), (grad_w, grad_b), (h_in, a) in zip(
+                reversed(self._backbone), reversed(self._grad_backbone),
+                reversed(cache["backbone"])):
+            d_z = d_h * act_grad(a)
+            weight_grad(d_z.T, h_in, out=grad_w)
+            np.add.reduce(d_z, axis=0, out=grad_b)
+            d_prev = d_z.dot(w)
+            if residual:
                 d_prev += d_h
             d_h = d_prev
-        return grads
+        return self._grads
 
     # The flat vector in layout order, used by checkpoints and the
     # finite-difference tests.

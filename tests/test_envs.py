@@ -24,7 +24,6 @@ from riskhorizon.envs import (
     Draws,
     chain_observation,
     generate_episodes,
-    run_episode,
     world_fingerprint,
 )
 from riskhorizon.episodes import (
@@ -52,6 +51,17 @@ FOUR_STATES = ChainWorldSpec(
     ),
     start_distribution=(0.4, 0.3, 0.2, 0.1),
 )
+
+
+def run_episode(world, seed: int) -> Episode:
+    """Roll the one episode of `seed`.
+
+    Row t of the record is the observation the step t+1 started from; the
+    state reached by the final step is not recorded, and the step's end
+    reason becomes the episode's terminal.
+    """
+
+    return world.rollout(Draws([seed]))[0]
 
 
 # --- chain world ------------------------------------------------------------

@@ -4,6 +4,7 @@ import functools
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,46 @@ def test_flat_round_trip():
     clone.set_flat(flat)
     x = np.random.default_rng(4).normal(size=(3, 3))
     assert np.array_equal(est.forward(x), clone.forward(x))
+
+
+def _write_set_flat(est, rng):
+    est.set_flat(rng.normal(scale=0.5, size=est.n_params))
+
+
+def _write_adam_step(est, rng):
+    optimizer_step(est, rng.normal(size=est.n_params), AdamState.zeros(est), 0.05)
+
+
+def _write_named_views(est, rng):
+    # A hidden head layer, an output layer and a backbone bias.
+    for name in ("head1.l0.w", "head2.l1.w", "backbone1.b"):
+        est.params[name][...] = rng.normal(size=est.params[name].shape)
+
+
+@pytest.mark.parametrize("write", [_write_set_flat, _write_adam_step, _write_named_views],
+                         ids=["set_flat", "optimizer_step", "named_view"])
+def test_every_pass_sees_parameters_written_in_place(write):
+    # The passes walk layer views bound when the estimator (and its gradient
+    # buffer) was made; whichever way params.flat is written, they must give
+    # what a fresh estimator holding the same vector gives.
+    cfg = EstimatorConfig(input_dim=3, n_heads=3, backbone_layers=(6, 6), head_layers=(4, 1),
+                          init_seed=2)
+    est = MultiHeadEstimator(cfg)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5, 3))
+    batch = (rng.uniform(size=(5, 3)), rng.random((5, 3)) < 0.8, rng.random(5) < 0.5, W)
+    before = est.forward(x)
+    batch_loss_and_grad(est, x, *batch)  # makes the gradient buffer
+    write(est, rng)
+    fresh = MultiHeadEstimator(replace(cfg, init_seed=9))
+    fresh.set_flat(est.params.flat)
+    assert not np.array_equal(est.forward(x), before)
+    assert est.forward(x[0]).tobytes() == fresh.forward(x[0]).tobytes()
+    assert est.forward(x).tobytes() == fresh.forward(x).tobytes()
+    total, _, grads = batch_loss_and_grad(est, x, *batch)
+    want_total, _, want = batch_loss_and_grad(fresh, x, *batch)
+    assert total == want_total
+    assert grads.flat.tobytes() == want.flat.tobytes()
 
 
 # --- scalar loss terms ------------------------------------------------------
@@ -708,6 +749,26 @@ class ReferenceEstimator(MultiHeadEstimator):
                 d_prev += d_h
             d_h = d_prev
         return grads
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_a_one_row_batch_gets_the_reference_gradient_bits(activation):
+    # With one row, each weight gradient is an outer product. Subnormal
+    # inputs make products that underflow to a zero of either sign, and the
+    # gradient must hold +0.0 for them, as the reference's zero-filled sums do.
+    cfg = EstimatorConfig(input_dim=5, n_heads=4, backbone_layers=(12, 12), head_layers=(8, 1),
+                          activation=activation, init_seed=3)
+    est, ref = MultiHeadEstimator(cfg), ReferenceEstimator(cfg)
+    rng = np.random.default_rng(3)
+    valid, coll = np.ones((1, 4), bool), np.array([False])
+    for _ in range(10):
+        x = rng.normal(scale=2.0, size=(1, 5))
+        x[0, :2] = 5e-324, -5e-324
+        targets = rng.uniform(size=(1, 4))
+        _, _, grads = batch_loss_and_grad(est, x, targets, valid, coll, W)
+        _, _, want = batch_loss_and_grad(ref, x, targets, valid, coll, W)
+        want_flat = np.concatenate([want[k].ravel() for k in est.params])
+        assert grads.flat.tobytes() == want_flat.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
