@@ -358,10 +358,6 @@ class MultiHeadEstimator:
         # cached outputs: the latent columns never change.
         u, preds = cache["head_input"], cache["preds"]
         d_latent = np.zeros((u.shape[0], latent_dim))
-        # For a one-row batch np.dot takes an outer-product path, which keeps
-        # the sign of a product that underflows to zero; matmul's gemm adds
-        # it to +0.0, as the sum into a zero-filled buffer would.
-        weight_grad = np.dot if u.shape[0] > 1 else np.matmul
 
         for i in reversed(range(cfg.n_heads)):
             u[:, latent_dim] = preds[:, i - 1] if i > 0 else 0.0
@@ -369,13 +365,13 @@ class MultiHeadEstimator:
             grad_hidden, grad_w_out, grad_b_out = self._grad_heads[i]
             inputs = [u, *cache["hidden"][i]]  # each layer's input, the output layer's last
             d_z = d_pred[:, i][:, None]  # the output layer is linear
-            weight_grad(d_z.T, inputs[-1], out=grad_w_out[None])
+            np.matmul(d_z.T, inputs[-1], out=grad_w_out[None])
             np.add.reduce(d_z, axis=0, out=grad_b_out)
             d_cur = d_z * w_out  # [B, 1] times the weight row: [B, width]
             for l in reversed(range(len(hidden))):
                 (w, _), (grad_w, grad_b) = hidden[l], grad_hidden[l]
                 d_z = d_cur * act_grad(inputs[l + 1])
-                weight_grad(d_z.T, inputs[l], out=grad_w)
+                np.matmul(d_z.T, inputs[l], out=grad_w)
                 np.add.reduce(d_z, axis=0, out=grad_b)
                 d_cur = d_z.dot(w)
             d_latent += d_cur[:, :latent_dim]
@@ -388,7 +384,7 @@ class MultiHeadEstimator:
                 reversed(self._backbone), reversed(self._grad_backbone),
                 reversed(cache["backbone"])):
             d_z = d_h * act_grad(a)
-            weight_grad(d_z.T, h_in, out=grad_w)
+            np.matmul(d_z.T, h_in, out=grad_w)
             np.add.reduce(d_z, axis=0, out=grad_b)
             d_prev = d_z.dot(w)
             if residual:
