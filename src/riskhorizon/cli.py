@@ -211,11 +211,9 @@ def cmd_eval(args) -> int:
         ],
     }
     if cfg is not None and isinstance(cfg.world, ChainWorld):
-        spec = cfg.world.spec
-        table = dp_cumulative(spec, ckpt.horizon.n_heads)
-        obs = np.stack(
-            [chain_observation(spec, s, cfg.world.stack_frames) for s in range(spec.n_states)]
-        )
+        world = cfg.world
+        table = dp_cumulative(world, ckpt.horizon.n_heads)
+        obs = np.stack([chain_observation(world, s) for s in range(world.n_states)])
         errors = oracle_errors(ckpt.estimator, table, obs)
         write_oracle_errors(out_dir / "oracle_errors.tsv", errors)
         summary["oracle_max_abs_error"] = float(errors.max())
@@ -232,14 +230,15 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     if not isinstance(cfg.world, ChainWorld):
         raise ConfigError("this command needs a chain environment")
-    spec = cfg.world.spec
-    table = dp_cumulative(spec, cfg.horizon.n_heads)
+    world = cfg.world
+    table = dp_cumulative(world, cfg.horizon.n_heads)
     write_oracle_table(args.out, table)
     print(
-        f"wrote oracle table for {spec.n_states} states x {cfg.horizon.n_heads} heads to {args.out}"
+        f"wrote oracle table for {world.n_states} states x {cfg.horizon.n_heads} heads"
+        f" to {args.out}"
     )
     if args.cross_check:
-        brute = brute_force_cumulative(spec, cfg.horizon.n_heads)
+        brute = brute_force_cumulative(world, cfg.horizon.n_heads)
         deviation = float(np.abs(table.probabilities - brute.probabilities).max())
         print(f"cross-check max deviation: {deviation:.3g}")
         if deviation > CROSS_CHECK_TOLERANCE:

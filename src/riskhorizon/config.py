@@ -8,7 +8,9 @@ integer (not `true`, `3.9` or `"7"`), a float key an integer or a finite
 float. Each section is turned into the object it configures (the world,
 `HorizonConfig`, `LossWeights`, `EstimatorConfig`, `TrainConfig`, the
 detection grid) at load time, passing only the keys the document sets, so
-defaults live in those classes alone. Any malformed value raises a
+defaults live in those classes alone. The `env` section's keys other than
+`kind` are exactly the fields of the frozen world it builds, `ChainWorld`
+or `CorridorWorld`. Any malformed value raises a
 `ConfigError` that names its key path. Checkpoints store their estimator,
 horizon and loss sections in the same shape (`to_section`, `saved_sections`).
 """
@@ -20,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .envs import MAX_EPISODES, ChainWorld, ChainWorldSpec, CorridorWorld, CorridorWorldSpec
+from .envs import MAX_EPISODES, ChainWorld, CorridorWorld
 from .evaluation import DEFAULT_INTERVALS, DEFAULT_THRESHOLDS, check_detection_grid
 from .network import EstimatorConfig, LossWeights
 from .returns import HorizonConfig
@@ -33,7 +35,7 @@ CONFIG_VERSION = 1
 CHAIN_ENV_KEYS = {"kind": str, "n_states": int, "hazard": [float], "transition": [[float]],
                   "start_distribution": [float], "max_steps": int, "stack_frames": int}
 CORRIDOR_ENV_KEYS = {"kind": str, **{key: type(value) for key, value in
-                                    asdict(CorridorWorldSpec()).items()}, "stack_frames": int}
+                                    asdict(CorridorWorld()).items()}}
 HORIZON_KEYS = {"delta_t": float, "n_heads": int, "lambda": float, "trunc_n": int}
 LOSS_KEYS = {"c_interval": float, "c_chain": float, "p_collision": float, "p_noncollision": float}
 ESTIMATOR_KEYS = {"backbone_layers": [int], "head_layers": [int], "activation": str,
@@ -142,20 +144,17 @@ def _world(raw) -> ChainWorld | CorridorWorld:
     if not isinstance(raw, dict):
         raise ConfigError("env: must be an object")
     kind = _require(raw, "kind", "env")
-    world_keys = {"stack_frames"}
     if kind == "chain":
         fields = _section(raw, "env", CHAIN_ENV_KEYS,
                           required=("n_states", "hazard", "transition", "start_distribution"))
-        make_world, make_spec = ChainWorld, ChainWorldSpec
-        world_keys.add("max_steps")  # a chain's step limit belongs to the world, not its spec
+        make = ChainWorld
     elif kind == "corridor":
         fields = _section(raw, "env", CORRIDOR_ENV_KEYS)
-        make_world, make_spec = CorridorWorld, CorridorWorldSpec
+        make = CorridorWorld
     else:
         raise ConfigError(f"env.kind: unknown environment {kind!r}")
     del fields["kind"]
-    world_args = {key: fields.pop(key) for key in world_keys & fields.keys()}
-    return _build("env", make_world, _build("env", make_spec, **fields), **world_args)
+    return _build("env", make, **fields)
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:

@@ -7,6 +7,10 @@ bed. The corridor world is a one-dimensional ring road with stochastic
 slower traffic and a braking ego policy with delayed reactions; it produces
 the rare-ish, temporally extended collisions the estimator is meant for.
 
+A world is one frozen value (`ChainWorld`, `CorridorWorld`) whose fields
+are its `env` config keys other than `kind`; equal worlds roll the same
+episodes, and `world_fingerprint` hashes the kind and the fields.
+
 A world rolls a batch of episodes in lockstep (`rollout`): the state of
 every episode still running is held in arrays, one row per episode, each
 step advances them all, and an episode leaves the arrays on the step that
@@ -47,7 +51,7 @@ WORD_BLOCK = 256
 # rejection (Draws.bounded), which covers ranges up to 2**32 - 1 values.
 MAX_REACTION_DELAY = 2**32 - 2
 
-# Fixed corridor constants; the tunable surface lives in CorridorWorldSpec.
+# Fixed corridor constants; the tunable surface is the fields of CorridorWorld.
 _EGO_ACCEL = 2.5  # m/s^2 back toward target speed
 _CAR_GAP = 2.0  # m, bumper-to-bumper distance that counts as a collision
 _SAFETY_MARGIN = 4.0  # m, braking starts when the predicted gap dips below this
@@ -195,19 +199,26 @@ class _Recorder:
                 self.episodes[s] = Episode(observations=rows, terminal=terminal, seed=self.seeds[s])
 
 
+def _check_stack_frames(stack_frames: int) -> None:
+    if not 1 <= stack_frames <= MAX_STACK_FRAMES:
+        raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
+
+
 @dataclass(frozen=True)
-class ChainWorldSpec:
+class ChainWorld:
     """Finite Markov chain with per-state collision hazards.
 
     Stepping from state s collides with probability hazard[s]; otherwise the
     state moves according to the row-stochastic transition matrix. Episodes
-    start from start_distribution.
+    start from start_distribution and end after at most max_steps steps.
     """
 
     n_states: int
     hazard: tuple[float, ...]
     transition: tuple[tuple[float, ...], ...]
     start_distribution: tuple[float, ...]
+    max_steps: int = 100
+    stack_frames: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hazard", tuple(float(h) for h in self.hazard))
@@ -231,59 +242,51 @@ class ChainWorldSpec:
                 raise ValueError("transition rows must be distributions summing to 1")
         if any(p < 0.0 for p in self.start_distribution) or abs(sum(self.start_distribution) - 1.0) > 1e-12:
             raise ValueError("start_distribution must sum to 1")
-
-
-def chain_observation(spec: ChainWorldSpec, state: int, stack_frames: int = 1) -> np.ndarray:
-    """One-hot encoding of a chain state, tiled over the frame stack."""
-
-    frame = np.zeros(spec.n_states)
-    frame[state] = 1.0
-    return np.tile(frame, stack_frames)
-
-
-class ChainWorld:
-    def __init__(self, spec: ChainWorldSpec, max_steps: int = 100, stack_frames: int = 1):
-        if max_steps < 1:
+        if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 1 <= stack_frames <= MAX_STACK_FRAMES:
-            raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
-        self.spec = spec
-        self.max_steps = max_steps
-        self.stack_frames = stack_frames
-        # States are drawn as Generator.choice(n, p=p) draws them, one
-        # random() searched in the normalized cumulative sum, so the random
-        # stream is choice's; the sums are built once here.
-        self._start_cdf = _cdf(spec.start_distribution)
-        self._next_cdf = np.array([_cdf(row) for row in spec.transition])
-        self._hazard = np.array(spec.hazard)
-        self._one_hot = np.eye(spec.n_states)
+        _check_stack_frames(self.stack_frames)
 
     @property
     def obs_dim(self) -> int:
-        return self.spec.n_states * self.stack_frames
+        return self.n_states * self.stack_frames
 
     def rollout(self, draws: Draws) -> list[Episode]:
         """One episode per row of `draws`, rolled in lockstep, in row order."""
 
-        out = _Recorder(draws.seeds, self.spec.n_states, self.stack_frames, self.max_steps)
+        # States are drawn as Generator.choice(n, p=p) draws them, one
+        # random() searched in the normalized cumulative sum, so the random
+        # stream is choice's.
+        start_cdf = _cdf(self.start_distribution)
+        next_cdf = np.array([_cdf(row) for row in self.transition])
+        hazard = np.array(self.hazard)
+        one_hot = np.eye(self.n_states)
+        out = _Recorder(draws.seeds, self.n_states, self.stack_frames, self.max_steps)
         slot = np.arange(len(draws.seeds))  # each live episode's row of draws and out
         draws.reserve(slot, 1)
-        state = _search(self._start_cdf, draws.double(slot))
-        out.record(slot, 0, self._one_hot[state])
+        state = _search(start_cdf, draws.double(slot))
+        out.record(slot, 0, one_hot[state])
         for k in range(1, self.max_steps + 1):
             draws.reserve(slot, 2)
             # The collision state is never observed: frames stay as they were.
-            hit = draws.double(slot) < self._hazard[state]
+            hit = draws.double(slot) < hazard[state]
             out.end(slot[hit], k, Terminal.COLLISION)
             slot, state = slot[~hit], state[~hit]
-            state = _search(self._next_cdf[state], draws.double(slot))
+            state = _search(next_cdf[state], draws.double(slot))
             if k == self.max_steps:
                 out.end(slot, k, Terminal.TIME_LIMIT)
             elif slot.size:
-                out.record(slot, k, self._one_hot[state])
+                out.record(slot, k, one_hot[state])
             else:
                 break
         return out.episodes
+
+
+def chain_observation(world: ChainWorld, state: int) -> np.ndarray:
+    """One-hot encoding of a chain state, tiled over the world's frame stack."""
+
+    frame = np.zeros(world.n_states)
+    frame[state] = 1.0
+    return np.tile(frame, world.stack_frames)
 
 
 def _search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -298,7 +301,7 @@ def _cdf(p: tuple[float, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CorridorWorldSpec:
+class CorridorWorld:
     """Ring corridor with slower, occasionally erratic traffic ahead.
 
     The ego cruises at target_speed and brakes (after a random reaction
@@ -320,6 +323,7 @@ class CorridorWorldSpec:
     delta_t: float = 0.1
     max_steps: int = 300
     blocked_timeout_s: float = 5.0
+    stack_frames: int = 3
 
     def __post_init__(self) -> None:
         if self.lane_length <= 2 * _SENSING_RANGE:
@@ -342,60 +346,49 @@ class CorridorWorldSpec:
             raise ValueError("max_steps must be >= 1")
         if self.blocked_timeout_s <= 0:
             raise ValueError("blocked_timeout_s must be positive")
+        _check_stack_frames(self.stack_frames)
 
-
-class CorridorWorld:
-    def __init__(self, spec: CorridorWorldSpec, stack_frames: int = 3):
-        if not 1 <= stack_frames <= MAX_STACK_FRAMES:
-            raise ValueError(f"stack_frames must be >= 1 and at most {MAX_STACK_FRAMES}")
-        self.spec = spec
-        self.stack_frames = stack_frames
 
     @property
     def obs_dim(self) -> int:
         return CORRIDOR_FRAME_DIM * self.stack_frames
 
-    @property
-    def max_steps(self) -> int:
-        return self.spec.max_steps
-
     def rollout(self, draws: Draws) -> list[Episode]:
         """One episode per row of `draws`, rolled in lockstep, in row order."""
 
-        spec = self.spec
-        lane, dt = spec.lane_length, spec.delta_t
+        lane, dt = self.lane_length, self.delta_t
         n = len(draws.seeds)
-        out = _Recorder(draws.seeds, CORRIDOR_FRAME_DIM, self.stack_frames, spec.max_steps)
+        out = _Recorder(draws.seeds, CORRIDOR_FRAME_DIM, self.stack_frames, self.max_steps)
         slot = np.arange(n)  # each live episode's row of draws and out
         ego_x = np.zeros(n)
-        ego_v = np.full(n, spec.target_speed)
+        ego_v = np.full(n, self.target_speed)
         # Obstacles in spawn order: columns from count on are unused zeros.
         obs_x = np.zeros((n, _MAX_OBSTACLES))
         obs_v = np.zeros((n, _MAX_OBSTACLES))
         count = np.zeros(n, np.int64)
         # spawn_rate 0 means an empty road, initial traffic included.
-        if spec.spawn_rate > 0:
+        if self.spawn_rate > 0:
             draws.reserve(slot, 2 * _INITIAL_OBSTACLES)
             for j in range(_INITIAL_OBSTACLES):
                 ahead = draws.uniform(slot, 0.5 * _SENSING_RANGE, lane - _CAR_GAP)
                 obs_x[:, j] = (ego_x + ahead) % lane
-                obs_v[:, j] = draws.uniform(slot, spec.speed_min, spec.speed_max)
+                obs_v[:, j] = draws.uniform(slot, self.speed_min, self.speed_max)
             count[:] = _INITIAL_OBSTACLES
         countdown = np.full(n, -1)  # reaction steps left; -1: no danger on the last step
         stopped = np.zeros(n, np.int64)  # steps in a row at a standstill
         gaps = _gaps(obs_x, ego_x, lane)
         out.record(slot, 0, self._frame(ego_x, ego_v, obs_v, gaps, count))
-        for k in range(1, spec.max_steps + 1):
+        for k in range(1, self.max_steps + 1):
             # The step's draws in order: a spawn check while there is room
             # and a spawned obstacle's speed, then per obstacle a speed-change
             # check and, on a change, the new speed.
             draws.reserve(slot, _CORRIDOR_STEP_WORDS)
             u = draws.ahead(slot, _CORRIDOR_STEP_WORDS)
             room = count < _MAX_OBSTACLES
-            born = np.flatnonzero(room & (u[:, 0] < spec.spawn_rate * dt))
+            born = np.flatnonzero(room & (u[:, 0] < self.spawn_rate * dt))
             spawn_x = (ego_x[born] + _SENSING_RANGE) % lane
             obs_x[born, count[born]] = spawn_x
-            obs_v[born, count[born]] = _uniform(u[born, 1], spec.speed_min, spec.speed_max)
+            obs_v[born, count[born]] = _uniform(u[born, 1], self.speed_min, self.speed_max)
             gaps[born, count[born]] = (spawn_x - ego_x[born]) % lane
             count[born] += 1
             used = room.astype(np.int64)
@@ -412,20 +405,20 @@ class CorridorWorld:
                 if np.array_equal(shifted, at):
                     break
                 at = shifted
-            new_v = _uniform(np.take(u, at + 1), spec.speed_min, spec.speed_max)
+            new_v = _uniform(np.take(u, at + 1), self.speed_min, self.speed_max)
             obs_v = np.where(changed, new_v, obs_v)
             draws.skip(slot, used + count + np.count_nonzero(changed, axis=1))
 
             danger = self._danger(gaps, ego_v, obs_v, present)
             react = np.flatnonzero(danger & (countdown < 0))
-            countdown[react] = draws.bounded(slot[react], spec.reaction_delay_steps)
+            countdown[react] = draws.bounded(slot[react], self.reaction_delay_steps)
             braking = danger & (countdown == 0)
             countdown = np.where(danger, countdown - (countdown > 0), -1)
             # max(0, v) and min(target, v) as Python's max and min pick them.
-            slower = ego_v - spec.brake_decel * dt
+            slower = ego_v - self.brake_decel * dt
             faster = ego_v + _EGO_ACCEL * dt
             ego_v = np.where(braking, np.where(slower > 0.0, slower, 0.0),
-                             np.where(faster < spec.target_speed, faster, spec.target_speed))
+                             np.where(faster < self.target_speed, faster, self.target_speed))
             ego_x = (ego_x + ego_v * dt) % lane
             obs_x = (obs_x + obs_v * dt) % lane
 
@@ -433,11 +426,11 @@ class CorridorWorld:
             gaps = _gaps(obs_x, ego_x, lane)
             collided = (present & (gaps < _CAR_GAP)).any(axis=1)
             stopped = np.where(ego_v < _STOPPED_EPS, stopped + 1, 0)
-            blocked = ~collided & (stopped * dt >= spec.blocked_timeout_s)
+            blocked = ~collided & (stopped * dt >= self.blocked_timeout_s)
             out.end(slot[collided], k, Terminal.COLLISION)
             out.end(slot[blocked], k, Terminal.BLOCKED)
             going = ~(collided | blocked)
-            if k == spec.max_steps:
+            if k == self.max_steps:
                 out.end(slot[going], k, Terminal.TIME_LIMIT)
                 break
             if not going.all():
@@ -455,7 +448,7 @@ class CorridorWorld:
         closing = ego_v[:, None] - obs_v
         clearance = gaps - _CAR_GAP - _SAFETY_MARGIN
         with np.errstate(divide="ignore", invalid="ignore"):
-            soon = clearance / closing <= self.spec.check_horizon_s
+            soon = clearance / closing <= self.check_horizon_s
         closing_in = present & (gaps <= _SENSING_RANGE) & (closing > 0.0)
         return (closing_in & ((clearance <= 0.0) | soon)).any(axis=1)
 
@@ -463,7 +456,6 @@ class CorridorWorld:
         """Each row's frame: ego speed, the three nearest sensed obstacles
         (gap, relative speed) ordered by gap then speed, ego position."""
 
-        spec = self.spec
         visible = (_SLOTS < count[:, None]) & (gaps <= _SENSING_RANGE)
         # NumPy orders complex values by real part, then imaginary part: the
         # (gap, speed) order, with unseen columns last.
@@ -474,10 +466,10 @@ class CorridorWorld:
         # Sentinel: an imaginary obstacle at max range moving with us.
         seen = _SLOTS[:3] < np.count_nonzero(visible, axis=1)[:, None]
         frame = np.empty((len(ego_x), CORRIDOR_FRAME_DIM))
-        frame[:, 0] = ego_v / spec.target_speed
+        frame[:, 0] = ego_v / self.target_speed
         frame[:, 1:7:2] = np.where(seen, nearest.real / _SENSING_RANGE, 1.0)
-        frame[:, 2:7:2] = np.where(seen, (nearest.imag - ego_v[:, None]) / spec.target_speed, 0.0)
-        frame[:, 7] = ego_x / spec.lane_length
+        frame[:, 2:7:2] = np.where(seen, (nearest.imag - ego_v[:, None]) / self.target_speed, 0.0)
+        frame[:, 7] = ego_x / self.lane_length
         return frame
 
 
@@ -525,9 +517,5 @@ def generate_episodes(world, count: int, master_seed: int) -> tuple[list[Episode
 def world_fingerprint(world) -> str:
     """Short stable hash of everything that shapes a world's episodes."""
 
-    chain = isinstance(world, ChainWorld)
-    doc = {"kind": "chain" if chain else "corridor", **asdict(world.spec),
-           "stack_frames": world.stack_frames}
-    if chain:
-        doc["max_steps"] = world.max_steps
+    doc = {"kind": "chain" if isinstance(world, ChainWorld) else "corridor", **asdict(world)}
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]

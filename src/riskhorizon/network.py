@@ -195,10 +195,6 @@ class MultiHeadEstimator:
         # the views always hold the current values.
         backbone, self._heads = self._layer_views(self.params)
         self._backbone = [(w, b, res) for (w, b), res in zip(backbone, self._residual)]
-        # [n_heads, width]: where each head's output-layer weight lies in
-        # params.flat, for `forward` to gather them all at once.
-        positions = FlatArrays(np.arange(len(self.params.flat)), param_layout(config))
-        self._out_weights = np.stack([w for _, w, _ in self._layer_views(positions)[1]])
         # Gradient buffer in the same layout, and its layer views, made by
         # the first backward pass and reused by every later one.
         self._grads: FlatArrays | None = None
@@ -241,8 +237,9 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
-        padded_out = np.zeros((cfg.n_heads, 2, self._out_weights.shape[1]))
-        padded_out[:, 0] = self.params.flat[self._out_weights]
+        padded_out = np.zeros((cfg.n_heads, 2, self._heads[0][1].size))
+        for i, (_, w_out, _) in enumerate(self._heads):
+            padded_out[i, 0] = w_out
         n = x.shape[0]
         if n < ROW_FLOOR:
             x = np.concatenate([x, np.zeros((ROW_FLOOR - n, cfg.input_dim))])
@@ -380,12 +377,14 @@ class MultiHeadEstimator:
                 d_pred[:, i - 1] += d_cur[:, latent_dim]
 
         d_h = d_latent
-        for (w, _, residual), (grad_w, grad_b), (h_in, a) in zip(
-                reversed(self._backbone), reversed(self._grad_backbone),
-                reversed(cache["backbone"])):
+        for l in reversed(range(len(self._backbone))):
+            (w, _, residual), (grad_w, grad_b) = self._backbone[l], self._grad_backbone[l]
+            h_in, a = cache["backbone"][l]
             d_z = d_h * act_grad(a)
             np.matmul(d_z.T, h_in, out=grad_w)
             np.add.reduce(d_z, axis=0, out=grad_b)
+            if l == 0:
+                break  # layer 0's input is the features: nothing reads their gradient
             d_prev = d_z.dot(w)
             if residual:
                 d_prev += d_h

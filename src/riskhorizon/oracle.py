@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_table
-from .envs import ChainWorldSpec
+from .envs import ChainWorld
 
 BRUTE_FORCE_MAX_STATES = 6
 BRUTE_FORCE_MAX_HORIZON = 8
@@ -53,20 +53,20 @@ class OracleTable:
         return self.probabilities.shape[1] - 1
 
 
-def dp_cumulative(spec: ChainWorldSpec, n_heads: int) -> OracleTable:
+def dp_cumulative(world: ChainWorld, n_heads: int) -> OracleTable:
     """Cumulative collision probabilities by dynamic programming."""
 
     if n_heads < 1:
         raise ValueError("n_heads must be >= 1")
-    hazard = np.array(spec.hazard)
-    transition = np.array(spec.transition)
-    table = np.zeros((spec.n_states, n_heads + 1))
+    hazard = np.array(world.hazard)
+    transition = np.array(world.transition)
+    table = np.zeros((world.n_states, n_heads + 1))
     for i in range(1, n_heads + 1):
         table[:, i] = hazard + (1.0 - hazard) * (transition @ table[:, i - 1])
     return OracleTable(probabilities=table)
 
 
-def brute_force_cumulative(spec: ChainWorldSpec, n_heads: int) -> OracleTable:
+def brute_force_cumulative(world: ChainWorld, n_heads: int) -> OracleTable:
     """Cumulative collision probabilities by explicit path enumeration.
 
     Sums, over every collision step k <= i and every intermediate state
@@ -76,17 +76,17 @@ def brute_force_cumulative(spec: ChainWorldSpec, n_heads: int) -> OracleTable:
 
     if n_heads < 1:
         raise ValueError("n_heads must be >= 1")
-    if spec.n_states > BRUTE_FORCE_MAX_STATES or n_heads > BRUTE_FORCE_MAX_HORIZON:
+    if world.n_states > BRUTE_FORCE_MAX_STATES or n_heads > BRUTE_FORCE_MAX_HORIZON:
         raise InstanceTooLargeError(
             f"brute force is capped at {BRUTE_FORCE_MAX_STATES} states and "
             f"{BRUTE_FORCE_MAX_HORIZON} horizon steps "
-            f"(got {spec.n_states} states, {n_heads} steps)"
+            f"(got {world.n_states} states, {n_heads} steps)"
         )
-    hazard = np.array(spec.hazard)
+    hazard = np.array(world.hazard)
     survive = 1.0 - hazard
-    transition = np.array(spec.transition)
-    states = range(spec.n_states)
-    collide_at = np.zeros((spec.n_states, n_heads + 1))
+    transition = np.array(world.transition)
+    states = range(world.n_states)
+    collide_at = np.zeros((world.n_states, n_heads + 1))
     for k in range(1, n_heads + 1):
         paths = np.array(list(itertools.product(states, repeat=k - 1)), dtype=np.intp)
         paths = paths.reshape(len(paths), k - 1)

@@ -18,9 +18,7 @@ from helpers import get_flat
 from returns_reference import InvalidTargetError, lambda_return, mc_return, n_step_return
 from riskhorizon.envs import (
     ChainWorld,
-    ChainWorldSpec,
     CorridorWorld,
-    CorridorWorldSpec,
     chain_observation,
     generate_episodes,
 )
@@ -63,7 +61,7 @@ def spearman(x, y):
 
 # --- trained fixtures ---------------------------------------------------------
 
-CHAIN_SPEC = ChainWorldSpec(
+CHAIN_WORLD = ChainWorld(
     n_states=4,
     hazard=(0.02, 0.05, 0.1, 0.18),
     transition=(
@@ -73,6 +71,7 @@ CHAIN_SPEC = ChainWorldSpec(
         (0.0, 0.0, 0.4, 0.6),
     ),
     start_distribution=(0.4, 0.3, 0.2, 0.1),
+    max_steps=40,
 )
 CHAIN_HORIZON = HorizonConfig(delta_t=0.1, n_heads=5, lam=0.8, trunc_n=3)
 
@@ -83,8 +82,7 @@ CORRIDOR_HORIZON = HorizonConfig(delta_t=0.1, n_heads=20, lam=0.8, trunc_n=10)
 def chain_run():
     """Budgeted chain-world training run shared by criteria 4 and 6-8."""
 
-    world = ChainWorld(CHAIN_SPEC, max_steps=40)
-    episodes, _ = generate_episodes(world, 400, master_seed=2024)
+    episodes, _ = generate_episodes(CHAIN_WORLD, 400, master_seed=2024)
     cfg = TrainConfig(
         horizon=CHAIN_HORIZON,
         loss=LossWeights(c_interval=1.0, c_chain=1.0, p_collision=0.25, p_noncollision=0.025),
@@ -106,7 +104,7 @@ def chain_run():
     held = [episodes[j] for j in result.held_out]
     return {
         "estimator": result.state.estimator,
-        "table": dp_cumulative(CHAIN_SPEC, CHAIN_HORIZON.n_heads),
+        "table": dp_cumulative(CHAIN_WORLD, CHAIN_HORIZON.n_heads),
         "held": held,
         "elapsed": elapsed,
     }
@@ -116,7 +114,7 @@ def chain_run():
 def corridor_run():
     """Corridor training run feeding the detection-table criterion."""
 
-    world = CorridorWorld(CorridorWorldSpec(), stack_frames=3)
+    world = CorridorWorld(stack_frames=3)
     episodes, _ = generate_episodes(world, 300, master_seed=2025)
     # Short schedule on purpose: collisions here are mostly aleatoric (random
     # obstacle speed changes), so long training flattens near-collision
@@ -208,14 +206,14 @@ def test_criterion_03_oracle_consistency():
         transition /= transition.sum(axis=1, keepdims=True)
         start = rng.uniform(0.05, 1.0, size=n)
         start /= start.sum()
-        spec = ChainWorldSpec(
+        world = ChainWorld(
             n_states=n,
             hazard=tuple(hazard),
             transition=tuple(tuple(row) for row in transition),
             start_distribution=tuple(start),
         )
-        a = dp_cumulative(spec, heads).probabilities
-        b = brute_force_cumulative(spec, heads).probabilities
+        a = dp_cumulative(world, heads).probabilities
+        b = brute_force_cumulative(world, heads).probabilities
         worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.monotonic() - started
     assert worst <= 1e-12
@@ -224,9 +222,7 @@ def test_criterion_03_oracle_consistency():
 
 
 def test_criterion_04_chain_convergence(chain_run):
-    obs = np.stack(
-        [chain_observation(CHAIN_SPEC, s, 1) for s in range(CHAIN_SPEC.n_states)]
-    )
+    obs = np.stack([chain_observation(CHAIN_WORLD, s) for s in range(CHAIN_WORLD.n_states)])
     preds = chain_run["estimator"].forward(obs)
     errors = np.abs(preds - chain_run["table"].probabilities[:, 1:])
     assert chain_run["elapsed"] < 300.0
@@ -341,15 +337,15 @@ def test_criterion_09_stratified_unbiasedness():
     # importance weight times gradient) must match p_nc times the plain
     # uniform expectation. Hinge weights are zeroed so the comparison is
     # about the sampling scheme, not regularizers.
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=3,
         hazard=(0.05, 0.15, 0.3),
         transition=((0.6, 0.4, 0.0), (0.3, 0.4, 0.3), (0.0, 0.5, 0.5)),
         start_distribution=(0.5, 0.3, 0.2),
+        max_steps=12,
     )
     horizon = HorizonConfig(delta_t=0.1, n_heads=3, lam=0.8, trunc_n=2)
     p_c, p_nc = 0.25, 0.025
-    world = ChainWorld(spec, max_steps=12)
     episodes, _ = generate_episodes(world, 60, master_seed=90)
     est = MultiHeadEstimator(
         EstimatorConfig(input_dim=3, n_heads=3, backbone_layers=(6,),

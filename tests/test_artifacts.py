@@ -70,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
+from riskhorizon.envs import ChainWorld, generate_episodes
 from riskhorizon.episodes import save_episodes
 from riskhorizon.evaluation import (
     CharacteristicCurves, DetectionTable, EvalReport, write_characteristic, write_detection,
@@ -85,9 +85,9 @@ from riskhorizon.returns import HorizonConfig
 from riskhorizon.training import write_metric_log
 
 root, limit = Path(sys.argv[1]), int(sys.argv[2])
-spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.3), transition=((0.5, 0.5), (0.5, 0.5)),
-                      start_distribution=(0.5, 0.5))
-corpus, _ = generate_episodes(ChainWorld(spec, max_steps=10), 4, 1)
+world = ChainWorld(n_states=2, hazard=(0.1, 0.3), transition=((0.5, 0.5), (0.5, 0.5)),
+                   start_distribution=(0.5, 0.5), max_steps=10)
+corpus, _ = generate_episodes(world, 4, 1)
 horizon = HorizonConfig(delta_t=0.1, n_heads=2, lam=0.5, trunc_n=2)
 estimator = MultiHeadEstimator(EstimatorConfig(input_dim=2, n_heads=2, backbone_layers=(4,),
                                                head_layers=(2, 1)))
@@ -109,7 +109,7 @@ writers = {
     "detection": lambda p: write_detection(p, detection),
     "oracle_errors": lambda p: write_oracle_errors(p, np.full((2, 2), 0.25)),
     "summary": lambda p: write_summary(p, {"episodes": 4, "acc_per_head": [0.1, 0.2]}),
-    "oracle_table": lambda p: write_oracle_table(p, dp_cumulative(spec, 2)),
+    "oracle_table": lambda p: write_oracle_table(p, dp_cumulative(world, 2)),
 }
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]

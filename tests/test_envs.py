@@ -2,6 +2,7 @@
 the exact tables, corridor behaviours, and the file schema."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -17,10 +18,9 @@ from riskhorizon.config import load_config
 from riskhorizon.envs import (
     MAX_EPISODES,
     MAX_REACTION_DELAY,
+    MAX_STACK_FRAMES,
     ChainWorld,
-    ChainWorldSpec,
     CorridorWorld,
-    CorridorWorldSpec,
     Draws,
     chain_observation,
     generate_episodes,
@@ -40,7 +40,7 @@ from riskhorizon.oracle import dp_cumulative
 # start-distribution frequency test (reject only below p = 0.01).
 CHI2_CRIT_DF3_P01 = 11.345
 
-FOUR_STATES = ChainWorldSpec(
+FOUR_STATES = ChainWorld(
     n_states=4,
     hazard=(0.02, 0.05, 0.1, 0.18),
     transition=(
@@ -67,46 +67,52 @@ def run_episode(world, seed: int) -> Episode:
 # --- chain world ------------------------------------------------------------
 
 
-def test_chain_spec_validation():
+def test_chain_world_validation():
     with pytest.raises(ValueError):
-        ChainWorldSpec(
+        ChainWorld(
             n_states=2, hazard=(0.5,), transition=((1.0,),), start_distribution=(1.0,)
         )
     with pytest.raises(ValueError):
-        ChainWorldSpec(
+        ChainWorld(
             n_states=1, hazard=(1.5,), transition=((1.0,),), start_distribution=(1.0,)
         )
     with pytest.raises(ValueError):
-        ChainWorldSpec(
+        ChainWorld(
             n_states=2,
             hazard=(0.1, 0.1),
             transition=((0.7, 0.2), (0.5, 0.5)),
             start_distribution=(1.0, 0.0),
         )
     with pytest.raises(ValueError):
-        ChainWorldSpec(
+        ChainWorld(
             n_states=2,
             hazard=(0.1, 0.1),
             transition=((0.5, 0.5), (0.5, 0.5)),
             start_distribution=(0.7, 0.7),
         )
+    with pytest.raises(ValueError, match="max_steps"):
+        replace(FOUR_STATES, max_steps=0)
+    for stack_frames in (0, MAX_STACK_FRAMES + 1):
+        with pytest.raises(ValueError, match="stack_frames"):
+            replace(FOUR_STATES, stack_frames=stack_frames)
+    assert replace(FOUR_STATES, stack_frames=MAX_STACK_FRAMES).obs_dim == 4 * MAX_STACK_FRAMES
 
 
 def test_chain_reset_deterministic():
-    world = ChainWorld(FOUR_STATES)
+    world = FOUR_STATES
     a = run_episode(world, 123).observations[0]
     b = run_episode(world, 123).observations[0]
     assert np.array_equal(a, b)
 
 
 def test_chain_observation_is_tiled_one_hot():
-    obs = chain_observation(FOUR_STATES, 2, stack_frames=3)
+    obs = chain_observation(replace(FOUR_STATES, stack_frames=3), 2)
     assert obs.shape == (12,)
     assert obs.tolist() == [0, 0, 1, 0] * 3
 
 
 def test_chain_reset_matches_start_distribution():
-    world = ChainWorld(FOUR_STATES, max_steps=1)
+    world = replace(FOUR_STATES, max_steps=1)
     counts = np.zeros(4)
     n = 10_000
     for seed in range(n):
@@ -118,13 +124,13 @@ def test_chain_reset_matches_start_distribution():
 
 
 def test_chain_zero_hazard_never_collides():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.0, 0.0),
         transition=((0.5, 0.5), (0.5, 0.5)),
         start_distribution=(1.0, 0.0),
+        max_steps=20,
     )
-    world = ChainWorld(spec, max_steps=20)
     eps, summary = generate_episodes(world, 50, 7)
     assert summary.collisions == 0
     assert all(ep.terminal is Terminal.TIME_LIMIT for ep in eps)
@@ -132,19 +138,18 @@ def test_chain_zero_hazard_never_collides():
 
 
 def test_chain_certain_hazard_one_step_episodes():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=1, hazard=(1.0,), transition=((1.0,),), start_distribution=(1.0,)
     )
-    eps, summary = generate_episodes(ChainWorld(spec), 20, 3)
+    eps, summary = generate_episodes(world, 20, 3)
     assert summary.collision_fraction == 1.0
     assert all(ep.steps == 1 for ep in eps)
 
 
 def test_chain_per_step_collision_frequency():
-    spec = ChainWorldSpec(
-        n_states=1, hazard=(0.1,), transition=((1.0,),), start_distribution=(1.0,)
+    world = ChainWorld(
+        n_states=1, hazard=(0.1,), transition=((1.0,),), start_distribution=(1.0,), max_steps=200
     )
-    world = ChainWorld(spec, max_steps=200)
     total_steps = 0
     collisions = 0
     seed = 0
@@ -158,15 +163,15 @@ def test_chain_per_step_collision_frequency():
 
 
 def test_chain_cumulative_frequency_matches_oracle():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.2, 0.4),
         transition=((0.5, 0.5), (0.3, 0.7)),
         start_distribution=(1.0, 0.0),
+        max_steps=10,
     )
     n_heads = 5
-    table = dp_cumulative(spec, n_heads)
-    world = ChainWorld(spec, max_steps=10)
+    table = dp_cumulative(world, n_heads)
     n = 10_000
     eps, _ = generate_episodes(world, n, 42)
     coll_step = np.array(
@@ -180,7 +185,7 @@ def test_chain_cumulative_frequency_matches_oracle():
 
 
 def test_chain_frame_stacking():
-    world = ChainWorld(FOUR_STATES, stack_frames=2)
+    world = replace(FOUR_STATES, stack_frames=2)
     first = run_episode(world, 5).observations[0]
     assert first.shape == (8,)
     assert np.array_equal(first[:4], first[4:])  # stack starts repeated
@@ -236,12 +241,12 @@ class ReferenceChainWorld:
     """The chain world as it drew states with `rng.choice` and stacked frame
     arrays, one episode at a time: the bit-level reference for ChainWorld."""
 
-    def __init__(self, spec, max_steps=100, stack_frames=1):
-        self.spec = spec
-        self.max_steps = max_steps
-        self.stack_frames = stack_frames
-        self._transition = np.array(spec.transition)
-        self._start = np.array(spec.start_distribution)
+    def __init__(self, world):
+        self.spec = world
+        self.max_steps = world.max_steps
+        self.stack_frames = world.stack_frames
+        self._transition = np.array(world.transition)
+        self._start = np.array(world.start_distribution)
 
     def reset(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -271,25 +276,26 @@ def _distribution(weights):
 
 
 @st.composite
-def chain_specs(draw):
+def chain_worlds(draw):
     # Integer weights give rows with exact zeros (including trailing ones) and
     # uneven masses; hazards include the certain and impossible ends.
     n = draw(st.integers(1, 5))
     weights = st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)
     hazard = st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0)
-    return ChainWorldSpec(
+    return ChainWorld(
         n_states=n,
         hazard=tuple(draw(st.lists(hazard, min_size=n, max_size=n))),
         transition=tuple(_distribution(draw(weights)) for _ in range(n)),
         start_distribution=_distribution(draw(weights)),
+        max_steps=draw(st.integers(1, 60)),
+        stack_frames=draw(st.integers(1, 3)),
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(chain_specs(), st.integers(1, 60), st.integers(1, 3), st.integers(0, 2**63 - 2))
-def test_chain_episodes_match_the_reference_world_bit_for_bit(spec, max_steps, stack_frames, seed):
-    world = ChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
-    reference = ReferenceChainWorld(spec, max_steps=max_steps, stack_frames=stack_frames)
+@given(chain_worlds(), st.integers(0, 2**63 - 2))
+def test_chain_episodes_match_the_reference_world_bit_for_bit(world, seed):
+    reference = ReferenceChainWorld(world)
     draws = Draws([seed])
     [got] = world.rollout(draws)
     assert_same_episode(got, reference_episode(reference, seed))
@@ -299,35 +305,40 @@ def test_chain_episodes_match_the_reference_world_bit_for_bit(spec, max_steps, s
 # --- corridor world ---------------------------------------------------------
 
 
-def test_corridor_spec_validation():
+def test_corridor_world_validation():
     with pytest.raises(ValueError):
-        CorridorWorldSpec(lane_length=50.0)  # shorter than twice the sensing range
+        CorridorWorld(lane_length=50.0)  # shorter than twice the sensing range
     with pytest.raises(ValueError):
-        CorridorWorldSpec(speed_max=20.0)  # obstacles faster than the ego target
+        CorridorWorld(speed_max=20.0)  # obstacles faster than the ego target
     with pytest.raises(ValueError):
-        CorridorWorldSpec(delta_t=0.0)
+        CorridorWorld(delta_t=0.0)
     with pytest.raises(ValueError):
-        CorridorWorldSpec(spawn_rate=-0.5)
+        CorridorWorld(spawn_rate=-0.5)
+    with pytest.raises(ValueError, match="max_steps"):
+        CorridorWorld(max_steps=0)
+    for stack_frames in (0, MAX_STACK_FRAMES + 1):
+        with pytest.raises(ValueError, match="stack_frames"):
+            CorridorWorld(stack_frames=stack_frames)
+    assert CorridorWorld(stack_frames=MAX_STACK_FRAMES).obs_dim == 8 * MAX_STACK_FRAMES
 
 
 def test_corridor_deterministic_episodes():
-    spec = CorridorWorldSpec()
-    a = run_episode(CorridorWorld(spec), 77)
-    b = run_episode(CorridorWorld(spec), 77)
+    a = run_episode(CorridorWorld(), 77)
+    b = run_episode(CorridorWorld(), 77)
     assert np.array_equal(a.observations, b.observations)
     assert a.terminal == b.terminal
 
 
 def test_corridor_empty_road_times_out():
-    spec = CorridorWorldSpec(spawn_rate=0.0, max_steps=60)
+    world = CorridorWorld(spawn_rate=0.0, max_steps=60)
     for seed in (0, 1, 2):
-        ep = run_episode(CorridorWorld(spec), seed)
+        ep = run_episode(world, seed)
         assert ep.terminal is Terminal.TIME_LIMIT
         assert ep.steps == 60
 
 
 def test_corridor_observation_shape_and_bounds():
-    world = CorridorWorld(CorridorWorldSpec(), stack_frames=3)
+    world = CorridorWorld(stack_frames=3)
     assert world.obs_dim == 24
     ep = run_episode(world, 9)
     assert ep.observations.shape[1] == 24
@@ -337,7 +348,7 @@ def test_corridor_observation_shape_and_bounds():
 
 def test_corridor_default_collision_fraction_band():
     # Documented target: roughly a third of default-spec episodes collide.
-    world = CorridorWorld(CorridorWorldSpec())
+    world = CorridorWorld()
     _, summary = generate_episodes(world, 300, 123)
     assert 0.15 <= summary.collision_fraction <= 0.45, summary.collision_fraction
 
@@ -359,9 +370,9 @@ class ReferenceCorridorWorld:
     _INITIAL_OBSTACLES = 3
     _STOPPED_EPS = 1e-9
 
-    def __init__(self, spec, stack_frames=3):
-        self.spec = spec
-        self.stack_frames = stack_frames
+    def __init__(self, world):
+        self.spec = world
+        self.stack_frames = world.stack_frames
 
     def reset(self, seed):
         spec = self.spec
@@ -474,30 +485,28 @@ corridor_variants = st.fixed_dictionaries({
 @settings(max_examples=40, deadline=None)
 @given(corridor_variants, st.integers(1, 3), st.integers(0, 2**63 - 2))
 def test_corridor_episodes_match_the_reference_world_bit_for_bit(fields, stack_frames, seed):
-    spec = CorridorWorldSpec(**fields)
-    reference = ReferenceCorridorWorld(spec, stack_frames=stack_frames)
+    world = CorridorWorld(**fields, stack_frames=stack_frames)
+    reference = ReferenceCorridorWorld(world)
     draws = Draws([seed])
-    [got] = CorridorWorld(spec, stack_frames=stack_frames).rollout(draws)
+    [got] = world.rollout(draws)
     assert_same_episode(got, reference_episode(reference, seed))
     assert_stream_ends_where(draws, 0, reference._rng)
 
 
 def test_corridor_default_corpus_matches_the_reference_world():
     # The benchmark's corridor world, over enough seeds to reach every terminal.
-    spec = CorridorWorldSpec()
+    world = CorridorWorld(stack_frames=3)
     terminals = set()
     for seed in range(10):
-        got = run_episode(CorridorWorld(spec, stack_frames=3), seed)
-        assert_same_episode(got, reference_episode(ReferenceCorridorWorld(spec, stack_frames=3), seed))
+        got = run_episode(world, seed)
+        assert_same_episode(got, reference_episode(ReferenceCorridorWorld(world), seed))
         terminals.add(got.terminal)
     assert terminals == {Terminal.COLLISION, Terminal.TIME_LIMIT}
 
 
 BATCHED = {
-    "chain": (ChainWorld(FOUR_STATES, max_steps=30, stack_frames=2),
-              ReferenceChainWorld(FOUR_STATES, max_steps=30, stack_frames=2)),
-    "corridor": (CorridorWorld(CorridorWorldSpec(spawn_rate=3.0), stack_frames=3),
-                 ReferenceCorridorWorld(CorridorWorldSpec(spawn_rate=3.0), stack_frames=3)),
+    "chain": (replace(FOUR_STATES, max_steps=30, stack_frames=2), ReferenceChainWorld),
+    "corridor": (CorridorWorld(spawn_rate=3.0, stack_frames=3), ReferenceCorridorWorld),
 }
 
 
@@ -508,7 +517,8 @@ def test_generated_batches_match_the_reference_worlds(kind, monkeypatch):
     # of the fewest words a corridor step may take refill every few steps.
     monkeypatch.setattr(envs, "ROLLOUT_BATCH", 3)
     monkeypatch.setattr(envs, "WORD_BLOCK", 26)
-    world, reference = BATCHED[kind]
+    world, reference_world = BATCHED[kind]
+    reference = reference_world(world)
     got, _ = generate_episodes(world, 8, 3)
     assert all(len({ep.steps for ep in got[lo:lo + 3]}) > 1 for lo in (0, 3, 6))
     for ep in got:
@@ -584,21 +594,21 @@ def test_a_rejected_bounded_draw_takes_the_next_half():
 
 
 def test_generate_requires_positive_count():
-    world = ChainWorld(FOUR_STATES)
+    world = FOUR_STATES
     with pytest.raises(ValueError):
         generate_episodes(world, 0, 1)
 
 
 def test_generate_bounds_the_count_before_drawing_seeds():
     # 10**11 seeds would take 745 GiB.
-    world = ChainWorld(FOUR_STATES)
+    world = FOUR_STATES
     for count in (MAX_EPISODES + 1, 10**11):
         with pytest.raises(ValueError, match=f"at most {MAX_EPISODES}"):
             generate_episodes(world, count, 1)
 
 
 def test_generate_deterministic_collection():
-    world = ChainWorld(FOUR_STATES, max_steps=30)
+    world = replace(FOUR_STATES, max_steps=30)
     eps1, sum1 = generate_episodes(world, 40, 11)
     eps2, sum2 = generate_episodes(world, 40, 11)
     assert sum1 == sum2
@@ -610,7 +620,7 @@ def test_generate_deterministic_collection():
 def test_generated_episodes_satisfy_trace_invariants(tmp_path):
     # The file records each episode's step count and its terminal as a
     # code; a collision, when there is one, is the final recorded step.
-    world = ChainWorld(FOUR_STATES, max_steps=25)
+    world = replace(FOUR_STATES, max_steps=25)
     eps, summary = generate_episodes(world, 100, 5)
     assert summary.episodes == 100
     assert sum(summary.length_histogram.values()) == 100
@@ -626,17 +636,18 @@ def test_generated_episodes_satisfy_trace_invariants(tmp_path):
 
 
 def test_world_fingerprint_distinguishes_specs():
-    a = world_fingerprint(ChainWorld(FOUR_STATES))
-    b = world_fingerprint(ChainWorld(FOUR_STATES))
+    a = world_fingerprint(FOUR_STATES)
+    b = world_fingerprint(replace(FOUR_STATES))
     assert a == b
-    other = ChainWorldSpec(
-        n_states=4,
-        hazard=(0.03, 0.05, 0.1, 0.18),
-        transition=FOUR_STATES.transition,
-        start_distribution=FOUR_STATES.start_distribution,
-    )
-    assert world_fingerprint(ChainWorld(other)) != a
-    assert world_fingerprint(CorridorWorld(CorridorWorldSpec())) != a
+    other = replace(FOUR_STATES, hazard=(0.03, 0.05, 0.1, 0.18))
+    assert world_fingerprint(other) != a
+    assert world_fingerprint(replace(FOUR_STATES, max_steps=99)) != a
+    assert world_fingerprint(CorridorWorld()) != a
+    # The frame stack is a field like any other: it shapes observations and the hash.
+    for world, stacked_dim in ((FOUR_STATES, 8), (CorridorWorld(), 16)):
+        stacked = replace(world, stack_frames=2)
+        assert stacked.obs_dim == stacked_dim != world.obs_dim
+        assert world_fingerprint(stacked) != world_fingerprint(world)
 
 
 @pytest.mark.parametrize("name, want", [("chain_small.json", "d1584237049b7513"),
@@ -652,7 +663,7 @@ def test_world_fingerprint_of_the_presets_is_unchanged(name, want):
 
 
 def small_corpus():
-    world = ChainWorld(FOUR_STATES, max_steps=15, stack_frames=2)
+    world = replace(FOUR_STATES, max_steps=15, stack_frames=2)
     eps, _ = generate_episodes(world, 12, 99)
     return eps, world_fingerprint(world)
 

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from riskhorizon.artifacts import canonical_json
 from riskhorizon.envs import (
     ChainWorld,
-    ChainWorldSpec,
     CorridorWorld,
-    CorridorWorldSpec,
     generate_episodes,
 )
 from riskhorizon.episodes import (
@@ -32,21 +30,23 @@ from riskhorizon.episodes import (
     save_episodes,
 )
 
-SPEC = ChainWorldSpec(
+CHAIN = ChainWorld(
     n_states=3,
     hazard=(0.05, 0.1, 0.3),
     transition=((0.6, 0.4, 0.0), (0.3, 0.4, 0.3), (0.0, 0.5, 0.5)),
     start_distribution=(0.5, 0.3, 0.2),
+    max_steps=30,
+    stack_frames=2,
 )
 
 
 def chain_corpus(count=20, seed=5):
-    episodes, _ = generate_episodes(ChainWorld(SPEC, max_steps=30, stack_frames=2), count, seed)
+    episodes, _ = generate_episodes(CHAIN, count, seed)
     return episodes
 
 
 def corridor_corpus(count=6, seed=5):
-    episodes, _ = generate_episodes(CorridorWorld(CorridorWorldSpec()), count, seed)
+    episodes, _ = generate_episodes(CorridorWorld(), count, seed)
     return episodes
 
 

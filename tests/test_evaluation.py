@@ -2,6 +2,7 @@
 characteristic curves, detection tables, and the report files."""
 
 import json
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from helpers import oracle_at
 from returns_reference import mc_return
-from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
+from riskhorizon.envs import ChainWorld, generate_episodes
 from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.evaluation import (
@@ -34,25 +35,28 @@ from riskhorizon.returns import HorizonConfig
 # Hazards high enough that survival past 40 steps is ~1e-9: effectively every
 # episode collides, so no window is conditioned away and the mean squared
 # residual of an exact estimator must converge to mean p(1-p).
-HEAVY = ChainWorldSpec(
+HEAVY = ChainWorld(
     n_states=2,
     hazard=(0.4, 0.6),
     transition=((0.5, 0.5), (0.4, 0.6)),
     start_distribution=(0.5, 0.5),
+    max_steps=40,
 )
 
-SAFE = ChainWorldSpec(
+SAFE = ChainWorld(
     n_states=2,
     hazard=(0.0, 0.0),
     transition=((0.5, 0.5), (0.4, 0.6)),
     start_distribution=(0.5, 0.5),
+    max_steps=12,
 )
 
-CERTAIN = ChainWorldSpec(
+CERTAIN = ChainWorld(
     n_states=1,
     hazard=(1.0,),
     transition=((1.0,),),
     start_distribution=(1.0,),
+    max_steps=12,
 )
 
 
@@ -109,7 +113,7 @@ def test_exact_estimator_error_is_the_irreducible_variance():
     # window by window. Aggregate both from the table independently.
     n_heads = 3
     table = dp_cumulative(HEAVY, n_heads)
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 4000, master_seed=101)
     report = evaluate(episodes, TableEstimator(table), cfg(n_heads))
 
@@ -132,7 +136,7 @@ def test_exact_estimator_error_is_the_irreducible_variance():
 
 
 def test_constant_one_on_collision_free_corpus_is_fully_pessimistic():
-    world = ChainWorld(SAFE, max_steps=12)
+    world = SAFE
     episodes, summary = generate_episodes(world, 30, master_seed=5)
     assert summary.collisions == 0
     report = evaluate(episodes, ConstantEstimator(1.0, 4), cfg(4))
@@ -141,7 +145,7 @@ def test_constant_one_on_collision_free_corpus_is_fully_pessimistic():
 
 
 def test_constant_zero_on_always_colliding_corpus_is_fully_optimistic():
-    world = ChainWorld(CERTAIN, max_steps=12)
+    world = CERTAIN
     episodes, summary = generate_episodes(world, 30, master_seed=5)
     assert summary.collisions == 30
     report = evaluate(episodes, ConstantEstimator(0.0, 4), cfg(4))
@@ -150,7 +154,7 @@ def test_constant_zero_on_always_colliding_corpus_is_fully_optimistic():
 
 
 def test_constant_zero_on_collision_free_corpus_is_exact():
-    world = ChainWorld(SAFE, max_steps=12)
+    world = SAFE
     episodes, _ = generate_episodes(world, 30, master_seed=5)
     report = evaluate(episodes, ConstantEstimator(0.0, 4), cfg(4))
     assert np.all(report.acc == 0.0)
@@ -158,7 +162,7 @@ def test_constant_zero_on_collision_free_corpus_is_exact():
 
 
 def test_squared_error_dominates_squared_signed_error():
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 300, master_seed=17)
     report = evaluate(episodes, ConstantEstimator(0.3, 3), cfg(3))
     present = report.counts > 0
@@ -166,7 +170,7 @@ def test_squared_error_dominates_squared_signed_error():
 
 
 def test_evaluate_is_order_invariant():
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 100, master_seed=23)
     table = dp_cumulative(HEAVY, 3)
     a = evaluate(episodes, TableEstimator(table), cfg(3))
@@ -202,7 +206,7 @@ def test_evaluate_rejects_empty_corpus():
 
 def test_report_acc_and_pes_match_a_per_window_loop():
     # Mixed corpus: collisions plus truncations at the step limit.
-    world = ChainWorld(HEAVY, max_steps=3)
+    world = replace(HEAVY, max_steps=3)
     episodes, _ = generate_episodes(world, 50, master_seed=31)
     assert {ep.terminal for ep in episodes} == {Terminal.COLLISION, Terminal.TIME_LIMIT}
     est = ConstantEstimator(0.4, 3)
@@ -289,9 +293,7 @@ def final_head_of(episodes, estimator):
 def real_case():
     """A mixed chain corpus and an untrained estimator with 4 heads."""
 
-    spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.3), transition=HEAVY.transition,
-                          start_distribution=HEAVY.start_distribution)
-    world = ChainWorld(spec, max_steps=12)
+    world = replace(HEAVY, hazard=(0.1, 0.3), max_steps=12)
     episodes, _ = generate_episodes(world, 300, master_seed=53)
     assert {ep.terminal for ep in episodes} == {Terminal.COLLISION, Terminal.TIME_LIMIT}
     est = MultiHeadEstimator(EstimatorConfig(input_dim=world.obs_dim, n_heads=4,
@@ -389,7 +391,7 @@ def test_characteristic_constant_estimator_is_flat():
 def test_characteristic_reads_final_head_along_the_realized_path():
     n_heads = 3
     table = dp_cumulative(HEAVY, n_heads)
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 400, master_seed=41)
     eligible = [
         ep for ep in episodes if ep.terminal is Terminal.COLLISION and ep.steps >= n_heads
@@ -477,7 +479,7 @@ def test_detection_uses_only_the_final_head():
 
 
 def test_detection_rates_are_monotone_in_the_threshold():
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 200, master_seed=77)
     table = dp_cumulative(HEAVY, 3)
     result = detection_rate(
@@ -589,7 +591,7 @@ def parse_table(path, name, version=1):
 
 
 def test_head_metrics_file_round_trips(tmp_path):
-    world = ChainWorld(HEAVY, max_steps=40)
+    world = HEAVY
     episodes, _ = generate_episodes(world, 60, master_seed=3)
     report = evaluate(episodes, ConstantEstimator(0.3, 3), cfg(3))
     path = tmp_path / "head_metrics.tsv"

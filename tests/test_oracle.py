@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_at
-from riskhorizon.envs import ChainWorldSpec
+from riskhorizon.envs import ChainWorld
 from riskhorizon.oracle import (
     BRUTE_FORCE_MAX_HORIZON,
     BRUTE_FORCE_MAX_STATES,
@@ -16,17 +16,17 @@ from riskhorizon.oracle import (
 )
 
 
-def self_loop(h: float) -> ChainWorldSpec:
-    return ChainWorldSpec(
+def self_loop(h: float) -> ChainWorld:
+    return ChainWorld(
         n_states=1, hazard=(h,), transition=((1.0,),), start_distribution=(1.0,)
     )
 
 
-def random_spec(rng: np.random.Generator, n_states: int) -> ChainWorldSpec:
+def random_chain(rng: np.random.Generator, n_states: int) -> ChainWorld:
     rows = rng.dirichlet(np.ones(n_states), size=n_states)
     start = rng.dirichlet(np.ones(n_states))
     hazard = rng.uniform(0.0, 1.0, size=n_states)
-    return ChainWorldSpec(
+    return ChainWorld(
         n_states=n_states,
         hazard=tuple(hazard),
         transition=tuple(tuple(row) for row in rows),
@@ -42,13 +42,13 @@ def test_self_loop_two_step_value():
 
 
 def test_two_state_cycle_hand_value():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.5, 0.0),
         transition=((0.0, 1.0), (1.0, 0.0)),
         start_distribution=(1.0, 0.0),
     )
-    table = dp_cumulative(spec, 2)
+    table = dp_cumulative(world, 2)
     # From s0: collide now (0.5) or land in the hazard-free state.
     assert oracle_at(table, 0, 2) == pytest.approx(0.5, abs=1e-15)
     # From s1: guaranteed move into s0, then its one-step hazard.
@@ -57,13 +57,13 @@ def test_two_state_cycle_hand_value():
 
 
 def test_two_state_stochastic_hand_value():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.2, 0.4),
         transition=((0.5, 0.5), (0.3, 0.7)),
         start_distribution=(0.5, 0.5),
     )
-    table = dp_cumulative(spec, 3)
+    table = dp_cumulative(world, 3)
     assert oracle_at(table, 0, 2) == pytest.approx(0.44, abs=1e-12)
     assert oracle_at(table, 1, 2) == pytest.approx(0.604, abs=1e-12)
     assert oracle_at(table, 0, 3) == pytest.approx(0.6176, abs=1e-12)
@@ -71,19 +71,19 @@ def test_two_state_stochastic_hand_value():
 
 def test_zero_horizon_column_is_zero():
     rng = np.random.default_rng(3)
-    table = dp_cumulative(random_spec(rng, 4), 5)
+    table = dp_cumulative(random_chain(rng, 4), 5)
     assert np.all(table.probabilities[:, 0] == 0.0)
 
 
 def test_zero_hazard_never_collides():
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.0, 0.0),
         transition=((0.5, 0.5), (0.5, 0.5)),
         start_distribution=(1.0, 0.0),
     )
-    assert np.all(dp_cumulative(spec, 6).probabilities == 0.0)
-    assert np.all(brute_force_cumulative(spec, 6).probabilities == 0.0)
+    assert np.all(dp_cumulative(world, 6).probabilities == 0.0)
+    assert np.all(brute_force_cumulative(world, 6).probabilities == 0.0)
 
 
 def test_unit_hazard_certain_collision():
@@ -98,16 +98,16 @@ def test_dp_matches_brute_force_on_random_chains():
     for _ in range(50):
         n_states = int(rng.integers(1, 6))
         horizon = int(rng.integers(1, 7))
-        spec = random_spec(rng, n_states)
-        dp = dp_cumulative(spec, horizon)
-        brute = brute_force_cumulative(spec, horizon)
+        world = random_chain(rng, n_states)
+        dp = dp_cumulative(world, horizon)
+        brute = brute_force_cumulative(world, horizon)
         assert np.abs(dp.probabilities - brute.probabilities).max() <= 1e-12
 
 
 def test_tables_monotone_and_bounded():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        table = dp_cumulative(random_spec(rng, int(rng.integers(1, 7))), 10)
+        table = dp_cumulative(random_chain(rng, int(rng.integers(1, 7))), 10)
         probs = table.probabilities
         assert probs.min() >= 0.0 and probs.max() <= 1.0
         assert np.all(np.diff(probs, axis=1) >= -1e-15)
@@ -115,10 +115,10 @@ def test_tables_monotone_and_bounded():
 
 def test_brute_force_size_guard():
     rng = np.random.default_rng(5)
-    big = random_spec(rng, BRUTE_FORCE_MAX_STATES + 1)
+    big = random_chain(rng, BRUTE_FORCE_MAX_STATES + 1)
     with pytest.raises(InstanceTooLargeError):
         brute_force_cumulative(big, 2)
-    small = random_spec(rng, 2)
+    small = random_chain(rng, 2)
     with pytest.raises(InstanceTooLargeError):
         brute_force_cumulative(small, BRUTE_FORCE_MAX_HORIZON + 1)
 

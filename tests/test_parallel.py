@@ -15,9 +15,7 @@ import pytest
 from riskhorizon import envs
 from riskhorizon.envs import (
     ChainWorld,
-    ChainWorldSpec,
     CorridorWorld,
-    CorridorWorldSpec,
     generate_episodes,
     world_fingerprint,
 )
@@ -25,17 +23,11 @@ from riskhorizon.episodes import save_episodes
 
 CORRIDOR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "corridor_default.json"
 
-CHAIN = ChainWorldSpec(
-    n_states=3,
-    hazard=(0.05, 0.1, 0.3),
-    transition=((0.6, 0.4, 0.0), (0.3, 0.4, 0.3), (0.0, 0.5, 0.5)),
-    start_distribution=(0.5, 0.3, 0.2),
-)
-
 WORLDS = {
-    "chain": (lambda: ChainWorld(CHAIN, max_steps=30, stack_frames=2), 60),
-    "corridor": (lambda: CorridorWorld(CorridorWorldSpec(max_steps=120, spawn_rate=3.0),
-                                       stack_frames=3), 12),
+    "chain": (ChainWorld(n_states=3, hazard=(0.05, 0.1, 0.3),
+                         transition=((0.6, 0.4, 0.0), (0.3, 0.4, 0.3), (0.0, 0.5, 0.5)),
+                         start_distribution=(0.5, 0.3, 0.2), max_steps=30, stack_frames=2), 60),
+    "corridor": (CorridorWorld(max_steps=120, spawn_rate=3.0, stack_frames=3), 12),
 }
 
 
@@ -54,8 +46,7 @@ def pool(monkeypatch):
 
 
 def roll(kind, seed=3):
-    make, count = WORLDS[kind]
-    world = make()
+    world, count = WORLDS[kind]
     return generate_episodes(world, count, seed), world_fingerprint(world)
 
 
@@ -124,11 +115,11 @@ INTERRUPTED_SAVE = """
 import os, signal, sys, time
 import numpy as np
 from riskhorizon import episodes
-from riskhorizon.envs import ChainWorld, ChainWorldSpec, generate_episodes
+from riskhorizon.envs import ChainWorld, generate_episodes
 
-spec = ChainWorldSpec(n_states=2, hazard=(0.1, 0.2), transition=((0.5, 0.5), (0.5, 0.5)),
-                      start_distribution=(0.5, 0.5))
-corpus, _ = generate_episodes(ChainWorld(spec, max_steps=20), 64, 1)
+world = ChainWorld(n_states=2, hazard=(0.1, 0.2), transition=((0.5, 0.5), (0.5, 0.5)),
+                   start_distribution=(0.5, 0.5), max_steps=20)
+corpus, _ = generate_episodes(world, 64, 1)
 write_header = np.lib.format.write_array_header_1_0
 
 def interrupting(fp, header):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import oracle_at
 from returns_reference import InvalidTargetError, lambda_return, mc_return, n_step_return
-from riskhorizon.envs import ChainWorldSpec
+from riskhorizon.envs import ChainWorld
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.oracle import dp_cumulative
 from riskhorizon.returns import (
@@ -417,14 +417,14 @@ def test_targets_lambda_zero_needs_only_one_step():
 
 def test_targets_oracle_fixed_point_on_deterministic_chain():
     # On a deterministic chain the Bellman blend of exact values is exact.
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=3,
         hazard=(0.0, 0.0, 1.0),
         transition=((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
         start_distribution=(1.0, 0.0, 0.0),
     )
     horizon = cfg(n_heads=3, lam=0.8, trunc_n=2)
-    table = dp_cumulative(spec, 3)
+    table = dp_cumulative(world, 3)
     # Walk 0 -> 1 -> 2, colliding when stepping out of state 2.
     states = [0, 1, 2]
     tr = trace([0, 0, 1])
@@ -439,14 +439,14 @@ def test_targets_oracle_fixed_point_on_deterministic_chain():
 def test_targets_oracle_fixed_point_in_expectation():
     # Stochastic chain: averaged over many rollouts, targets built from
     # oracle estimates are unbiased for the oracle values.
-    spec = ChainWorldSpec(
+    world = ChainWorld(
         n_states=2,
         hazard=(0.3, 0.05),
         transition=((0.4, 0.6), (0.5, 0.5)),
         start_distribution=(1.0, 0.0),
     )
     horizon = cfg(n_heads=2, lam=0.8, trunc_n=2)
-    table = dp_cumulative(spec, 2)
+    table = dp_cumulative(world, 2)
     rng = np.random.default_rng(99)
     total = np.zeros(2)
     count = 0
@@ -455,11 +455,11 @@ def test_targets_oracle_fixed_point_in_expectation():
         s, states, rewards = 0, [], []
         for _ in range(12):
             states.append(s)
-            if rng.random() < spec.hazard[s]:
+            if rng.random() < world.hazard[s]:
                 rewards.append(1)
                 break
             rewards.append(0)
-            s = int(rng.choice(2, p=np.asarray(spec.transition[s])))
+            s = int(rng.choice(2, p=np.asarray(world.transition[s])))
         tr = trace(rewards)
         est = np.stack([table.probabilities[q, 1:] for q in states])
         tm = matrix_for(tr, est, horizon)

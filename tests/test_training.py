@@ -12,9 +12,7 @@ from helpers import get_flat
 from riskhorizon import evaluation, training
 from riskhorizon.envs import (
     ChainWorld,
-    ChainWorldSpec,
     CorridorWorld,
-    CorridorWorldSpec,
     generate_episodes,
 )
 from riskhorizon.episodes import Episode, Terminal, load_episodes, save_episodes
@@ -42,7 +40,7 @@ from riskhorizon.training import (
     write_metric_log,
 )
 
-SPEC = ChainWorldSpec(
+CHAIN = ChainWorld(
     n_states=3,
     hazard=(0.05, 0.15, 0.3),
     transition=((0.5, 0.5, 0.0), (0.25, 0.5, 0.25), (0.0, 0.5, 0.5)),
@@ -54,7 +52,7 @@ LOSS = LossWeights(c_interval=1.0, c_chain=1.0, p_collision=0.25, p_noncollision
 
 
 def corpus(n=30, seed=4, max_steps=20):
-    eps, _ = generate_episodes(ChainWorld(SPEC, max_steps=max_steps), n, seed)
+    eps, _ = generate_episodes(dataclasses.replace(CHAIN, max_steps=max_steps), n, seed)
     return eps
 
 
@@ -355,7 +353,7 @@ def metric_bits(metrics):
 
 
 def small_corridor():
-    world = CorridorWorld(CorridorWorldSpec(), stack_frames=2)
+    world = CorridorWorld(stack_frames=2)
     episodes, _ = generate_episodes(world, 24, master_seed=5)
     horizon = HorizonConfig(delta_t=0.1, n_heads=6, lam=0.8, trunc_n=4)
     cfg = TrainConfig(horizon=horizon, loss=LossWeights(p_collision=0.5, p_noncollision=0.025),
@@ -412,7 +410,7 @@ def test_training_holds_the_observations_only_where_they_were_loaded(tmp_path):
     # forwards them a group at a time and copies only the drawn rows, so its
     # peak stays under the snapshot plus half the training observations; a
     # packed copy of the training rows alone would exceed that.
-    world = CorridorWorld(CorridorWorldSpec(), stack_frames=3)
+    world = CorridorWorld(stack_frames=3)
     save_episodes(tmp_path / "episodes.npz", generate_episodes(world, 100, master_seed=5)[0], "x")
     episodes, _ = load_episodes(tmp_path / "episodes.npz")
     _, cfg, arch = small_corridor()
