@@ -5,21 +5,23 @@ it, whichever command reads it. Unknown keys anywhere are rejected with
 their path, so typos fail loudly instead of silently falling back to
 defaults. Values have strict JSON types: an integer key takes only an
 integer (not `true`, `3.9` or `"7"`), a float key an integer or a finite
-float. Each section is turned into the object it configures (the world,
-`HorizonConfig`, `LossWeights`, `EstimatorConfig`, `TrainConfig`, the
-detection grid) at load time, passing only the keys the document sets, so
-defaults live in those classes alone. The `env` section's keys other than
-`kind` are exactly the fields of the frozen world it builds, `ChainWorld`
-or `CorridorWorld`. Any malformed value raises a
-`ConfigError` that names its key path. Checkpoints store their estimator,
-horizon and loss sections in the same shape (`to_section`, `saved_sections`).
+float, and a `tuple[...]` field a list of its item type. Each section is
+read from the dataclass it builds (the world `env.kind` picks, `HorizonConfig`,
+`LossWeights`, `EstimatorConfig`, `TrainConfig`): its keys, their types and
+its required keys are that class's fields (`lam` is keyed `lambda`), their
+annotations and the fields without a default. Only the keys the document
+sets are passed on, so defaults live in those classes alone. Any malformed
+value raises a `ConfigError` that names its key path. Checkpoints store their
+estimator, horizon and loss sections in the same shape, every key required
+(`to_section`, `saved_sections`).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .envs import MAX_EPISODES, ChainWorld, CorridorWorld
@@ -30,26 +32,9 @@ from .training import TrainConfig
 
 CONFIG_VERSION = 1
 
-# The JSON type of every key per section: int, float, str, or [kind] for a
-# list of such values.
-CHAIN_ENV_KEYS = {"kind": str, "n_states": int, "hazard": [float], "transition": [[float]],
-                  "start_distribution": [float], "max_steps": int, "stack_frames": int}
-CORRIDOR_ENV_KEYS = {"kind": str, **{key: type(value) for key, value in
-                                    asdict(CorridorWorld()).items()}}
-HORIZON_KEYS = {"delta_t": float, "n_heads": int, "lambda": float, "trunc_n": int}
-LOSS_KEYS = {"c_interval": float, "c_chain": float, "p_collision": float, "p_noncollision": float}
-ESTIMATOR_KEYS = {"backbone_layers": [int], "head_layers": [int], "activation": str,
-                  "init_seed": int}
-TRAIN_KEYS = {"epochs": int, "samples_per_epoch": int, "batch_size": int, "lr_start": float,
-              "lr_end": float, "eval_fraction": float, "checkpoint_every": int}
+# The JSON type of each key of the one section that builds no dataclass:
+# int, float, str, or [kind] for a list of such values.
 EVAL_KEYS = {"thresholds": [float], "intervals": [[float]]}
-# A checkpoint's sections, every key required. Its estimator also records
-# the input width and head count a config derives from its env and horizon.
-SAVED_SECTIONS = {
-    "estimator": (EstimatorConfig, {"input_dim": int, "n_heads": int, **ESTIMATOR_KEYS}),
-    "horizon": (HorizonConfig, HORIZON_KEYS),
-    "loss": (LossWeights, LOSS_KEYS),
-}
 # Fields whose key differs (`lambda` is a Python keyword).
 _KEY_OF_FIELD = {"lam": "lambda"}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
@@ -118,6 +103,16 @@ def _section(raw, path: str, keys: dict, required=()) -> dict:
             for key, value in raw.items()}
 
 
+def _json_type(hint, name: str):
+    """The JSON type of the field `name` annotated `hint`, as `_typed` takes it."""
+
+    if hint in _TYPE_NAMES:
+        return hint
+    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
+        return [_json_type(typing.get_args(hint)[0], name)]
+    raise TypeError(f"{name}: a field annotated {hint!r} has no JSON type")
+
+
 def _build(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), with a rejected value reported under `path`."""
 
@@ -125,6 +120,23 @@ def _build(path: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load(raw, path: str, cls, /, every_key=False, defaults=None, **given):
+    """`cls` built from section `raw`, whose keys are the fields of `cls` other
+    than those `given`. A field without a default is required, and with
+    `every_key` all are; `defaults` fills fields the section leaves out."""
+
+    hints = typing.get_type_hints(cls)
+    keys, required = {}, []
+    for f in fields(cls):
+        if f.name not in given:
+            key = _KEY_OF_FIELD.get(f.name, f.name)
+            keys[key] = _json_type(hints[f.name], f"{cls.__name__}.{f.name}")
+            if every_key or (f.default is MISSING and f.default_factory is MISSING):
+                required.append(key)
+    values = {**given, **(defaults or {}), **_section(raw, path, keys, required)}
+    return _build(path, cls, **values)
 
 
 def to_section(obj) -> dict:
@@ -136,25 +148,18 @@ def to_section(obj) -> dict:
 def saved_sections(doc: dict) -> list:
     """The EstimatorConfig, HorizonConfig and LossWeights of a checkpoint."""
 
-    return [_build(name, cls, **_section(doc[name], name, keys, required=keys))
-            for name, (cls, keys) in SAVED_SECTIONS.items()]
+    return [_load(doc[name], name, cls, every_key=True) for name, cls in
+            (("estimator", EstimatorConfig), ("horizon", HorizonConfig), ("loss", LossWeights))]
 
 
 def _world(raw) -> ChainWorld | CorridorWorld:
     if not isinstance(raw, dict):
         raise ConfigError("env: must be an object")
     kind = _require(raw, "kind", "env")
-    if kind == "chain":
-        fields = _section(raw, "env", CHAIN_ENV_KEYS,
-                          required=("n_states", "hazard", "transition", "start_distribution"))
-        make = ChainWorld
-    elif kind == "corridor":
-        fields = _section(raw, "env", CORRIDOR_ENV_KEYS)
-        make = CorridorWorld
-    else:
+    if kind not in ("chain", "corridor"):
         raise ConfigError(f"env.kind: unknown environment {kind!r}")
-    del fields["kind"]
-    return _build("env", make, **fields)
+    make = ChainWorld if kind == "chain" else CorridorWorld
+    return _load({key: v for key, v in raw.items() if key != "kind"}, "env", make)
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
@@ -163,7 +168,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: no such config file") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -191,23 +196,19 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         if not 1 <= gen_count <= MAX_EPISODES:
             raise ConfigError(f"gen.count: must be >= 1 and at most {MAX_EPISODES}")
 
-    horizon = _build("horizon", HorizonConfig, **_section(
-        _require(raw, "horizon", "config"), "horizon", HORIZON_KEYS, required=HORIZON_KEYS))
-    loss = _build("loss", LossWeights, **_section(raw.get("loss", {}), "loss", LOSS_KEYS))
-
-    arch = _section(raw.get("estimator", {}), "estimator", ESTIMATOR_KEYS)
+    horizon = _load(_require(raw, "horizon", "config"), "horizon", HorizonConfig)
+    if isinstance(world, CorridorWorld) and world.delta_t != horizon.delta_t:
+        raise ConfigError(f"env.delta_t: must equal horizon.delta_t, got {world.delta_t}")
+    loss = _load(raw.get("loss", {}), "loss", LossWeights)
     # Stable derivation so a config without an explicit seed still
     # reproduces byte-for-byte.
-    arch.setdefault("init_seed", (master_seed * 2654435761 + 17) % (2**31))
-    estimator = _build("estimator", EstimatorConfig, input_dim=world.obs_dim,
-                       n_heads=horizon.n_heads, **arch)
-
+    estimator = _load(raw.get("estimator", {}), "estimator", EstimatorConfig,
+                      defaults={"init_seed": (master_seed * 2654435761 + 17) % (2**31)},
+                      input_dim=world.obs_dim, n_heads=horizon.n_heads)
     train = None
     if "train" in raw:
-        fields = _section(raw["train"], "train", TRAIN_KEYS,
-                          required=("epochs", "samples_per_epoch"))
-        train = _build("train", TrainConfig, horizon=horizon, loss=loss, master_seed=master_seed,
-                       **fields)
+        train = _load(raw["train"], "train", TrainConfig, horizon=horizon, loss=loss,
+                      master_seed=master_seed)
 
     grid = _section(raw.get("eval", {}), "eval", EVAL_KEYS)
     thresholds = tuple(grid.get("thresholds", DEFAULT_THRESHOLDS))
@@ -218,14 +219,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     intervals = tuple(tuple(pair) for pair in intervals)
     _build("eval", check_detection_grid, thresholds, intervals)
 
-    return RunConfig(
-        master_seed=master_seed,
-        world=world,
-        gen_count=gen_count,
-        horizon=horizon,
-        loss=loss,
-        estimator=estimator,
-        train=train,
-        thresholds=thresholds,
-        intervals=intervals,
-    )
+    return RunConfig(master_seed=master_seed, world=world, gen_count=gen_count, horizon=horizon,
+                     loss=loss, estimator=estimator, train=train, thresholds=thresholds,
+                     intervals=intervals)

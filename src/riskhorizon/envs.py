@@ -26,7 +26,7 @@ feature frames (the first frame repeated).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -326,6 +326,10 @@ class CorridorWorld:
     stack_frames: int = 3
 
     def __post_init__(self) -> None:
+        # A float field stores an integer as a float, so equal worlds hash alike.
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if self.lane_length <= 2 * _SENSING_RANGE:
             raise ValueError("lane_length must exceed twice the sensing range")
         if self.target_speed <= 0 or self.brake_decel <= 0:
@@ -347,7 +351,6 @@ class CorridorWorld:
         if self.blocked_timeout_s <= 0:
             raise ValueError("blocked_timeout_s must be positive")
         _check_stack_frames(self.stack_frames)
-
 
     @property
     def obs_dim(self) -> int:

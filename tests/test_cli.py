@@ -211,6 +211,16 @@ def test_gen_rejects_malformed_json(tmp_path):
     assert result.returncode == 2
 
 
+def test_gen_maps_a_config_that_is_not_utf8_to_the_data_code(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte-order mark
+    code, err = run_main(capsys, "gen", "--config", bad, "--out", tmp_path / "e.jsonl")
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"{bad}: not valid JSON" in err
+    assert err.count("\n") == 1
+
+
 def test_gen_rejects_unknown_config_keys(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {"env": {"typo_field": 3}})
     result = run_cli("gen", "--config", cfg, "--out", tmp_path / "e.jsonl")
@@ -304,6 +314,9 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
         pytest.param({"horizon": {"delta_t": float("inf")}}, "horizon.delta_t",
                      id="delta-t-infinity"),
         pytest.param({"version": True}, "config.version", id="version-bool"),
+        # Heads count corridor steps, and eval labels them with horizon.delta_t.
+        pytest.param({"env": Whole({"kind": "corridor", "delta_t": 0.05})},
+                     "env.delta_t: must equal horizon.delta_t", id="corridor-delta-t-mismatch"),
     ],
 )
 def test_gen_maps_malformed_config_values_to_the_data_code(tmp_path, capsys, overrides, key):

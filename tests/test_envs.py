@@ -2,7 +2,7 @@
 the exact tables, corridor behaviours, and the file schema."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -648,6 +648,17 @@ def test_world_fingerprint_distinguishes_specs():
         stacked = replace(world, stack_frames=2)
         assert stacked.obs_dim == stacked_dim != world.obs_dim
         assert world_fingerprint(stacked) != world_fingerprint(world)
+
+
+def test_an_integer_for_a_float_field_gives_the_fingerprint_of_the_float():
+    # Equal worlds must share one spec_hash, however their config spelled a number.
+    spelled = {name: int(value) for name, value in asdict(CorridorWorld()).items()
+               if isinstance(value, float) and value.is_integer()}
+    assert "lane_length" in spelled
+    world = CorridorWorld(**spelled)
+    assert all(type(getattr(world, name)) is float for name in spelled)
+    assert world == CorridorWorld()
+    assert world_fingerprint(world) == world_fingerprint(CorridorWorld()) == "f897a4629f260cbd"
 
 
 @pytest.mark.parametrize("name, want", [("chain_small.json", "d1584237049b7513"),
