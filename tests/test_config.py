@@ -73,6 +73,29 @@ def test_a_section_setting_every_key_loads_to_the_instance_it_was_written_from(t
     assert getattr(loaded(tmp_path, document(world)), attr) == obj
 
 
+# Every name a section could be mistaken to take: each field of each section's
+# class and each key.
+NAMES = {f.name for cls in (ChainWorld, CorridorWorld, HorizonConfig, LossWeights,
+                            EstimatorConfig, TrainConfig) for f in fields(cls)} | {"lambda"}
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_each_key_table_names_exactly_the_fields_of_its_class(tmp_path, name):
+    """A section takes the keys of its class's fields and no other name: not a
+    derived field, `lam` for `lambda`, nor a field of another section."""
+
+    obj, world, attr = SECTIONS[name]
+    key = "env" if attr == "world" else attr
+    doc = document(world)
+    assert set(doc[key]) == set(section(obj)) | ({"kind"} if key == "env" else set())
+    assert getattr(loaded(tmp_path, doc), attr) == obj
+    for other in sorted(NAMES - set(doc[key])):
+        doc = document(world)
+        doc[key][other] = 1
+        with pytest.raises(ConfigError, match=f"^{key}.{other}: unknown key$"):
+            loaded(tmp_path, doc)
+
+
 @pytest.mark.parametrize("name", sorted(SECTIONS))
 def test_a_section_of_only_its_required_keys_loads_the_class_defaults(tmp_path, name):
     obj, world, attr = SECTIONS[name]
