@@ -21,8 +21,7 @@ from .config import ConfigError, RunConfig, load_config
 from .envs import MAX_EPISODES, ChainWorld, chain_observation, generate_episodes, world_fingerprint
 from .episodes import SchemaError, load_episodes, save_episodes
 from .evaluation import (
-    DEFAULT_INTERVALS,
-    DEFAULT_THRESHOLDS,
+    DetectionGrid,
     collision_characteristic,
     detection_rate,
     evaluate,
@@ -181,14 +180,13 @@ def cmd_eval(args) -> int:
             f"{args.episodes}: obs_dim {header['obs_dim']} does not match the "
             f"checkpoint ({ckpt.estimator.config.input_dim})"
         )
-    thresholds = cfg.thresholds if cfg else DEFAULT_THRESHOLDS
-    intervals = cfg.intervals if cfg else DEFAULT_INTERVALS
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate(episodes, ckpt.estimator, ckpt.horizon)
     curves = collision_characteristic(episodes, report.final_head, ckpt.horizon)
-    detection = detection_rate(episodes, report.final_head, ckpt.horizon, thresholds, intervals)
+    detection = detection_rate(episodes, report.final_head, ckpt.horizon,
+                               cfg.detection if cfg else DetectionGrid())
     write_head_metrics(out_dir / "head_metrics.tsv", report)
     write_characteristic(out_dir / "collision_characteristic.tsv", curves)
     write_detection(out_dir / "detection_rate.tsv", detection)

@@ -25,16 +25,13 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .envs import MAX_EPISODES, ChainWorld, CorridorWorld
-from .evaluation import DEFAULT_INTERVALS, DEFAULT_THRESHOLDS, check_detection_grid
+from .evaluation import DetectionGrid
 from .network import EstimatorConfig, LossWeights
 from .returns import HorizonConfig
 from .training import TrainConfig
 
 CONFIG_VERSION = 1
 
-# The JSON type of each key of the one section that builds no dataclass:
-# int, float, str, or [kind] for a list of such values.
-EVAL_KEYS = {"thresholds": [float], "intervals": [[float]]}
 # Fields whose key differs (`lambda` is a Python keyword).
 _KEY_OF_FIELD = {"lam": "lambda"}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
@@ -55,8 +52,7 @@ class RunConfig:
     loss: LossWeights
     estimator: EstimatorConfig
     train: TrainConfig | None
-    thresholds: tuple[float, ...]
-    intervals: tuple[tuple[float, float], ...]
+    detection: DetectionGrid
 
 
 def _require(section: dict, key: str, path: str):
@@ -210,15 +206,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         train = _load(raw["train"], "train", TrainConfig, horizon=horizon, loss=loss,
                       master_seed=master_seed)
 
-    grid = _section(raw.get("eval", {}), "eval", EVAL_KEYS)
-    thresholds = tuple(grid.get("thresholds", DEFAULT_THRESHOLDS))
-    intervals = grid.get("intervals", DEFAULT_INTERVALS)
-    for i, pair in enumerate(intervals):
-        if len(pair) != 2:
-            raise ConfigError(f"eval.intervals[{i}]: expected a [lo, hi] pair, got {pair!r}")
-    intervals = tuple(tuple(pair) for pair in intervals)
-    _build("eval", check_detection_grid, thresholds, intervals)
-
+    detection = _load(raw.get("eval", {}), "eval", DetectionGrid)
     return RunConfig(master_seed=master_seed, world=world, gen_count=gen_count, horizon=horizon,
-                     loss=loss, estimator=estimator, train=train, thresholds=thresholds,
-                     intervals=intervals)
+                     loss=loss, estimator=estimator, train=train, detection=detection)

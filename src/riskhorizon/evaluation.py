@@ -28,9 +28,6 @@ from .returns import HorizonConfig, corpus_rows, window_collides, window_known
 
 REPORT_VERSION = 1
 
-DEFAULT_THRESHOLDS = (0.0125, 0.025, 0.05, 0.1, 0.2)
-DEFAULT_INTERVALS = ((0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
-
 # `evaluate` and the training snapshot forward whole episodes in groups of
 # about this many rows: few calls, and memory that does not grow with the
 # corpus.
@@ -147,53 +144,59 @@ def collision_characteristic(
                                 skipped=int(collisions.sum()) - len(eligible))
 
 
+@dataclass(frozen=True)
+class DetectionGrid:
+    """The detection table's final-head thresholds and its time-to-collision
+    intervals (lo, hi] in seconds: at least one of each, every interval a
+    pair with 0 <= lo < hi. Its fields are the `eval` config keys."""
+
+    thresholds: tuple[float, ...] = (0.0125, 0.025, 0.05, 0.1, 0.2)
+    intervals: tuple[tuple[float, ...], ...] = (
+        (0.0, 0.4), (0.4, 0.8), (0.8, 1.2), (1.2, 1.6), (1.6, 2.0))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        object.__setattr__(self, "intervals",
+                           tuple(tuple(float(b) for b in pair) for pair in self.intervals))
+        if not self.thresholds or not self.intervals:
+            raise ValueError("need at least one threshold and one interval")
+        for i, pair in enumerate(self.intervals):
+            if len(pair) != 2:
+                raise ValueError(f"intervals[{i}] must be a [lo, hi] pair, got {list(pair)!r}")
+            if not 0.0 <= pair[0] < pair[1]:
+                raise ValueError(f"intervals[{i}] must have 0 <= lo < hi, got {list(pair)!r}")
+
+
 @dataclass
 class DetectionTable:
     """Fraction of collision episodes flagged per threshold and interval.
 
     rates[a, b] is the fraction of collision episodes whose final-head
-    estimate exceeds thresholds[a] at some timestep with time-to-collision
-    inside intervals[b] (left-open, right-closed, in seconds, each bound
-    taken as a whole number of steps); it is NaN when no timestep of a
-    collision episode lies inside intervals[b].
+    estimate exceeds grid.thresholds[a] at some timestep with
+    time-to-collision inside grid.intervals[b] (left-open, right-closed, in
+    seconds, each bound taken as a whole number of steps); it is NaN when no
+    timestep of a collision episode lies inside grid.intervals[b].
     """
 
-    thresholds: tuple[float, ...]
-    intervals: tuple[tuple[float, float], ...]
+    grid: DetectionGrid
     rates: np.ndarray
     episode_count: int
-
-
-def check_detection_grid(
-    thresholds: tuple[float, ...], intervals: tuple[tuple[float, float], ...]
-) -> None:
-    """Raise ValueError unless the detection table has at least one threshold
-    and one time-to-collision interval, and every interval (lo, hi] has
-    0 <= lo < hi."""
-
-    if not thresholds or not intervals:
-        raise ValueError("need at least one threshold and one interval")
-    for lo, hi in intervals:
-        if not 0.0 <= lo < hi:
-            raise ValueError("intervals must be nonempty and nonnegative")
 
 
 def detection_rate(
     episodes: list[Episode],
     final_head: np.ndarray,
     cfg: HorizonConfig,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    intervals: tuple[tuple[float, float], ...] = DEFAULT_INTERVALS,
+    grid: DetectionGrid = DetectionGrid(),
 ) -> DetectionTable:
     """Table from the `EvalReport.final_head` of the same episodes."""
 
-    check_detection_grid(thresholds, intervals)
     last_rows, collided = corpus_rows(episodes)
     # The rows of the collision episodes, and where each one starts among them.
     rows = np.flatnonzero(collided)
     last = last_rows[rows]
     starts = np.flatnonzero(np.diff(last, prepend=-1))
-    lo, hi = np.floor(np.array(intervals).T / cfg.delta_t * (1 + STEP_TOLERANCE))
+    lo, hi = np.floor(np.array(grid.intervals).T / cfg.delta_t * (1 + STEP_TOLERANCE))
     # Steps to collision of every row, against every interval.
     steps = (last + 1 - rows)[:, None]
     inside = (steps > lo) & (steps <= hi)
@@ -201,9 +204,9 @@ def detection_rate(
     # compare against it, which also forces monotonicity in the threshold.
     peak = np.maximum.reduceat(np.where(inside, final_head[rows, None], -np.inf),
                                starts, axis=0)
-    rates = (peak > np.array(thresholds)[:, None, None]).sum(axis=1) / max(len(starts), 1)
+    rates = (peak > np.array(grid.thresholds)[:, None, None]).sum(axis=1) / max(len(starts), 1)
     rates[:, ~inside.any(axis=0)] = np.nan
-    return DetectionTable(tuple(thresholds), tuple(intervals), rates, len(starts))
+    return DetectionTable(grid, rates, len(starts))
 
 
 def oracle_errors(estimator, table: OracleTable, state_observations: np.ndarray) -> np.ndarray:
@@ -233,8 +236,8 @@ def write_characteristic(path: str | Path, curves: CharacteristicCurves) -> None
 
 def write_detection(path: str | Path, table: DetectionTable) -> None:
     rows = [(theta, lo, hi, table.rates[a, b])
-            for a, theta in enumerate(table.thresholds)
-            for b, (lo, hi) in enumerate(table.intervals)]
+            for a, theta in enumerate(table.grid.thresholds)
+            for b, (lo, hi) in enumerate(table.grid.intervals)]
     write_table(path, "detection-rate",
                 ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows, version=2)
 

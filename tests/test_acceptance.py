@@ -23,8 +23,7 @@ from riskhorizon.envs import (
     generate_episodes,
 )
 from riskhorizon.evaluation import (
-    DEFAULT_INTERVALS,
-    DEFAULT_THRESHOLDS,
+    DetectionGrid,
     detection_rate,
     evaluate,
 )
@@ -408,8 +407,7 @@ def test_criterion_10_detection_table(corridor_run):
         episodes,
         final_head,
         CORRIDOR_HORIZON,
-        DEFAULT_THRESHOLDS,
-        DEFAULT_INTERVALS,
+        DetectionGrid(),
     )
     assert table.episode_count > 0
     assert np.all(np.diff(table.rates, axis=0) <= 0), "rates increase with the threshold"

@@ -73,8 +73,8 @@ import numpy as np
 from riskhorizon.envs import ChainWorld, generate_episodes
 from riskhorizon.episodes import save_episodes
 from riskhorizon.evaluation import (
-    CharacteristicCurves, DetectionTable, EvalReport, write_characteristic, write_detection,
-    write_head_metrics, write_oracle_errors, write_summary,
+    CharacteristicCurves, DetectionGrid, DetectionTable, EvalReport, write_characteristic,
+    write_detection, write_head_metrics, write_oracle_errors, write_summary,
 )
 from riskhorizon.network import (
     AdamState, Checkpoint, EpochMetrics, EstimatorConfig, LossWeights, MultiHeadEstimator,
@@ -97,7 +97,7 @@ report = EvalReport(acc=np.array([0.1, 0.2]), pes=np.array([0.0, -0.1]), counts=
                     final_head=np.zeros(5))
 curves = CharacteristicCurves(offsets_s=np.array([0.2, 0.1]), per_episode=np.zeros((0, 2)),
                               mean=np.array([0.3, 0.4]), skipped=0)
-detection = DetectionTable((0.1,), ((0.0, 0.4),), np.array([[0.5]]), 2)
+detection = DetectionTable(DetectionGrid((0.1,), ((0.0, 0.4),)), np.array([[0.5]]), 2)
 writers = {
     "episodes": lambda p: save_episodes(p, corpus, "abc"),
     "checkpoint": lambda p: save_checkpoint(p, Checkpoint(

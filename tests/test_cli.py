@@ -292,7 +292,7 @@ def test_gen_rejects_unknown_config_keys(tmp_path):
                      id="eval-interval-reversed"),
         pytest.param({"eval": {"intervals": [[-0.1, 0.1]]}}, "eval: intervals",
                      id="eval-interval-negative"),
-        pytest.param({"eval": {"intervals": [[0.1]]}}, "eval.intervals[0]",
+        pytest.param({"eval": {"intervals": [[0.1]]}}, "eval: intervals[0]",
                      id="eval-interval-one-end"),
         pytest.param({"eval": {"thresholds": []}}, "eval: need at least one threshold",
                      id="eval-thresholds-empty"),

@@ -9,6 +9,7 @@ import pytest
 
 from riskhorizon.config import ConfigError, _load, load_config, saved_sections, to_section
 from riskhorizon.envs import ChainWorld, CorridorWorld
+from riskhorizon.evaluation import DetectionGrid
 from riskhorizon.network import EstimatorConfig, LossWeights
 from riskhorizon.returns import HorizonConfig
 from riskhorizon.training import TrainConfig
@@ -29,6 +30,7 @@ ESTIMATOR = EstimatorConfig(input_dim=CHAIN.obs_dim, n_heads=HORIZON.n_heads,
 TRAIN = TrainConfig(horizon=HORIZON, loss=LOSS, epochs=3, samples_per_epoch=50, batch_size=4,
                     lr_start=0.01, lr_end=0.001, eval_fraction=0.25, master_seed=3,
                     checkpoint_every=2)
+GRID = DetectionGrid(thresholds=(0.05, 0.3), intervals=((0.0, 0.5), (0.5, 1.5)))
 # Fields a config derives from other sections rather than sets by key.
 DERIVED = {EstimatorConfig: ("input_dim", "n_heads"),
            TrainConfig: ("horizon", "loss", "master_seed")}
@@ -45,7 +47,7 @@ def document(world) -> dict:
     return {"version": 1, "master_seed": TRAIN.master_seed,
             "env": {"kind": "chain" if world is CHAIN else "corridor", **asdict(world)},
             "horizon": section(HORIZON), "loss": section(LOSS),
-            "estimator": section(ESTIMATOR), "train": section(TRAIN)}
+            "estimator": section(ESTIMATOR), "train": section(TRAIN), "eval": section(GRID)}
 
 
 def loaded(tmp_path, doc):
@@ -57,6 +59,7 @@ def loaded(tmp_path, doc):
 # Each section's class: (its instance, the world of the document, the
 # RunConfig attribute it loads to).
 SECTIONS = {
+    "eval": (GRID, CHAIN, "detection"),
     "chain env": (CHAIN, CHAIN, "world"),
     "corridor env": (CORRIDOR, CORRIDOR, "world"),
     "horizon": (HORIZON, CHAIN, "horizon"),
@@ -64,6 +67,8 @@ SECTIONS = {
     "estimator": (ESTIMATOR, CHAIN, "estimator"),
     "train": (TRAIN, CHAIN, "train"),
 }
+# The key of each section whose RunConfig attribute is named otherwise.
+KEY_OF_ATTR = {"world": "env", "detection": "eval"}
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -76,7 +81,8 @@ def test_a_section_setting_every_key_loads_to_the_instance_it_was_written_from(t
 # Every name a section could be mistaken to take: each field of each section's
 # class and each key.
 NAMES = {f.name for cls in (ChainWorld, CorridorWorld, HorizonConfig, LossWeights,
-                            EstimatorConfig, TrainConfig) for f in fields(cls)} | {"lambda"}
+                            EstimatorConfig, TrainConfig, DetectionGrid)
+         for f in fields(cls)} | {"lambda"}
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
@@ -85,7 +91,7 @@ def test_each_key_table_names_exactly_the_fields_of_its_class(tmp_path, name):
     derived field, `lam` for `lambda`, nor a field of another section."""
 
     obj, world, attr = SECTIONS[name]
-    key = "env" if attr == "world" else attr
+    key = KEY_OF_ATTR.get(attr, attr)
     doc = document(world)
     assert set(doc[key]) == set(section(obj)) | ({"kind"} if key == "env" else set())
     assert getattr(loaded(tmp_path, doc), attr) == obj
@@ -100,7 +106,7 @@ def test_each_key_table_names_exactly_the_fields_of_its_class(tmp_path, name):
 def test_a_section_of_only_its_required_keys_loads_the_class_defaults(tmp_path, name):
     obj, world, attr = SECTIONS[name]
     doc = document(world)
-    key = "env" if attr == "world" else attr
+    key = KEY_OF_ATTR.get(attr, attr)
     required = {f.name for f in fields(obj)
                 if f.default is MISSING and f.default_factory is MISSING}
     doc[key] = {k: v for k, v in doc[key].items()

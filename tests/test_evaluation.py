@@ -14,8 +14,8 @@ from riskhorizon.envs import ChainWorld, generate_episodes
 from riskhorizon import evaluation
 from riskhorizon.episodes import Episode, Terminal
 from riskhorizon.evaluation import (
-    DEFAULT_INTERVALS,
     CharacteristicCurves,
+    DetectionGrid,
     DetectionTable,
     EvalReport,
     collision_characteristic,
@@ -321,7 +321,8 @@ def test_grouped_reports_equal_per_episode_loops(real_case, monkeypatch, group_r
     peaks = reference_peaks(episodes, est, horizon, intervals)
     # Thresholds inside the spread of the peaks, so every rate is informative.
     thresholds = tuple(np.quantile(peaks[np.isfinite(peaks)], [0.1, 0.4, 0.7, 0.95]))
-    table = detection_rate(episodes, report.final_head, horizon, thresholds, intervals)
+    table = detection_rate(episodes, report.final_head, horizon,
+                           DetectionGrid(thresholds, intervals))
     assert table.rates.tobytes() == reference_rates(peaks, thresholds).tobytes()
     assert 0.0 < table.rates.mean() < 1.0
 
@@ -365,7 +366,7 @@ def test_reports_at_the_edges_equal_per_episode_loops(shape, n_heads):
 
     intervals = ((0.0, 0.25), (0.25, 0.75), (0.75, 5.0))
     thresholds = (0.0, 0.3, 0.6, 0.9)
-    table = detection_rate(episodes, final_head, horizon, thresholds, intervals)
+    table = detection_rate(episodes, final_head, horizon, DetectionGrid(thresholds, intervals))
     peaks = reference_peaks(episodes, est, horizon, intervals)
     assert table.episode_count == len(collisions)
     assert table.rates.tobytes() == reference_rates(peaks, thresholds).tobytes()
@@ -435,8 +436,8 @@ def test_detection_intervals_are_left_open_right_closed():
         [episode(4, True)],
         np.array([0.9, 0.2, 0.6, 0.4]),
         cfg(1, delta_t=0.25),
-        thresholds=(0.3, 0.5, 0.8, 0.95),
-        intervals=((0.0, 0.25), (0.25, 0.75), (0.75, 1.0)),
+        DetectionGrid(thresholds=(0.3, 0.5, 0.8, 0.95),
+                      intervals=((0.0, 0.25), (0.25, 0.75), (0.75, 1.0))),
     )
     # peaks per interval: (0, 0.25] -> 0.4; (0.25, 0.75] -> max(0.2, 0.6);
     # (0.75, 1.0] -> 0.9. The 0.25s step sits outside the middle interval.
@@ -455,7 +456,7 @@ def test_detection_intervals_are_left_open_right_closed():
 def test_detection_requires_strict_exceedance():
     table = detection_rate(
         [episode(4, True)], np.full(4, 0.5), cfg(1, delta_t=0.25),
-        thresholds=(0.5,), intervals=((0.0, 1.0),),
+        DetectionGrid(thresholds=(0.5,), intervals=((0.0, 1.0),)),
     )
     assert table.rates[0, 0] == 0.0
 
@@ -473,7 +474,7 @@ def test_detection_uses_only_the_final_head():
     final_head = evaluate(episodes, LoudFirstHead(), cfg(2, delta_t=0.25)).final_head
     table = detection_rate(
         episodes, final_head, cfg(2, delta_t=0.25),
-        thresholds=(0.1,), intervals=((0.0, 2.0),),
+        DetectionGrid(thresholds=(0.1,), intervals=((0.0, 2.0),)),
     )
     assert table.rates[0, 0] == 0.0
 
@@ -486,8 +487,8 @@ def test_detection_rates_are_monotone_in_the_threshold():
         episodes,
         final_head_of(episodes, TableEstimator(table)),
         cfg(3),
-        thresholds=(0.05, 0.2, 0.5, 0.9),
-        intervals=((0.0, 0.1), (0.1, 0.3), (0.3, 2.0)),
+        DetectionGrid(thresholds=(0.05, 0.2, 0.5, 0.9),
+                      intervals=((0.0, 0.1), (0.1, 0.3), (0.3, 2.0))),
     )
     assert np.all(np.diff(result.rates, axis=0) <= 0)
     assert result.episode_count == sum(
@@ -498,7 +499,7 @@ def test_detection_rates_are_monotone_in_the_threshold():
 def test_detection_interval_beyond_episode_span_never_fires():
     table = detection_rate(
         [episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
-        thresholds=(0.0,), intervals=((0.0, 1.0), (5.0, 6.0)),
+        DetectionGrid(thresholds=(0.0,), intervals=((0.0, 1.0), (5.0, 6.0))),
     )
     # No step lies in (5, 6], so it has no rate.
     np.testing.assert_array_equal(table.rates, [[1.0, np.nan]])
@@ -507,7 +508,7 @@ def test_detection_interval_beyond_episode_span_never_fires():
 def test_detection_without_collisions_is_an_empty_table():
     table = detection_rate(
         [episode(6, False)], np.full(6, 0.9), cfg(2),
-        thresholds=(0.1, 0.2), intervals=((0.0, 1.0),),
+        DetectionGrid(thresholds=(0.1, 0.2), intervals=((0.0, 1.0),)),
     )
     assert table.episode_count == 0
     assert np.all(np.isnan(table.rates))
@@ -520,7 +521,7 @@ def steps_per_interval(delta_t, intervals, n_steps):
 
     spikes = np.eye(n_steps)[:, ::-1]  # episode k - 1 peaks at row n_steps - k
     table = detection_rate([episode(n_steps, True) for _ in range(n_steps)], spikes.ravel(),
-                           cfg(1, delta_t=delta_t), thresholds=(0.5,), intervals=intervals)
+                           cfg(1, delta_t=delta_t), DetectionGrid((0.5,), intervals))
     return (table.rates[0] * n_steps).tolist()
 
 
@@ -529,31 +530,35 @@ def test_step_three_of_a_tenth_second_episode_lands_in_the_interval_ending_at_0_
     final_head = np.zeros(5)
     final_head[5 - 3] = 1.0
     table = detection_rate([episode(5, True)], final_head, cfg(1, delta_t=0.1),
-                           thresholds=(0.5,),
-                           intervals=((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5)))
+                           DetectionGrid((0.5,), ((0.0, 0.1), (0.1, 0.2), (0.2, 0.3),
+                                                  (0.3, 0.4), (0.4, 0.5))))
     assert table.rates.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]]
 
 
 def test_the_default_intervals_hold_four_tenth_second_steps_each():
-    assert steps_per_interval(0.1, DEFAULT_INTERVALS, 20) == [4.0] * 5
+    assert steps_per_interval(0.1, DetectionGrid().intervals, 20) == [4.0] * 5
     assert steps_per_interval(0.1, ((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 0.5)),
                               5) == [1.0] * 5
 
 
 def test_detection_validates_inputs():
-    ep, final_head = episode(4, True), np.full(4, 0.5)
-    with pytest.raises(ValueError):
-        detection_rate([ep], final_head, cfg(1), thresholds=())
-    with pytest.raises(ValueError):
-        detection_rate(
-            [ep], final_head, cfg(1),
-            thresholds=(0.1,), intervals=((0.4, 0.4),),
-        )
-    with pytest.raises(ValueError):
-        detection_rate(
-            [ep], final_head, cfg(1),
-            thresholds=(0.1,), intervals=((-0.2, 0.4),),
-        )
+    with pytest.raises(ValueError, match="at least one threshold"):
+        DetectionGrid(thresholds=())
+    with pytest.raises(ValueError, match="one interval"):
+        DetectionGrid(intervals=())
+    with pytest.raises(ValueError, match=r"^intervals\[0\] must have 0 <= lo < hi"):
+        DetectionGrid(thresholds=(0.1,), intervals=((0.4, 0.4),))
+    with pytest.raises(ValueError, match=r"^intervals\[1\] must have 0 <= lo < hi"):
+        DetectionGrid(thresholds=(0.1,), intervals=((0.0, 0.4), (-0.2, 0.4)))
+    with pytest.raises(ValueError, match=r"^intervals\[0\] must be a \[lo, hi\] pair"):
+        DetectionGrid(intervals=((0.1,),))
+
+
+def test_a_detection_grid_stores_tuples_of_floats():
+    grid = DetectionGrid([1, 0.5], [[0, 1], [1, 2]])
+    assert grid == DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0)))
+    assert type(grid.thresholds[0]) is float and type(grid.intervals[1]) is tuple
+    assert hash(grid) == hash(DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0))))
 
 
 # --- exact-table comparison -------------------------------------------------
@@ -620,7 +625,7 @@ def test_characteristic_file_round_trips(tmp_path):
 def test_detection_file_lists_every_cell(tmp_path):
     table = detection_rate(
         [episode(4, True)], np.array([0.9, 0.2, 0.6, 0.4]), cfg(1, delta_t=0.25),
-        thresholds=(0.3, 0.8), intervals=((0.0, 0.5), (0.5, 1.0)),
+        DetectionGrid(thresholds=(0.3, 0.8), intervals=((0.0, 0.5), (0.5, 1.0))),
     )
     path = tmp_path / "detection.tsv"
     write_detection(path, table)
@@ -635,7 +640,7 @@ def test_detection_file_lists_every_cell(tmp_path):
 
 def test_an_interval_that_holds_no_row_is_written_as_a_head_without_windows_is(tmp_path):
     table = detection_rate([episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
-                           thresholds=(0.5,), intervals=((0.0, 1.0), (5.0, 6.0)))
+                           DetectionGrid((0.5,), ((0.0, 1.0), (5.0, 6.0))))
     write_detection(tmp_path / "detection.tsv", table)
     _, rows = parse_table(tmp_path / "detection.tsv", "detection-rate", version=2)
     no_windows = EvalReport(acc=np.array([np.nan]), pes=np.array([np.nan]), counts=np.array([0]),
@@ -683,6 +688,6 @@ def test_report_dataclasses_expose_plain_fields():
     )
     assert curves.per_episode.shape == (2, 1)
     table = DetectionTable(
-        thresholds=(0.1,), intervals=((0.0, 1.0),), rates=np.zeros((1, 1)), episode_count=0
+        grid=DetectionGrid((0.1,), ((0.0, 1.0),)), rates=np.zeros((1, 1)), episode_count=0
     )
     assert table.rates.shape == (1, 1)
