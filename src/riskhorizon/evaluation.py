@@ -171,11 +171,12 @@ class DetectionGrid:
 class DetectionTable:
     """Fraction of collision episodes flagged per threshold and interval.
 
-    rates[a, b] is the fraction of collision episodes whose final-head
-    estimate exceeds grid.thresholds[a] at some timestep with
-    time-to-collision inside grid.intervals[b] (left-open, right-closed, in
-    seconds, each bound taken as a whole number of steps); it is NaN when no
-    timestep of a collision episode lies inside grid.intervals[b].
+    rates[a, b] is, of the collision episodes with a timestep whose
+    time-to-collision lies inside grid.intervals[b] (left-open, right-closed,
+    in seconds, each bound taken as a whole number of steps), the fraction
+    whose final-head estimate exceeds grid.thresholds[a] at such a timestep;
+    it is NaN when no collision episode has such a timestep. episode_count
+    counts every collision episode.
     """
 
     grid: DetectionGrid
@@ -204,8 +205,11 @@ def detection_rate(
     # compare against it, which also forces monotonicity in the threshold.
     peak = np.maximum.reduceat(np.where(inside, final_head[rows, None], -np.inf),
                                starts, axis=0)
-    rates = (peak > np.array(grid.thresholds)[:, None, None]).sum(axis=1) / max(len(starts), 1)
-    rates[:, ~inside.any(axis=0)] = np.nan
+    hits = (peak > np.array(grid.thresholds)[:, None, None]).sum(axis=1)
+    # Each interval's rate is over the episodes with a step inside it. Where
+    # none has one it is a positive NaN, which 0 / 0 would not be.
+    reached = np.logical_or.reduceat(inside, starts, axis=0).sum(axis=0)
+    rates = np.where(reached > 0, hits / np.maximum(reached, 1), np.nan)
     return DetectionTable(grid, rates, len(starts))
 
 
@@ -239,7 +243,7 @@ def write_detection(path: str | Path, table: DetectionTable) -> None:
             for a, theta in enumerate(table.grid.thresholds)
             for b, (lo, hi) in enumerate(table.grid.intervals)]
     write_table(path, "detection-rate",
-                ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows, version=2)
+                ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"], rows, version=3)
 
 
 def write_oracle_errors(path: str | Path, errors: np.ndarray) -> None:

@@ -275,11 +275,12 @@ def reference_peaks(episodes, estimator, horizon, intervals):
 
 
 def reference_rates(peaks, thresholds):
-    """Detection rates from `reference_peaks`: NaN for an interval that no
-    step of any collision episode lies in."""
+    """Detection rates from `reference_peaks`, each over the collision
+    episodes with a step inside its interval: NaN where there is none."""
 
-    reached = np.isfinite(peaks).any(axis=0)
-    return np.stack([np.where(reached, (peaks > theta).sum(axis=0) / max(len(peaks), 1), np.nan)
+    reached = np.isfinite(peaks).sum(axis=0)
+    return np.stack([np.where(reached > 0, (peaks > theta).sum(axis=0) / np.maximum(reached, 1),
+                              np.nan)
                      for theta in thresholds])
 
 
@@ -505,6 +506,17 @@ def test_detection_interval_beyond_episode_span_never_fires():
     np.testing.assert_array_equal(table.rates, [[1.0, np.nan]])
 
 
+def test_an_interval_counts_only_the_collision_episodes_that_reach_it():
+    # A 4-step episode ends 0.4 s after it starts, so it has no step 1-2 s
+    # before its collision; the 20-step episode does, and alone decides there.
+    table = detection_rate(
+        [episode(4, True), episode(20, True)], np.ones(24), cfg(1, delta_t=0.1),
+        DetectionGrid(thresholds=(0.5,), intervals=((0.0, 0.4), (1.0, 2.0))),
+    )
+    assert table.rates.tolist() == [[1.0, 1.0]]
+    assert table.episode_count == 2
+
+
 def test_detection_without_collisions_is_an_empty_table():
     table = detection_rate(
         [episode(6, False)], np.full(6, 0.9), cfg(2),
@@ -629,7 +641,7 @@ def test_detection_file_lists_every_cell(tmp_path):
     )
     path = tmp_path / "detection.tsv"
     write_detection(path, table)
-    columns, rows = parse_table(path, "detection-rate", version=2)
+    columns, rows = parse_table(path, "detection-rate", version=3)
     assert columns == ["threshold", "interval_lo_s", "interval_hi_s", "detection_rate"]
     assert len(rows) == 4
     cells = {(float(r[0]), float(r[1])): float(r[3]) for r in rows}
@@ -642,7 +654,7 @@ def test_an_interval_that_holds_no_row_is_written_as_a_head_without_windows_is(t
     table = detection_rate([episode(4, True)], np.full(4, 0.9), cfg(1, delta_t=0.25),
                            DetectionGrid((0.5,), ((0.0, 1.0), (5.0, 6.0))))
     write_detection(tmp_path / "detection.tsv", table)
-    _, rows = parse_table(tmp_path / "detection.tsv", "detection-rate", version=2)
+    _, rows = parse_table(tmp_path / "detection.tsv", "detection-rate", version=3)
     no_windows = EvalReport(acc=np.array([np.nan]), pes=np.array([np.nan]), counts=np.array([0]),
                             final_head=np.zeros(1))
     write_head_metrics(tmp_path / "head_metrics.tsv", no_windows)
