@@ -230,11 +230,7 @@ def cmd_oracle(args) -> int:
         raise ConfigError("this command needs a chain environment")
     world = cfg.world
     table = dp_cumulative(world, cfg.horizon.n_heads)
-    write_oracle_table(args.out, table)
-    print(
-        f"wrote oracle table for {world.n_states} states x {cfg.horizon.n_heads} heads"
-        f" to {args.out}"
-    )
+    # The table is written only once it has passed a requested cross-check.
     if args.cross_check:
         brute = brute_force_cumulative(world, cfg.horizon.n_heads)
         deviation = float(np.abs(table.probabilities - brute.probabilities).max())
@@ -243,6 +239,11 @@ def cmd_oracle(args) -> int:
             print("cross-check FAILED: dynamic program disagrees with enumeration",
                   file=sys.stderr)
             return EXIT_NUMERIC
+    write_oracle_table(args.out, table)
+    print(
+        f"wrote oracle table for {world.n_states} states x {cfg.horizon.n_heads} heads"
+        f" to {args.out}"
+    )
     return EXIT_OK
 
 

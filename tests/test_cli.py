@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskhorizon import cli
 from riskhorizon.cli import main
 from riskhorizon.envs import MAX_EPISODES, MAX_REACTION_DELAY, MAX_STACK_FRAMES
 from riskhorizon.episodes import load_episodes
 from riskhorizon.network import MAX_PARAMS, MultiHeadEstimator
+from riskhorizon.oracle import dp_cumulative
 from riskhorizon.returns import MAX_HEADS
 from riskhorizon.training import MAX_SAMPLES
 
@@ -998,6 +1001,33 @@ def test_oracle_cross_check_passes(tmp_path):
     assert listing(tmp_path) == ["cfg.json", "table.tsv"]
     lines = (tmp_path / "table.tsv").read_text().splitlines()
     assert lines[0].startswith("#")
+
+
+def test_a_refused_cross_check_writes_no_oracle_table(tmp_path, capsys):
+    # Seven states are past the brute force's cap.
+    cfg = write_config(tmp_path / "cfg.json", {"env": Whole({
+        "kind": "chain", "n_states": 7, "hazard": [0.1] * 7,
+        "transition": np.eye(7).tolist(), "start_distribution": [1.0] + [0.0] * 6})})
+    code, err = run_main(capsys, "oracle", "--config", cfg, "--out", tmp_path / "table.tsv",
+                         "--cross-check")
+    assert code == 2
+    assert "brute force is capped" in err
+    assert err.count("\n") == 1
+    assert listing(tmp_path) == ["cfg.json"]
+
+
+def test_a_failed_cross_check_writes_no_oracle_table(tmp_path, capsys, monkeypatch):
+    def off_by_one_percent(world, n_heads):
+        table = dp_cumulative(world, n_heads)
+        return replace(table, probabilities=table.probabilities + 0.01)
+
+    monkeypatch.setattr(cli, "brute_force_cumulative", off_by_one_percent)
+    cfg = write_config(tmp_path / "cfg.json")
+    code, err = run_main(capsys, "oracle", "--config", cfg, "--out", tmp_path / "table.tsv",
+                         "--cross-check")
+    assert code == 3
+    assert "cross-check FAILED" in err
+    assert listing(tmp_path) == ["cfg.json"]
 
 
 def test_oracle_needs_a_chain_environment(tmp_path):
