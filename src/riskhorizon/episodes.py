@@ -93,8 +93,9 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     """Write episodes as one version 2 file at exactly `path`, through
     `artifacts.replacing`; the same episodes always write the same bytes.
 
-    Refuses no episode or feature, unequal widths, a non-finite observation
-    and a seed that is not a uint64. Each episode's rows go straight into the
+    Refuses no episode or feature, unequal widths, a non-finite observation,
+    a seed that is not an integer (a Python or NumPy one, not a bool) and one
+    outside uint64 (OverflowError). Each episode's rows go straight into the
     observations member: the corpus is never copied into one matrix or one
     bytes object.
     """
@@ -107,6 +108,9 @@ def save_episodes(path: str | Path, episodes: list[Episode], spec_hash: str) -> 
     if any(ep.obs_dim != obs_dim for ep in episodes):
         raise ValueError("episodes in one file must share obs_dim")
     for k, ep in enumerate(episodes):
+        if isinstance(ep.seed, bool) or not isinstance(ep.seed, (int, np.integer)):
+            raise ValueError(f"refusing to write a seed that is not an integer "
+                             f"(episode {k}: {ep.seed!r})")
         row = _first_non_finite_row(ep.observations)
         if row is not None:
             raise ValueError(f"refusing to write a non-finite observation value "

@@ -305,6 +305,23 @@ def test_the_writer_refuses_a_seed_outside_uint64(tmp_path, seed):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", True, None], ids=["float", "string", "bool", "none"])
+def test_the_writer_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
+    episodes = chain_corpus(count=2)
+    episodes[1].seed = seed
+    with pytest.raises(ValueError, match=r"seed that is not an integer \(episode 1: "):
+        save_episodes(tmp_path / "eps.jsonl", episodes, "abc")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)], ids=["int64", "uint64"])
+def test_the_writer_takes_a_numpy_integer_seed(tmp_path, seed):
+    episodes = chain_corpus(count=2)
+    episodes[1].seed = seed
+    save_episodes(tmp_path / "eps.jsonl", episodes, "abc")
+    assert load_episodes(tmp_path / "eps.jsonl")[0][1].seed == int(seed)
+
+
 # --- the loader's refusals ---------------------------------------------------
 
 
