@@ -5,14 +5,15 @@ it, whichever command reads it. Unknown keys anywhere are rejected with
 their path, so typos fail loudly instead of silently falling back to
 defaults. Values have strict JSON types: an integer key takes only an
 integer (not `true`, `3.9` or `"7"`), a float key an integer or a finite
-float, and a `tuple[...]` field a list of its item type. Each section is
-read from the dataclass it builds (the world `env.kind` picks, `HorizonConfig`,
-`LossWeights`, `EstimatorConfig`, `TrainConfig`): its keys, their types and
-its required keys are that class's fields (`lam` is keyed `lambda`), their
-annotations and the fields without a default. Only the keys the document
-sets are passed on, so defaults live in those classes alone. Any malformed
-value raises a `ConfigError` that names its key path. Checkpoints store their
-estimator, horizon and loss sections in the same shape, every key required
+float, and a `tuple[...]` field a list of its item type. Each section but
+`gen` is read from the dataclass it builds (the world `env.kind` picks,
+`HorizonConfig`, `LossWeights`, `EstimatorConfig`, `TrainConfig`, and
+`DetectionGrid` for `eval`): its keys, their types and its required keys are
+that class's fields (`lam` is keyed `lambda`), their annotations and the
+fields without a default. Only the keys the document sets are passed on, so
+defaults live in those classes alone. Any malformed value raises a
+`ConfigError` that names its key path. Checkpoints store their estimator,
+horizon and loss sections in the same shape, every key required
 (`to_section`, `saved_sections`).
 """
 
