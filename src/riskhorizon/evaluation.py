@@ -208,7 +208,7 @@ def detection_rate(
     hits = (peak > np.array(grid.thresholds)[:, None, None]).sum(axis=1)
     # Each interval's rate is over the episodes with a step inside it. Where
     # none has one it is a positive NaN, which 0 / 0 would not be.
-    reached = np.logical_or.reduceat(inside, starts, axis=0).sum(axis=0)
+    reached = np.isfinite(peak).sum(axis=0)
     rates = np.where(reached > 0, hits / np.maximum(reached, 1), np.nan)
     return DetectionTable(grid, rates, len(starts))
 

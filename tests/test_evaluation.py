@@ -570,7 +570,6 @@ def test_a_detection_grid_stores_tuples_of_floats():
     grid = DetectionGrid([1, 0.5], [[0, 1], [1, 2]])
     assert grid == DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0)))
     assert type(grid.thresholds[0]) is float and type(grid.intervals[1]) is tuple
-    assert hash(grid) == hash(DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0))))
 
 
 # --- exact-table comparison -------------------------------------------------
