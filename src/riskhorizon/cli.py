@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage, 2 data, schema or file-system problems,
 3 numerical failures. RISKHORIZON_LOG=debug|info|warning|error controls diagnostic
-verbosity on stderr; result summaries always print to stdout.
+verbosity on stderr, and any other value reads as warning; result summaries
+always print to stdout.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 CROSS_CHECK_TOLERANCE = 1e-9
+
+# RISKHORIZON_LOG's values; any other value reads as warning.
+LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
+              "error": logging.ERROR}
 
 log = logging.getLogger("riskhorizon")
 
@@ -248,9 +253,8 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("RISKHORIZON_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = LOG_LEVELS.get(os.environ.get("RISKHORIZON_LOG", "").lower(), logging.WARNING)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "oracle": cmd_oracle}

@@ -10,11 +10,14 @@ float, and a `tuple[...]` field a list of its item type. Each section but
 `HorizonConfig`, `LossWeights`, `EstimatorConfig`, `TrainConfig`, and
 `DetectionGrid` for `eval`): its keys, their types and its required keys are
 that class's fields (`lam` is keyed `lambda`), their annotations and the
-fields without a default. Only the keys the document sets are passed on, so
-defaults live in those classes alone. Any malformed value raises a
-`ConfigError` that names its key path. Checkpoints store their estimator,
-horizon and loss sections in the same shape, every key required
-(`to_section`, `saved_sections`).
+fields without a default. Fields derived from other sections are not keys:
+the estimator's `input_dim`, `n_heads` and `init_seed` (from `master_seed`),
+and the train section's `horizon`, `loss` and `master_seed`. Only the keys
+the document sets are passed on, so defaults live in those classes alone.
+Any malformed value raises a `ConfigError` that names its key path.
+Checkpoints store their estimator (its `init_seed` included), horizon and
+loss sections in the same shape, every key required (`to_section`,
+`saved_sections`).
 """
 
 from __future__ import annotations
@@ -119,10 +122,10 @@ def _build(path: str, make, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load(raw, path: str, cls, /, every_key=False, defaults=None, **given):
+def _load(raw, path: str, cls, /, every_key=False, **given):
     """`cls` built from section `raw`, whose keys are the fields of `cls` other
     than those `given`. A field without a default is required, and with
-    `every_key` all are; `defaults` fills fields the section leaves out."""
+    `every_key` all are."""
 
     hints = typing.get_type_hints(cls)
     keys, required = {}, []
@@ -132,7 +135,7 @@ def _load(raw, path: str, cls, /, every_key=False, defaults=None, **given):
             keys[key] = _json_type(hints[f.name], f"{cls.__name__}.{f.name}")
             if every_key or (f.default is MISSING and f.default_factory is MISSING):
                 required.append(key)
-    values = {**given, **(defaults or {}), **_section(raw, path, keys, required)}
+    values = {**given, **_section(raw, path, keys, required)}
     return _build(path, cls, **values)
 
 
@@ -197,11 +200,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if isinstance(world, CorridorWorld) and world.delta_t != horizon.delta_t:
         raise ConfigError(f"env.delta_t: must equal horizon.delta_t, got {world.delta_t}")
     loss = _load(raw.get("loss", {}), "loss", LossWeights)
-    # Stable derivation so a config without an explicit seed still
-    # reproduces byte-for-byte.
+    # A stable derivation, so that a run reproduces byte for byte.
     estimator = _load(raw.get("estimator", {}), "estimator", EstimatorConfig,
-                      defaults={"init_seed": (master_seed * 2654435761 + 17) % (2**31)},
-                      input_dim=world.obs_dim, n_heads=horizon.n_heads)
+                      input_dim=world.obs_dim, n_heads=horizon.n_heads,
+                      init_seed=(master_seed * 2654435761 + 17) % (2**31))
     train = None
     if "train" in raw:
         train = _load(raw["train"], "train", TrainConfig, horizon=horizon, loss=loss,

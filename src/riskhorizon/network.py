@@ -1,10 +1,11 @@
 """Multi-head cumulative-probability estimator with analytic gradients.
 
-A shared fully connected backbone (residual blocks after the first
-projection layer) feeds a latent vector to a stack of small per-head
-sub-networks. Head i additionally receives the scalar output of head i-1
-(head 1 receives a constant 0), so the map from horizon step to probability
-is built left to right and gradients flow back through the chain.
+A shared fully connected tanh backbone (residual blocks after the first
+projection layer) feeds a latent vector to per-head sub-networks of one tanh
+hidden layer and a linear scalar output. Head i additionally receives the
+scalar output of head i-1 (head 1 receives a constant 0), so the map from
+horizon step to probability is built left to right and gradients flow back
+through the chain.
 
 Outputs are raw, unsquashed reals: probability range is enforced by an
 interval penalty in the loss, not by an output nonlinearity. Everything is
@@ -42,7 +43,7 @@ ROW_CHUNK = 512
 MAX_PARAMS = 10_000_000
 
 CHECKPOINT_FORMAT = "riskhorizon-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CHECKPOINT_KEYS = {"format", "version", "estimator", "horizon", "loss", "epochs_completed",
                    "params", "adam", "sampler", "metrics"}
 
@@ -64,8 +65,7 @@ class EstimatorConfig:
     input_dim: int
     n_heads: int
     backbone_layers: tuple[int, ...] = (64, 64)
-    head_layers: tuple[int, ...] = (16, 1)
-    activation: str = "tanh"
+    head_layers: tuple[int, ...] = (16, 1)  # [width, 1]: one hidden layer, one output
     init_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -77,12 +77,9 @@ class EstimatorConfig:
             raise ValueError(f"n_heads must be >= 1 and at most {MAX_HEADS}")
         if not self.backbone_layers or any(w < 1 for w in self.backbone_layers):
             raise ValueError("backbone_layers must be nonempty positive widths")
-        if len(self.head_layers) < 1 or self.head_layers[-1] != 1:
-            raise ValueError("head_layers must end in a single scalar output")
-        if any(w < 1 for w in self.head_layers):
-            raise ValueError("head_layers must be positive widths")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if len(self.head_layers) != 2 or self.head_layers[0] < 1 or self.head_layers[1] != 1:
+            raise ValueError(f"head_layers must be [width, 1] with width >= 1, "
+                             f"got {list(self.head_layers)}")
         if self.init_seed < 0:
             raise ValueError("init_seed must be >= 0")
         n_params = sum((in_dim + 1) * out_dim for _, out_dim, in_dim in _dense_layers(self))
@@ -135,23 +132,6 @@ def param_layout(cfg: EstimatorConfig) -> list[tuple[str, tuple[int, ...]]]:
             for part, shape in (("w", (out_dim, in_dim)), ("b", (out_dim,)))]
 
 
-def _relu(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0, out=out)
-
-
-def _relu_grad(a: np.ndarray) -> np.ndarray:
-    return (a > 0.0).astype(np.float64)  # a > 0 exactly where z > 0
-
-
-def _tanh_grad(a: np.ndarray) -> np.ndarray:
-    return 1.0 - a * a
-
-
-# Per activation: the function, called as `act(z, z)` to write over z, and
-# its derivative computed from the activation's output.
-_ACTIVATIONS = {"relu": (_relu, _relu_grad), "tanh": (np.tanh, _tanh_grad)}
-
-
 class FlatArrays(dict):
     """Named arrays that are views into one float64 vector, `flat`.
 
@@ -189,7 +169,6 @@ class MultiHeadEstimator:
         widths = [config.input_dim, *config.backbone_layers]
         self._residual = tuple(l > 0 and widths[l] == widths[l + 1]
                                for l in range(len(config.backbone_layers)))
-        self._act, self._act_grad = _ACTIVATIONS[config.activation]
         # Every layer's (weight, bias) views of params.flat, bound once; the
         # passes walk these. params.flat is only ever written in place, so
         # the views always hold the current values.
@@ -201,17 +180,15 @@ class MultiHeadEstimator:
 
     def _layer_views(self, arrays: FlatArrays) -> tuple[list, list]:
         """The (weight, bias) views of `arrays` per backbone layer, and per
-        head its hidden layers' views, its output layer's weight row
-        [width] and its output bias [1]."""
+        head its hidden layer's weight and bias, its output layer's weight
+        row [width] and its output bias [1]."""
 
-        cfg = self.config
-        layers = [(arrays[f"{name}.w"], arrays[f"{name}.b"]) for name, _, _ in _dense_layers(cfg)]
-        n_backbone, per_head = len(cfg.backbone_layers), len(cfg.head_layers)
-        heads = []
-        for k in range(n_backbone, len(layers), per_head):
-            w_out, b_out = layers[k + per_head - 1]
-            heads.append((layers[k : k + per_head - 1], w_out[0], b_out))
-        return layers[:n_backbone], heads
+        layers = [(arrays[f"{name}.w"], arrays[f"{name}.b"])
+                  for name, _, _ in _dense_layers(self.config)]
+        n_backbone = len(self.config.backbone_layers)
+        hidden, out = layers[n_backbone::2], layers[n_backbone + 1::2]
+        return layers[:n_backbone], [(w, b, w_out[0], b_out)
+                                     for (w, b), (w_out, b_out) in zip(hidden, out)]
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         """Raw head outputs; [n_heads] for a vector, [B, n_heads] for a batch.
@@ -237,8 +214,8 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
-        padded_out = np.zeros((cfg.n_heads, 2, self._heads[0][1].size))
-        for i, (_, w_out, _) in enumerate(self._heads):
+        padded_out = np.zeros((cfg.n_heads, 2, cfg.head_layers[0]))
+        for i, (_, _, w_out, _) in enumerate(self._heads):
             padded_out[i, 0] = w_out
         n = x.shape[0]
         if n < ROW_FLOOR:
@@ -259,12 +236,11 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.shape != (cfg.input_dim,):
             raise ValueError(f"an observation must be [{cfg.input_dim}], got shape {x.shape}")
-        act = self._act
         h = x
         for w, b, residual in self._backbone:
             a = w.dot(h)
             a += b
-            act(a, a)
+            np.tanh(a, a)
             if residual:
                 a += h
             h = a
@@ -274,14 +250,12 @@ class MultiHeadEstimator:
         u[:latent_dim] = h
         u[latent_dim] = 0.0
         preds = np.empty(cfg.n_heads)
-        for i, (hidden, w_out, b_out) in enumerate(self._heads):
-            cur = u
-            for w, b in hidden:
-                cur = w.dot(cur)
-                cur += b
-                act(cur, cur)
+        for i, (w, b, w_out, b_out) in enumerate(self._heads):
+            z = w.dot(u)
+            z += b
+            np.tanh(z, z)
             # The scalar output layer stays linear.
-            preds[i] = u[latent_dim] = w_out.dot(cur) + b_out[0]
+            preds[i] = u[latent_dim] = w_out.dot(z) + b_out[0]
         return preds
 
     def _forward_cached(self, x: np.ndarray, want_cache: bool = True,
@@ -299,13 +273,12 @@ class MultiHeadEstimator:
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ValueError(f"features must be [B, {cfg.input_dim}], got {x.shape}")
-        act = self._act
         h = x
         bb = []
         for w, b, residual in self._backbone:
             a = h.dot(w.T)
             a += b
-            act(a, a)
+            np.tanh(a, a)
             if want_cache:
                 bb.append((h, a))
             h = a + h if residual else a  # the cache holds a
@@ -316,24 +289,24 @@ class MultiHeadEstimator:
         u[:, :latent_dim] = h
         u[:, latent_dim] = 0.0
         preds = np.empty((n, cfg.n_heads))
-        hidden_acts = []
-        for i, (hidden, w_out, b_out) in enumerate(self._heads):
-            cur = u
-            acts = []
-            for w, b in hidden:
-                cur = cur.dot(w.T)
-                cur += b
-                acts.append(act(cur, cur))
+        hidden = []
+        for i, (w, b, w_out, b_out) in enumerate(self._heads):
+            # Not named `a`, which would free the backbone's last activation
+            # here: the order of frees decides whether the allocator gives
+            # a chunk's pages back and faults them in again on every call.
+            z = u.dot(w.T)
+            z += b
+            np.tanh(z, z)
             if want_cache:
-                hidden_acts.append(acts)
+                hidden.append(z)
             # The scalar output layer stays linear.
-            out = cur.dot(w_out) if padded_out is None else cur.dot(padded_out[i].T)[:, 0]
+            out = z.dot(w_out) if padded_out is None else z.dot(padded_out[i].T)[:, 0]
             out += b_out
             preds[:, i] = out
             u[:, latent_dim] = out
         if not want_cache:
             return preds, None
-        return preds, {"backbone": bb, "head_input": u, "hidden": hidden_acts, "preds": preds}
+        return preds, {"backbone": bb, "head_input": u, "hidden": hidden, "preds": preds}
 
     def _backward(self, cache: dict, d_preds: np.ndarray) -> FlatArrays:
         """Gradients of a scalar loss given d(loss)/d(raw head outputs).
@@ -348,7 +321,6 @@ class MultiHeadEstimator:
         if self._grads is None:
             self._grads = FlatArrays(np.zeros(self.n_params), param_layout(cfg))
             self._grad_backbone, self._grad_heads = self._layer_views(self._grads)
-        act_grad = self._act_grad
         d_pred = np.array(d_preds, dtype=np.float64)
         latent_dim = cfg.backbone_layers[-1]
         # Each head's input is rebuilt in the forward's buffer from the
@@ -358,29 +330,27 @@ class MultiHeadEstimator:
 
         for i in reversed(range(cfg.n_heads)):
             u[:, latent_dim] = preds[:, i - 1] if i > 0 else 0.0
-            hidden, w_out, _ = self._heads[i]
-            grad_hidden, grad_w_out, grad_b_out = self._grad_heads[i]
-            inputs = [u, *cache["hidden"][i]]  # each layer's input, the output layer's last
-            d_z = d_pred[:, i][:, None]  # the output layer is linear
-            np.matmul(d_z.T, inputs[-1], out=grad_w_out[None])
-            np.add.reduce(d_z, axis=0, out=grad_b_out)
-            d_cur = d_z * w_out  # [B, 1] times the weight row: [B, width]
-            for l in reversed(range(len(hidden))):
-                (w, _), (grad_w, grad_b) = hidden[l], grad_hidden[l]
-                d_z = d_cur * act_grad(inputs[l + 1])
-                np.matmul(d_z.T, inputs[l], out=grad_w)
-                np.add.reduce(d_z, axis=0, out=grad_b)
-                d_cur = d_z.dot(w)
-            d_latent += d_cur[:, :latent_dim]
+            w, _, w_out, _ = self._heads[i]
+            grad_w, grad_b, grad_w_out, grad_b_out = self._grad_heads[i]
+            z = cache["hidden"][i]
+            d_out = d_pred[:, i][:, None]  # the output layer is linear
+            np.matmul(d_out.T, z, out=grad_w_out[None])
+            np.add.reduce(d_out, axis=0, out=grad_b_out)
+            # [B, 1] times the weight row, times tanh's derivative: [B, width]
+            d_z = d_out * w_out * (1.0 - z * z)
+            np.matmul(d_z.T, u, out=grad_w)
+            np.add.reduce(d_z, axis=0, out=grad_b)
+            d_u = d_z.dot(w)
+            d_latent += d_u[:, :latent_dim]
             if i > 0:
                 # The predecessor's output is the chained scalar input.
-                d_pred[:, i - 1] += d_cur[:, latent_dim]
+                d_pred[:, i - 1] += d_u[:, latent_dim]
 
         d_h = d_latent
         for l in reversed(range(len(self._backbone))):
             (w, _, residual), (grad_w, grad_b) = self._backbone[l], self._grad_backbone[l]
             h_in, a = cache["backbone"][l]
-            d_z = d_h * act_grad(a)
+            d_z = d_h * (1.0 - a * a)
             np.matmul(d_z.T, h_in, out=grad_w)
             np.add.reduce(d_z, axis=0, out=grad_b)
             if l == 0:
@@ -600,11 +570,13 @@ def _encode(arr: np.ndarray) -> str:
     return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
 
 
-def _decode(text: str, size: int) -> np.ndarray:
+def _decode(text: str, size: int, name: str) -> np.ndarray:
     raw = base64.b64decode(text.encode("ascii"))
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if arr.shape != (size,):
-        raise ValueError(f"expected {size} values, got {arr.shape}")
+        raise ValueError(f"{name}: expected {size} values, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: the values must be finite")
     return arr
 
 
@@ -630,7 +602,7 @@ def _epoch_metrics(entry: dict, n_heads: int) -> EpochMetrics:
 
 
 def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
-    """Write `state` as a version 2 checkpoint."""
+    """Write `state` as a version 3 checkpoint."""
 
     from .config import to_section  # config imports this module
 
@@ -653,7 +625,8 @@ def save_checkpoint(path: str | Path, state: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a version 2 checkpoint; anything else raises CheckpointError."""
+    """Read a version 3 checkpoint; anything else raises CheckpointError,
+    non-finite parameters or Adam moments included."""
 
     from .config import saved_sections  # config imports this module
 
@@ -675,13 +648,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if est_cfg.n_heads != horizon.n_heads:
             raise ValueError("estimator and horizon disagree on n_heads")
         size = sum(math.prod(shape) for _, shape in param_layout(est_cfg))
-        params = _decode(doc["params"], size)  # before a huge layer is allocated
+        params = _decode(doc["params"], size, "params")  # before a huge layer is allocated
         estimator = MultiHeadEstimator(est_cfg)
         estimator.set_flat(params)
         adam = AdamState.zeros(estimator)
         adam.step = _count(doc["adam"]["step"], "adam.step")
-        adam.m[:] = _decode(doc["adam"]["m"], size)
-        adam.v[:] = _decode(doc["adam"]["v"], size)
+        adam.m[:] = _decode(doc["adam"]["m"], size, "adam.m")
+        adam.v[:] = _decode(doc["adam"]["v"], size, "adam.v")
         state = Checkpoint(estimator, horizon, weights, adam,
                            _count(doc["epochs_completed"], "epochs_completed"))
         if doc["sampler"] is not None:

@@ -95,7 +95,7 @@ def chain_run():
     )
     est_cfg = EstimatorConfig(
         input_dim=4, n_heads=5, backbone_layers=(32, 32), head_layers=(8, 1),
-        activation="tanh", init_seed=7,
+        init_seed=7,
     )
     started = time.monotonic()
     result = train(episodes, cfg, estimator_cfg=est_cfg)
@@ -132,7 +132,7 @@ def corridor_run():
     )
     est_cfg = EstimatorConfig(
         input_dim=world.obs_dim, n_heads=CORRIDOR_HORIZON.n_heads,
-        backbone_layers=(64, 64), head_layers=(16, 1), activation="tanh", init_seed=3,
+        backbone_layers=(64, 64), head_layers=(16, 1), init_seed=3,
     )
     result = train(episodes, cfg, estimator_cfg=est_cfg)
     return {"episodes": episodes, "estimator": result.state.estimator}
@@ -250,7 +250,6 @@ def test_criterion_05_gradient_correctness():
                 n_heads=n_heads,
                 backbone_layers=tuple(int(rng.integers(4, 9)) for _ in range(depth)),
                 head_layers=(int(rng.integers(3, 6)), 1),
-                activation="tanh" if rng.integers(2) else "relu",
                 init_seed=int(rng.integers(1_000_000)),
             )
         )
@@ -348,7 +347,7 @@ def test_criterion_09_stratified_unbiasedness():
     episodes, _ = generate_episodes(world, 60, master_seed=90)
     est = MultiHeadEstimator(
         EstimatorConfig(input_dim=3, n_heads=3, backbone_layers=(6,),
-                        head_layers=(4, 1), activation="tanh", init_seed=11)
+                        head_layers=(4, 1), init_seed=11)
     )
     full = build_index(episodes, horizon)
     keep = np.zeros(len(full), dtype=bool)

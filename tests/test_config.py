@@ -24,15 +24,16 @@ CORRIDOR = CorridorWorld(lane_length=300.0, target_speed=11.0, brake_decel=3.0,
                          blocked_timeout_s=4.0, stack_frames=2)
 HORIZON = HorizonConfig(delta_t=0.2, n_heads=4, lam=0.5, trunc_n=2)
 LOSS = LossWeights(c_interval=0.5, c_chain=2.0, p_collision=0.5, p_noncollision=0.125)
-ESTIMATOR = EstimatorConfig(input_dim=CHAIN.obs_dim, n_heads=HORIZON.n_heads,
-                            backbone_layers=(8, 6), head_layers=(3, 1), activation="relu",
-                            init_seed=5)
 TRAIN = TrainConfig(horizon=HORIZON, loss=LOSS, epochs=3, samples_per_epoch=50, batch_size=4,
                     lr_start=0.01, lr_end=0.001, eval_fraction=0.25, master_seed=3,
                     checkpoint_every=2)
+# The estimator's seed is the one load_config derives from master_seed.
+ESTIMATOR = EstimatorConfig(input_dim=CHAIN.obs_dim, n_heads=HORIZON.n_heads,
+                            backbone_layers=(8, 6), head_layers=(3, 1),
+                            init_seed=(TRAIN.master_seed * 2654435761 + 17) % 2**31)
 GRID = DetectionGrid(thresholds=(0.05, 0.3), intervals=((0.0, 0.5), (0.5, 1.5)))
 # Fields a config derives from other sections rather than sets by key.
-DERIVED = {EstimatorConfig: ("input_dim", "n_heads"),
+DERIVED = {EstimatorConfig: ("input_dim", "n_heads", "init_seed"),
            TrainConfig: ("horizon", "loss", "master_seed")}
 
 
@@ -114,8 +115,7 @@ def test_a_section_of_only_its_required_keys_loads_the_class_defaults(tmp_path, 
     if attr == "world":
         doc["horizon"]["delta_t"] = CorridorWorld.delta_t  # a corridor's must equal it
     got = getattr(loaded(tmp_path, doc), attr)
-    # The estimator's seed defaults to one derived from master_seed.
-    skipped = required | {*DERIVED.get(type(obj), ()), "init_seed"}
+    skipped = required | set(DERIVED.get(type(obj), ()))
     for f in fields(obj):
         if f.name not in skipped:
             assert getattr(got, f.name) == f.default, f.name

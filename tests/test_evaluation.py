@@ -517,6 +517,19 @@ def test_an_interval_counts_only_the_collision_episodes_that_reach_it():
     assert table.episode_count == 2
 
 
+@pytest.mark.parametrize("value, rate", [(np.nan, 0.5), (np.inf, 1.0)], ids=["nan", "inf"])
+def test_an_episode_with_a_non_finite_estimate_still_counts_once(value, rate):
+    # Both episodes reach the interval. A NaN peak exceeds no threshold and
+    # +inf exceeds every one, but neither drops its episode from the count.
+    final_head = np.full(10, 0.9)
+    final_head[2] = value
+    table = detection_rate(
+        [episode(5, True), episode(5, True)], final_head, cfg(1),
+        DetectionGrid(thresholds=(0.5,), intervals=((0.0, 0.5),)),
+    )
+    assert table.rates.tolist() == [[rate]]
+
+
 def test_detection_without_collisions_is_an_empty_table():
     table = detection_rate(
         [episode(6, False)], np.full(6, 0.9), cfg(2),
@@ -570,6 +583,7 @@ def test_a_detection_grid_stores_tuples_of_floats():
     grid = DetectionGrid([1, 0.5], [[0, 1], [1, 2]])
     assert grid == DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0)))
     assert type(grid.thresholds[0]) is float and type(grid.intervals[1]) is tuple
+    assert hash(grid) == hash(DetectionGrid((1.0, 0.5), ((0.0, 1.0), (1.0, 2.0))))
 
 
 # --- exact-table comparison -------------------------------------------------

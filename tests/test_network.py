@@ -42,14 +42,13 @@ from riskhorizon.returns import MAX_HEADS, HorizonConfig
 W = LossWeights(c_interval=1.0, c_chain=1.0, p_collision=0.25, p_noncollision=0.025)
 
 
-def small_estimator(seed=0, input_dim=3, n_heads=4, activation="tanh"):
+def small_estimator(seed=0, input_dim=3, n_heads=4):
     return MultiHeadEstimator(
         EstimatorConfig(
             input_dim=input_dim,
             n_heads=n_heads,
             backbone_layers=(6, 6),
             head_layers=(4, 1),
-            activation=activation,
             init_seed=seed,
         )
     )
@@ -63,25 +62,27 @@ def test_config_validation():
         EstimatorConfig(input_dim=0, n_heads=2)
     with pytest.raises(ValueError):
         EstimatorConfig(input_dim=3, n_heads=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(input_dim=3, n_heads=2, head_layers=(4, 2))
-    with pytest.raises(ValueError):
-        EstimatorConfig(input_dim=3, n_heads=2, activation="selu")
+    # A head is one hidden layer and a scalar output: [width, 1].
+    for head_layers in [(4, 2), (1,), (0, 1), (16, 8, 1)]:
+        with pytest.raises(ValueError, match=r"head_layers must be \[width, 1\]"):
+            EstimatorConfig(input_dim=3, n_heads=2, head_layers=head_layers)
 
 
 def test_sizes_are_bounded_before_anything_is_allocated():
-    # One input of width k, a 1-wide layer and one output-only head hold
-    # (k + 1) + (1 + 1 + 1) parameters.
-    EstimatorConfig(input_dim=MAX_PARAMS - 4, n_heads=1, backbone_layers=(1,), head_layers=(1,))
+    # One input of width k, a 1-wide layer and one head of a 1-wide hidden
+    # layer hold (k + 1) + (1 + 1 + 1) + (1 + 1) parameters.
+    EstimatorConfig(input_dim=MAX_PARAMS - 6, n_heads=1, backbone_layers=(1,),
+                    head_layers=(1, 1))
     with pytest.raises(ValueError, match=f"{MAX_PARAMS + 1} parameters, more than {MAX_PARAMS}"):
-        EstimatorConfig(input_dim=MAX_PARAMS - 3, n_heads=1, backbone_layers=(1,),
-                        head_layers=(1,))
+        EstimatorConfig(input_dim=MAX_PARAMS - 5, n_heads=1, backbone_layers=(1,),
+                        head_layers=(1, 1))
     with pytest.raises(ValueError, match="parameters"):
         EstimatorConfig(input_dim=3, n_heads=2, backbone_layers=(10**9, 10**9))
-    EstimatorConfig(input_dim=3, n_heads=MAX_HEADS, backbone_layers=(4,), head_layers=(1,))
+    EstimatorConfig(input_dim=3, n_heads=MAX_HEADS, backbone_layers=(4,), head_layers=(1, 1))
     for n_heads in (MAX_HEADS + 1, 10**9):
         with pytest.raises(ValueError, match=f"at most {MAX_HEADS}"):
-            EstimatorConfig(input_dim=3, n_heads=n_heads, backbone_layers=(4,), head_layers=(1,))
+            EstimatorConfig(input_dim=3, n_heads=n_heads, backbone_layers=(4,),
+                            head_layers=(1, 1))
         with pytest.raises(ValueError, match=f"at most {MAX_HEADS}"):
             HorizonConfig(delta_t=0.1, n_heads=n_heads, lam=0.8, trunc_n=1)
 
@@ -625,8 +626,7 @@ def kink_distance(est, feats):
     )
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_gradient_matches_finite_differences(activation):
+def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(77)
     done = 0
     seed = 0
@@ -638,7 +638,6 @@ def test_gradient_matches_finite_differences(activation):
                 n_heads=3,
                 backbone_layers=(5, 5),
                 head_layers=(3, 1),
-                activation=activation,
                 init_seed=seed,
             )
         )
@@ -652,9 +651,6 @@ def test_gradient_matches_finite_differences(activation):
         # differences straddle the non-differentiable point.
         if kink_distance(est, feats) < 1e-4:
             continue
-        if activation == "relu":
-            # relu adds its own kinks; keep a safety margin there too.
-            pass
         err = finite_difference_check(est, feats, targets, valid, coll, W)
         assert err < 1e-4, f"seed {seed}: relative error {err:.3g}"
         done += 1
@@ -664,7 +660,7 @@ def test_gradient_check_single_head():
     rng = np.random.default_rng(88)
     est = MultiHeadEstimator(
         EstimatorConfig(
-            input_dim=2, n_heads=1, backbone_layers=(4,), head_layers=(1,), init_seed=1
+            input_dim=2, n_heads=1, backbone_layers=(4,), head_layers=(1, 1), init_seed=1
         )
     )
     feats = rng.normal(size=(3, 2))
@@ -684,22 +680,14 @@ def test_gradient_check_single_head():
 # match them bit for bit.
 
 
-def _ref_act(z, kind):
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
-
-
-def _ref_act_grad(z, a, kind):
-    return (z > 0.0).astype(np.float64) if kind == "relu" else 1.0 - a * a
-
-
 class ReferenceEstimator(MultiHeadEstimator):
     def _forward_cached(self, x, want_cache=True):
-        cfg, act, p = self.config, self.config.activation, self.params
+        cfg, p = self.config, self.params
         h = x
         bb = []
         for l in range(len(cfg.backbone_layers)):
             z = h @ p[f"backbone{l}.w"].T + p[f"backbone{l}.b"]
-            a = _ref_act(z, act)
+            a = np.tanh(z)
             bb.append((h, z, a))
             h = a + h if self._residual[l] else a
         latent = h
@@ -712,7 +700,7 @@ class ReferenceEstimator(MultiHeadEstimator):
             layers = []
             for l in range(len(cfg.head_layers)):
                 z = cur @ p[f"head{i}.l{l}.w"].T + p[f"head{i}.l{l}.b"]
-                a = _ref_act(z, act) if l < len(cfg.head_layers) - 1 else z
+                a = np.tanh(z) if l < len(cfg.head_layers) - 1 else z
                 layers.append((cur, z, a))
                 cur = a
             heads.append(layers)
@@ -722,7 +710,7 @@ class ReferenceEstimator(MultiHeadEstimator):
         return preds, cache
 
     def _backward(self, cache, d_preds):
-        cfg, act, p = self.config, self.config.activation, self.params
+        cfg, p = self.config, self.params
         grads = {k: np.zeros_like(v) for k, v in p.items()}
         d_pred = d_preds.astype(np.float64).copy()
         latent_dim = cfg.backbone_layers[-1]
@@ -731,7 +719,7 @@ class ReferenceEstimator(MultiHeadEstimator):
             d_cur = d_pred[:, i][:, None]
             for l in reversed(range(len(cfg.head_layers))):
                 inp, z, a = cache["heads"][i][l]
-                d_z = d_cur * _ref_act_grad(z, a, act) if l < len(cfg.head_layers) - 1 else d_cur
+                d_z = d_cur * (1.0 - a * a) if l < len(cfg.head_layers) - 1 else d_cur
                 grads[f"head{i}.l{l}.w"] += d_z.T @ inp
                 grads[f"head{i}.l{l}.b"] += d_z.sum(axis=0)
                 d_cur = d_z @ p[f"head{i}.l{l}.w"]
@@ -741,7 +729,7 @@ class ReferenceEstimator(MultiHeadEstimator):
         d_h = d_latent
         for l in reversed(range(len(cfg.backbone_layers))):
             h_in, z, a = cache["backbone"][l]
-            d_z = d_h * _ref_act_grad(z, a, act)
+            d_z = d_h * (1.0 - a * a)
             grads[f"backbone{l}.w"] += d_z.T @ h_in
             grads[f"backbone{l}.b"] += d_z.sum(axis=0)
             d_prev = d_z @ p[f"backbone{l}.w"]
@@ -751,13 +739,12 @@ class ReferenceEstimator(MultiHeadEstimator):
         return grads
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_a_one_row_batch_gets_the_reference_gradient_bits(activation):
+def test_a_one_row_batch_gets_the_reference_gradient_bits():
     # With one row, each weight gradient is an outer product. Subnormal
     # inputs make products that underflow to a zero of either sign, and the
     # gradient must hold +0.0 for them, as the reference's zero-filled sums do.
     cfg = EstimatorConfig(input_dim=5, n_heads=4, backbone_layers=(12, 12), head_layers=(8, 1),
-                          activation=activation, init_seed=3)
+                          init_seed=3)
     est, ref = MultiHeadEstimator(cfg), ReferenceEstimator(cfg)
     rng = np.random.default_rng(3)
     valid, coll = np.ones((1, 4), bool), np.array([False])
@@ -773,18 +760,17 @@ def test_a_one_row_batch_gets_the_reference_gradient_bits(activation):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    activation=st.sampled_from(["tanh", "relu"]),
     backbone=st.sampled_from([(12,), (12, 12), (16, 12, 12)]),
-    head_layers=st.sampled_from([(1,), (16, 1), (16, 8, 1)]),
+    head_layers=st.sampled_from([(1, 1), (16, 1)]),
     n_heads=st.integers(1, 6),
     rows=st.sampled_from([1, 32, 300]),
     seed=st.integers(0, 2**16),
 )
 def test_forward_and_gradients_match_the_reference_bitwise(
-    activation, backbone, head_layers, n_heads, rows, seed
+    backbone, head_layers, n_heads, rows, seed
 ):
     cfg = EstimatorConfig(input_dim=5, n_heads=n_heads, backbone_layers=backbone,
-                          head_layers=head_layers, activation=activation, init_seed=seed)
+                          head_layers=head_layers, init_seed=seed)
     est, ref = MultiHeadEstimator(cfg), ReferenceEstimator(cfg)
     rng = np.random.default_rng(seed)
     x = rng.normal(scale=2.0, size=(rows, 5))
@@ -1094,6 +1080,24 @@ def test_checkpoint_rejects_tampered_payload(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["params", "adam.m", "adam.v"])
+def test_a_checkpoint_of_non_finite_values_is_rejected(tmp_path, field, value):
+    import base64
+    import json
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, trained_state(23))
+    doc = json.loads(path.read_text())
+    section, key = (doc, field) if field == "params" else (doc["adam"], field[-1])
+    values = np.frombuffer(base64.b64decode(section[key]), dtype="<f8").copy()
+    values[3] = value
+    section[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{field}: the values must be finite"):
+        load_checkpoint(path)
+
+
 def test_a_version_1_checkpoint_names_its_version_and_says_to_retrain(tmp_path):
     import json
 
@@ -1105,6 +1109,20 @@ def test_a_version_1_checkpoint_names_its_version_and_says_to_retrain(tmp_path):
     del doc["sampler"], doc["metrics"]
     path.write_text(json.dumps({**doc, "version": 1, "layout": []}))
     with pytest.raises(CheckpointError, match=r"a version 1 checkpoint; this version reads "
-                                              r"version 2: re-run `riskhorizon train`"):
+                                              r"version 3: re-run `riskhorizon train`"):
+        load_checkpoint(path)
+
+
+def test_a_version_2_checkpoint_names_its_version_and_says_to_retrain(tmp_path):
+    import json
+
+    path = tmp_path / "v2.json"
+    save_checkpoint(path, trained_state(25, steps=2, epochs_completed=2))
+    doc = json.loads(path.read_text())
+    # What the version 2 writer wrote: the estimator's activation as well.
+    doc["estimator"]["activation"] = "tanh"
+    path.write_text(json.dumps({**doc, "version": 2}))
+    with pytest.raises(CheckpointError, match=r"a version 2 checkpoint; this version reads "
+                                              r"version 3: re-run `riskhorizon train`"):
         load_checkpoint(path)
 
